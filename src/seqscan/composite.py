@@ -11,12 +11,12 @@ belief, and the estimated expected sample size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
-from seqscan.models import KL_SATURATION, ObservationModel, finite_kl, log_density
+from seqscan.belief import _sigmoid
+from seqscan.models import KL_SATURATION, ObservationModel, Poisson, finite_kl, log_density
 from seqscan.sprt import Verdict
 
 # floor for divergences in sample-size denominators; identical models
@@ -38,10 +38,20 @@ class StatisticKind(Enum):
 @dataclass(frozen=True)
 class ParameterGrid:
     """Finite parameter set with a region label per point. Duplicate
-    models are allowed (even across regions)."""
+    models are allowed (even across regions).
+
+    The tables every observation would otherwise re-derive are built
+    once here: the point indices of each region, and per point the
+    smallest divergence to Theta0 and to Theta1 (``nearest_kl``)."""
 
     models: tuple[ObservationModel, ...]
     regions: tuple[Region, ...]
+    region_indices: dict[Region, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    nearest_kl: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
+    # (log rate, rate) per point when every point is Poisson, else None
+    poisson_terms: tuple[tuple[float, float], ...] | None = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "models", tuple(self.models))
@@ -52,19 +62,37 @@ class ParameterGrid:
             raise ValueError("region Theta0 must be nonempty")
         if not any(r is Region.THETA1 for r in self.regions):
             raise ValueError("region Theta1 must be nonempty")
+        region_indices = {
+            region: tuple(i for i, r in enumerate(self.regions) if r is region)
+            for region in Region
+        }
+        i0, i1 = region_indices[Region.THETA0], region_indices[Region.THETA1]
+        nearest_kl = tuple(
+            (
+                min(finite_kl(m, self.models[j]) for j in i0),
+                min(finite_kl(m, self.models[j]) for j in i1),
+            )
+            for m in self.models
+        )
+        poisson_terms = None
+        if all(isinstance(m, Poisson) for m in self.models):
+            poisson_terms = tuple((math.log(m.rate), m.rate) for m in self.models)
+        object.__setattr__(self, "region_indices", region_indices)
+        object.__setattr__(self, "nearest_kl", nearest_kl)
+        object.__setattr__(self, "poisson_terms", poisson_terms)
 
     def __len__(self) -> int:
         return len(self.models)
 
     def indices(self, region: Region) -> tuple[int, ...]:
-        return tuple(i for i, r in enumerate(self.regions) if r is region)
+        return self.region_indices[region]
 
 
 @dataclass
 class CompositeState:
     """Running sufficient statistics for one process."""
 
-    cum_ll: np.ndarray          # cumulative log-likelihood per grid point
+    cum_ll: Sequence[float]     # cumulative log-likelihood per grid point
     n_obs: int
     mle: int                    # argmax of cum_ll, ties to lowest index
     mle_prev: int               # the estimate held before the latest observation
@@ -105,7 +133,7 @@ def init_state(grid: ParameterGrid, prior: float) -> CompositeState:
     if not 0.0 <= prior <= 1.0:
         raise ValueError(f"prior must be a probability, got {prior}")
     return CompositeState(
-        cum_ll=np.zeros(len(grid)),
+        cum_ll=[0.0] * len(grid),
         n_obs=0,
         mle=0,
         mle_prev=0,
@@ -117,25 +145,40 @@ def init_state(grid: ParameterGrid, prior: float) -> CompositeState:
 
 def ingest(state: CompositeState, grid: ParameterGrid, y: float) -> CompositeState:
     """Fold one observation into every per-point sum. The adaptive
-    numerator uses the estimate held before this observation."""
-    inc = np.array([log_density(m, y) for m in grid.models])
-    state.alr_numerator += float(inc[state.mle])
+    numerator uses the estimate held before this observation.
+
+    Poisson grids evaluate the log-pmf from the cached (log rate, rate)
+    pairs in the same operation order as ``log_density``, so every term
+    is bit-identical to it. Log-densities are never +inf or NaN, so the
+    sums stay NaN-free and a plain ``max`` finds the estimate."""
+    terms = grid.poisson_terms
+    if terms is not None:
+        k = int(y)
+        if k != y or k < 0:
+            raise ValueError(f"Poisson support is the nonnegative integers, got {y}")
+        g = math.lgamma(k + 1)
+        inc = [k * log_rate - rate - g for log_rate, rate in terms]
+    else:
+        inc = [log_density(m, y) for m in grid.models]
+    state.alr_numerator += inc[state.mle]
     state.mle_prev = state.mle
-    state.cum_ll = state.cum_ll + inc
+    cum = [c + d for c, d in zip(state.cum_ll, inc)]
+    state.cum_ll = cum
     state.n_obs += 1
-    state.mle = int(np.argmax(state.cum_ll))
+    state.mle = cum.index(max(cum))  # first maximum: ties to the lowest index
     return state
 
 
 def _restricted_max(state: CompositeState, grid: ParameterGrid, region: Region) -> float:
-    return float(max(state.cum_ll[i] for i in grid.indices(region)))
+    cum = state.cum_ll
+    return max([cum[i] for i in grid.region_indices[region]])
 
 
 def glr_statistic(state: CompositeState, grid: ParameterGrid, declare: int) -> float:
     """Unrestricted maximum minus the maximum over the region being
     rejected (declare=1 rejects Theta0 and vice versa)."""
     rejected = Region.THETA0 if declare == 1 else Region.THETA1
-    full = float(np.max(state.cum_ll))
+    full = max(state.cum_ll)
     restricted = _restricted_max(state, grid, rejected)
     if math.isinf(full) and math.isinf(restricted):
         return 0.0
@@ -171,13 +214,6 @@ def check_stop_composite(
     return Verdict.CONTINUE
 
 
-def _sigmoid(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
-
-
 def estimated_belief_update(state: CompositeState, grid: ParameterGrid) -> float:
     """Posterior-odds belief against the two restricted maximum-likelihood
     models. All past observations enter through the per-point sums, so the
@@ -200,10 +236,8 @@ def estimated_expected_sample_size(
     """Boundary over the divergence from the current estimate to the
     opposing region. An estimate inside the indifference region counts
     as belonging to the nearer (smaller-divergence) region."""
-    theta = grid.models[state.mle]
     region = grid.regions[state.mle]
-    d_to_t0 = min(finite_kl(theta, grid.models[i]) for i in grid.indices(Region.THETA0))
-    d_to_t1 = min(finite_kl(theta, grid.models[i]) for i in grid.indices(Region.THETA1))
+    d_to_t0, d_to_t1 = grid.nearest_kl[state.mle]
     if region is Region.INDIFFERENCE:
         region = Region.THETA0 if d_to_t0 <= d_to_t1 else Region.THETA1
     if region is Region.THETA0:

@@ -231,14 +231,8 @@ def a_priori_expected_size(spec: ProcessSpec) -> float:
     i0, i1 = grid.indices(Region.THETA0), grid.indices(Region.THETA1)
     w0 = spec.h0_weights or tuple(1.0 / len(i0) for _ in i0)
     w1 = spec.h1_weights or tuple(1.0 / len(i1) for _ in i1)
-    e1 = sum(
-        w * b.b1 / max(min(finite_kl(grid.models[i], grid.models[j]) for j in i0), 1e-12)
-        for w, i in zip(w1, i1)
-    )
-    e0 = sum(
-        w * b.b0 / max(min(finite_kl(grid.models[i], grid.models[j]) for j in i1), 1e-12)
-        for w, i in zip(w0, i0)
-    )
+    e1 = sum(w * b.b1 / max(grid.nearest_kl[i][0], 1e-12) for w, i in zip(w1, i1))
+    e0 = sum(w * b.b0 / max(grid.nearest_kl[i][1], 1e-12) for w, i in zip(w0, i0))
     return spec.prior * e1 + (1.0 - spec.prior) * e0
 
 

@@ -373,10 +373,31 @@ def validate_config(cfg: ExperimentConfig) -> None:
         composite = cfg.generator.get("kind") == "equally_spaced_mixture"
     if composite and cfg.statistic == "SPRT":
         raise ConfigError("parameter-grid processes need the GLR or ALR statistic")
+    for pid, spec in enumerate(cfg.processes or (), start=1):
+        if spec.is_composite:
+            _validate_grid_decidable(spec, pid)
 
     k = _known_process_count(cfg)
     if k is not None and cfg.m > k:
         raise ConfigError(f"m={cfg.m} exceeds the process count {k}")
+
+
+def _validate_grid_decidable(spec: ProcessSpec, pid: int) -> None:
+    """A truth point that can be drawn (positive weight; no weights means
+    uniform) and sits at zero divergence from the opposite region gives
+    its test no drift, so episodes would only end at the time cap."""
+    grid = spec.grid
+    for region, weights, opposite, side in (
+        (Region.THETA0, spec.h0_weights, Region.THETA1, 1),
+        (Region.THETA1, spec.h1_weights, Region.THETA0, 0),
+    ):
+        idxs = grid.indices(region)
+        for i, w in zip(idxs, weights or (1.0,) * len(idxs)):
+            if w > 0 and grid.nearest_kl[i][side] == 0:
+                raise ConfigError(
+                    f"process {pid}: grid point {i} ({grid.models[i]}) in {region.value} "
+                    f"has zero divergence to {opposite.value}; its test can never decide"
+                )
 
 
 def _validate_generator(gen: dict, needs_k: bool) -> None:

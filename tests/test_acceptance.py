@@ -101,6 +101,7 @@ def test_c2_mean_sample_size_tracks_first_order_value():
     )
 
 
+@pytest.mark.slow
 def test_c3_composite_mixture_closed_loop_savings():
     t0 = time.monotonic()
     cfg = replace(figure_config("fig1"), sweep_values=(4.0, 8.0), episodes=2000,
@@ -118,6 +119,7 @@ def test_c3_composite_mixture_closed_loop_savings():
     _report(3, ok, f"{detail} (gate 0.80, bands separated), {elapsed:.0f}s < 600s")
 
 
+@pytest.mark.slow
 def test_c4_multiprobe_closed_loop_not_worse():
     cfg = replace(figure_config("fig2"), episodes=2000, master_seed=41)
     res = {(s.sweep_value, s.policy): s for s in run_experiment(cfg)}
@@ -160,6 +162,7 @@ def test_c5_cost_over_floor_shrinks_toward_small_errors():
     )
 
 
+@pytest.mark.slow
 def test_c6_risk_falls_linearly_in_log_error_cost():
     cfg = replace(figure_config("fig4"), episodes=2000, master_seed=61)
     res = run_experiment(cfg)
@@ -181,6 +184,7 @@ def test_c6_risk_falls_linearly_in_log_error_cost():
     )
 
 
+@pytest.mark.slow
 def test_c7_exploration_not_worse_at_small_errors():
     cfg = replace(figure_config("fig5"), episodes=150, master_seed=71)
     res = [s for s in run_experiment(cfg) if s.sweep_value == cfg.sweep_values[-1]]
@@ -276,6 +280,7 @@ def test_c8_oracle_equivalences():
     )
 
 
+@pytest.mark.slow
 def test_c9_figure_pipeline_is_byte_deterministic(tmp_path):
     outputs = []
     for name in ("a.csv", "b.csv"):

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqscan.composite import (
     CompositeBoundaries,
@@ -23,7 +25,7 @@ from seqscan.composite import (
     ingest,
     init_state,
 )
-from seqscan.models import Poisson, log_density, sample
+from seqscan.models import Categorical, Gaussian, Poisson, finite_kl, log_density, sample
 from seqscan.sprt import SprtState, Verdict, update_llr
 
 
@@ -298,3 +300,113 @@ def test_mle_consistency_at_depth(mixture_grid):
             s = ingest(s, mixture_grid, sample(Poisson(15.0), rng))
         hits += s.mle == 2
     assert hits / trials >= 0.99
+
+
+# --- exact differential test of the grid fold against the old numpy fold ---
+
+
+class _Oracle:
+    """The grid statistics recomputed the direct way: one numpy row of
+    log_density terms per observation added to the running sums, argmax
+    for the estimate, and a fresh min(finite_kl) scan for the sample size."""
+
+    def __init__(self, grid, prior):
+        self.grid, self.prior = grid, prior
+        self.cum = np.zeros(len(grid))
+        self.mle = self.mle_prev = 0
+        self.alr_numerator = 0.0
+
+    def ingest(self, y):
+        inc = np.array([log_density(m, y) for m in self.grid.models])
+        self.alr_numerator += float(inc[self.mle])
+        self.mle_prev = self.mle
+        self.cum = self.cum + inc
+        self.mle = int(np.argmax(self.cum))
+
+    def restricted(self, region):
+        return float(max(self.cum[i] for i, r in enumerate(self.grid.regions) if r is region))
+
+    def glr(self, declare):
+        full = float(np.max(self.cum))
+        restricted = self.restricted(Region.THETA0 if declare == 1 else Region.THETA1)
+        return 0.0 if math.isinf(full) and math.isinf(restricted) else full - restricted
+
+    def alr(self, declare):
+        restricted = self.restricted(Region.THETA0 if declare == 1 else Region.THETA1)
+        if math.isinf(self.alr_numerator) and math.isinf(restricted):
+            return 0.0
+        return self.alr_numerator - restricted
+
+    def belief(self, previous):
+        if self.prior in (0.0, 1.0):
+            return self.prior
+        l1, l0 = self.restricted(Region.THETA1), self.restricted(Region.THETA0)
+        if math.isinf(l1) and math.isinf(l0):
+            return previous
+        x = math.log(self.prior / (1.0 - self.prior)) + l1 - l0
+        return 1.0 / (1.0 + math.exp(-x)) if x >= 0 else math.exp(x) / (1.0 + math.exp(x))
+
+    def expected_size(self, b):
+        models, regions = self.grid.models, self.grid.regions
+        theta = models[self.mle]
+        d0 = min(finite_kl(theta, m) for m, r in zip(models, regions) if r is Region.THETA0)
+        d1 = min(finite_kl(theta, m) for m, r in zip(models, regions) if r is Region.THETA1)
+        region = regions[self.mle]
+        if region is Region.INDIFFERENCE:
+            region = Region.THETA0 if d0 <= d1 else Region.THETA1
+        if region is Region.THETA0:
+            return b.b0 / max(d1, 1e-12)
+        return b.b1 / max(d0, 1e-12)
+
+
+_REGIONS = st.sampled_from((Region.THETA0, Region.THETA1, Region.INDIFFERENCE))
+_RATE = st.floats(min_value=0.2, max_value=40.0, allow_nan=False)
+
+
+@st.composite
+def _grid_and_data(draw):
+    family = draw(st.sampled_from(("poisson", "gaussian", "categorical")))
+    n = draw(st.integers(min_value=2, max_value=5))
+    regions = [Region.THETA0, Region.THETA1] + draw(st.lists(_REGIONS, min_size=n - 2, max_size=n - 2))
+    regions = draw(st.permutations(regions))
+    if family == "poisson":
+        models = [Poisson(draw(_RATE)) for _ in range(n)]
+        obs = st.integers(min_value=0, max_value=60)
+    elif family == "gaussian":
+        models = [
+            Gaussian(draw(st.floats(-5.0, 5.0)), draw(st.floats(0.3, 4.0))) for _ in range(n)
+        ]
+        obs = st.floats(-12.0, 12.0)
+    else:
+        arity = draw(st.integers(min_value=2, max_value=4))
+        models = []
+        for i in range(n):
+            # the first point gives category 0 no mass: a -inf log-density
+            w = [draw(st.integers(0 if i == 0 else 1, 6)) for _ in range(arity)]
+            if i == 0:
+                w[0], w[-1] = 0, max(w[-1], 1)
+            models.append(Categorical(tuple(x / sum(w) for x in w)))
+        obs = st.integers(min_value=0, max_value=arity - 1)
+    ys = draw(st.lists(obs, min_size=1, max_size=40))
+    prior = draw(st.sampled_from((0.0, 0.3, 0.5, 0.97, 1.0)))
+    return ParameterGrid(tuple(models), tuple(regions)), ys, prior
+
+
+@given(_grid_and_data())
+@settings(max_examples=300, deadline=None)
+def test_grid_fold_equals_direct_recomputation(case):
+    grid, ys, prior = case
+    b = composite_boundaries(1e-3, 1e-5)
+    s, oracle = init_state(grid, prior), _Oracle(grid, prior)
+    for y in ys:
+        ingest(s, grid, y)
+        oracle.ingest(y)
+        expected_belief = oracle.belief(s.estimated_belief)
+        assert list(s.cum_ll) == oracle.cum.tolist()
+        assert (s.mle, s.mle_prev) == (oracle.mle, oracle.mle_prev)
+        assert s.alr_numerator == oracle.alr_numerator
+        for declare in (0, 1):
+            assert glr_statistic(s, grid, declare) == oracle.glr(declare)
+            assert alr_statistic(s, grid, declare) == oracle.alr(declare)
+        assert estimated_belief_update(s, grid) == expected_belief
+        assert estimated_expected_sample_size(s, grid, b) == oracle.expected_size(b)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from seqscan.cli import main
+from seqscan.composite import ParameterGrid, Region
 from seqscan.harness import (
     CSV_COLUMNS,
     ConfigError,
@@ -118,6 +119,29 @@ def test_validate_rejects_simple_statistic_on_grids():
     cfg = replace(figure_config("fig1"), statistic="SPRT")
     with pytest.raises(ConfigError, match="GLR or ALR"):
         validate_config(cfg)
+
+
+def _grid_config(rates, regions, **weights) -> ExperimentConfig:
+    grid = ParameterGrid(tuple(Poisson(r) for r in rates), regions)
+    spec = ProcessSpec(prior=0.5, cost_rate=1.0, alpha=1e-2, beta=1e-2, grid=grid, **weights)
+    simple = ProcessSpec(prior=0.5, cost_rate=1.0, alpha=1e-2, beta=1e-2,
+                         model_h0=Poisson(10.0), model_h1=Poisson(15.0))
+    return tiny_config(generator=None, processes=(simple, spec), statistic="GLR",
+                       sweep_variable="c_e", sweep_values=(100.0,))
+
+
+def test_validate_rejects_grid_truth_point_without_divergence():
+    t0, t1 = Region.THETA0, Region.THETA1
+    rates, regions = (10.0, 15.0, 10.0, 12.0), (t0, t1, t1, t0)
+    # rate 10 sits in both regions, so drawn as either truth it gives no drift
+    with pytest.raises(ConfigError, match=r"process 2: grid point 0 .* theta0 .* theta1"):
+        validate_config(_grid_config(rates, regions))
+    with pytest.raises(ConfigError, match=r"process 2: grid point 2 .* theta1 .* theta0"):
+        validate_config(_grid_config(rates, regions, h0_weights=(0.0, 1.0)))
+    # twins that are never drawn as the truth are harmless
+    validate_config(_grid_config(rates, regions, h0_weights=(0.0, 1.0), h1_weights=(1.0, 0.0)))
+    # and so is a twin in the indifference region, which is never a truth point
+    validate_config(_grid_config((10.0, 15.0, 10.0), (t0, t1, Region.INDIFFERENCE)))
 
 
 def test_k_sweep_needs_generator():
