@@ -19,7 +19,6 @@ from seqscan.models import (
 )
 from seqscan.sprt import (
     SprtBoundaries,
-    SprtState,
     Verdict,
     check_stop,
     expected_sample_sizes,
@@ -52,7 +51,6 @@ __all__ = [
     "ProcessSpec",
     "Region",
     "SprtBoundaries",
-    "SprtState",
     "StatisticKind",
     "Verdict",
     "check_stop",

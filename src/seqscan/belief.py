@@ -1,16 +1,16 @@
-"""Per-process priority state: posterior belief, expected detection
+"""Per-process priority arithmetic: posterior belief, expected detection
 time, and the probe-priority index belief * cost / expected time.
 
-The belief is stored through its log-odds increment sum rather than as
-a bare probability: posteriors a hair away from 0 or 1 keep their
-ordering in log space where the probability form would saturate. The
-probability view is a derived property.
+The belief is carried as a log-odds sum rather than as a bare
+probability: the prior log-odds plus the same summed LLR the sequential
+test keeps. Posteriors a hair away from 0 or 1 keep their ordering in
+log space where the probability form would saturate; the probability is
+derived on demand.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
 def _sigmoid(x: float) -> float:
@@ -20,65 +20,36 @@ def _sigmoid(x: float) -> float:
     return e / (1.0 + e)
 
 
-@dataclass(frozen=True)
-class BeliefState:
-    """Posterior that the process is abnormal, canonically the prior
-    log-odds plus the sum of probed LLR increments."""
-
-    prior: float
-    sum_llr: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.prior <= 1.0:
-            raise ValueError(f"prior must be a probability, got {self.prior}")
-
-    @property
-    def posterior(self) -> float:
-        if self.prior == 0.0 or self.prior == 1.0:
-            return self.prior
-        return _sigmoid(math.log(self.prior / (1.0 - self.prior)) + self.sum_llr)
+def prior_log_odds(prior: float) -> float | None:
+    """log(prior / (1 - prior)), or None for the absorbing priors 0 and
+    1, which no evidence moves."""
+    if not 0.0 <= prior <= 1.0:
+        raise ValueError(f"prior must be a probability, got {prior}")
+    if prior == 0.0 or prior == 1.0:
+        return None
+    return math.log(prior / (1.0 - prior))
 
 
-@dataclass(frozen=True)
-class IndexValue:
-    value: float
-    active: bool
-
-    def __post_init__(self) -> None:
-        if not self.active and self.value != 0.0:
-            raise ValueError("inactive index must be zero")
+def posterior(prior: float, log_odds: float | None, sum_llr: float) -> float:
+    """Posterior that the process is abnormal after evidence sum_llr;
+    log_odds is prior_log_odds(prior)."""
+    if log_odds is None:
+        return prior
+    return _sigmoid(log_odds + sum_llr)
 
 
-def bayes_update(
-    belief: BeliefState, f0_logpdf: float, f1_logpdf: float, probed: bool
-) -> BeliefState:
-    """One Bayes step. Unprobed instants change nothing; a probed
-    observation shifts the log-odds by the LLR."""
-    if not probed:
-        return belief
-    if f0_logpdf == -math.inf and f1_logpdf == -math.inf:
-        raise ValueError("observation impossible under both models")
-    if math.isnan(f0_logpdf) or math.isnan(f1_logpdf):
-        raise ValueError("log-densities must not be NaN")
-    return BeliefState(prior=belief.prior, sum_llr=belief.sum_llr + (f1_logpdf - f0_logpdf))
-
-
-def expected_detection_time(belief: BeliefState, e_n_h0: float, e_n_h1: float) -> float:
+def expected_detection_time(posterior: float, e_n_h0: float, e_n_h1: float) -> float:
     """Belief-weighted mean of the two conditional sample sizes."""
     if not (e_n_h0 > 0 and e_n_h1 > 0):
         raise ValueError(f"conditional sizes must be positive, got ({e_n_h0}, {e_n_h1})")
-    p = belief.posterior
-    return p * e_n_h1 + (1.0 - p) * e_n_h0
+    return posterior * e_n_h1 + (1.0 - posterior) * e_n_h0
 
 
-def index(
-    belief: BeliefState, cost: float, expected_time: float, active: bool
-) -> IndexValue:
-    """Priority of probing this process next; zero once declared."""
+def index(posterior: float, cost: float, expected_time: float) -> float:
+    """Priority of probing an undeclared process next. A declared
+    process has no index; the engine holds 0.0 in its slot."""
     if cost < 0:
         raise ValueError(f"cost must be nonnegative, got {cost}")
     if not expected_time > 0:
         raise ValueError(f"expected time must be positive, got {expected_time}")
-    if not active:
-        return IndexValue(value=0.0, active=False)
-    return IndexValue(value=belief.posterior * cost / expected_time, active=True)
+    return posterior * cost / expected_time

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from seqscan.belief import BeliefState, IndexValue, bayes_update, expected_detection_time, index
+from seqscan.belief import expected_detection_time, index, posterior, prior_log_odds
 from seqscan.composite import (
     CompositeBoundaries,
     CompositeState,
@@ -33,7 +33,7 @@ from seqscan.composite import (
     ingest,
     init_state,
 )
-from seqscan.models import ObservationModel, finite_kl, log_density, sample
+from seqscan.models import ObservationModel, Poisson, finite_kl, log_density, sample
 from seqscan.policy import (
     ExplorationSchedule,
     PolicyState,
@@ -42,7 +42,6 @@ from seqscan.policy import (
     select_cl,
 )
 from seqscan.sprt import (
-    SprtState,
     Verdict,
     check_stop,
     expected_sample_sizes,
@@ -146,61 +145,89 @@ class EpisodeResult:
     trace: list[TraceStep] | None = None
 
 
-class _ProcessRuntime:
-    """Per-episode mutable test and priority state for one process."""
+def wald_expected_sizes(spec: ProcessSpec) -> tuple[float, float]:
+    """Wald's expected sample sizes (under H0, under H1) of a model-pair
+    process, from its error budgets and the two clamped divergences."""
+    return expected_sample_sizes(
+        spec.alpha,
+        spec.beta,
+        finite_kl(spec.model_h0, spec.model_h1),
+        finite_kl(spec.model_h1, spec.model_h0),
+    )
+
+
+class _PairRuntime:
+    """Per-episode state of a model-pair process: one float LLR sum is
+    both the SPRT statistic and, added to the prior log-odds, the
+    posterior. Everything else is fixed per spec and built once."""
+
+    def __init__(self, spec: ProcessSpec):
+        self.spec = spec
+        self.llr = 0.0
+        self.log_odds = prior_log_odds(spec.prior)
+        self.bounds = wald_boundaries(spec.alpha, spec.beta)
+        self.e_n_h0, self.e_n_h1 = wald_expected_sizes(spec)
+        h0, h1 = spec.model_h0, spec.model_h1
+        # (log rate, rate) of both models, for log_density's Poisson arithmetic
+        self.poisson_terms = None
+        if isinstance(h0, Poisson) and isinstance(h1, Poisson):
+            self.poisson_terms = (math.log(h0.rate), h0.rate, math.log(h1.rate), h1.rate)
+
+    def posterior(self) -> float:
+        return posterior(self.spec.prior, self.log_odds, self.llr)
+
+    def priority(self) -> float:
+        p = self.posterior()
+        return index(p, self.spec.cost_rate, expected_detection_time(p, self.e_n_h0, self.e_n_h1))
+
+    def absorb(self, y: float) -> Verdict:
+        """Fold one observation in and return the verdict. Poisson pairs
+        evaluate both log-pmfs in log_density's operation order, so the
+        increment is bit-identical to it."""
+        terms = self.poisson_terms
+        if terms is not None:
+            k = int(y)
+            if k != y or k < 0:
+                raise ValueError(f"Poisson support is the nonnegative integers, got {y}")
+            g = math.lgamma(k + 1)
+            log_r0, r0, log_r1, r1 = terms
+            inc = (k * log_r1 - r1 - g) - (k * log_r0 - r0 - g)
+        else:
+            inc = log_density(self.spec.model_h1, y) - log_density(self.spec.model_h0, y)
+        self.llr = update_llr(self.llr, inc)
+        return check_stop(self.llr, self.bounds)
+
+    def stat_snapshot(self) -> float:
+        return self.llr
+
+
+class _GridRuntime:
+    """Per-episode state of a grid process: per-point cumulative
+    log-likelihoods, the GLR or ALR test and the estimated belief."""
 
     def __init__(self, spec: ProcessSpec, statistic: StatisticKind):
         self.spec = spec
         self.statistic = statistic
-        if spec.is_composite:
-            self.cstate = init_state(spec.grid, spec.prior)
-            self.cbounds = composite_boundaries(spec.alpha, spec.beta)
-        else:
-            self.sstate = SprtState()
-            self.sbounds = wald_boundaries(spec.alpha, spec.beta)
-            self.e_n_h0, self.e_n_h1 = expected_sample_sizes(
-                spec.alpha,
-                spec.beta,
-                finite_kl(spec.model_h0, spec.model_h1),
-                finite_kl(spec.model_h1, spec.model_h0),
-            )
-            self.belief = BeliefState(prior=spec.prior)
+        self.cstate = init_state(spec.grid, spec.prior)
+        self.cbounds = composite_boundaries(spec.alpha, spec.beta)
 
     def posterior(self) -> float:
-        if self.spec.is_composite:
-            return self.cstate.estimated_belief
-        return self.belief.posterior
+        return self.cstate.estimated_belief
 
-    def priority(self, active: bool) -> IndexValue:
-        if self.spec.is_composite:
-            expected = estimated_expected_sample_size(self.cstate, self.spec.grid, self.cbounds)
-            if not active:
-                return IndexValue(value=0.0, active=False)
-            return IndexValue(
-                value=self.cstate.estimated_belief * self.spec.cost_rate / expected,
-                active=True,
-            )
-        expected = expected_detection_time(self.belief, self.e_n_h0, self.e_n_h1)
-        return index(self.belief, self.spec.cost_rate, expected, active)
+    def priority(self) -> float:
+        expected = estimated_expected_sample_size(self.cstate, self.spec.grid, self.cbounds)
+        return index(self.cstate.estimated_belief, self.spec.cost_rate, expected)
 
     def absorb(self, y: float) -> Verdict:
         """Fold one observation in, refresh belief, return the verdict."""
-        if self.spec.is_composite:
-            ingest(self.cstate, self.spec.grid, y)
-            estimated_belief_update(self.cstate, self.spec.grid)
-            return check_stop_composite(self.cstate, self.spec.grid, self.cbounds, self.statistic)
-        l0 = log_density(self.spec.model_h0, y)
-        l1 = log_density(self.spec.model_h1, y)
-        self.sstate = update_llr(self.sstate, l1 - l0)
-        self.belief = bayes_update(self.belief, l0, l1, probed=True)
-        return check_stop(self.sstate, self.sbounds)
+        ingest(self.cstate, self.spec.grid, y)
+        estimated_belief_update(self.cstate, self.spec.grid)
+        return check_stop_composite(self.cstate, self.spec.grid, self.cbounds, self.statistic)
 
     def stat_snapshot(self) -> float:
-        if self.spec.is_composite:
-            if self.cstate.n_obs == 0:
-                return 0.0
-            return glr_statistic(self.cstate, self.spec.grid, 1)
-        return self.sstate.sum_llr
+        if self.cstate.n_obs == 0:
+            return 0.0
+        return glr_statistic(self.cstate, self.spec.grid, 1)
 
 
 def apply_switching_delay(
@@ -219,13 +246,7 @@ def a_priori_expected_size(spec: ProcessSpec) -> float:
     the conditional sizes average boundary-over-divergence across the
     configured truth mixture of each region."""
     if not spec.is_composite:
-        e0, e1 = expected_sample_sizes(
-            spec.alpha,
-            spec.beta,
-            finite_kl(spec.model_h0, spec.model_h1),
-            finite_kl(spec.model_h1, spec.model_h0),
-        )
-        return spec.prior * e1 + (1.0 - spec.prior) * e0
+        return expected_detection_time(spec.prior, *wald_expected_sizes(spec))
     grid = spec.grid
     b = composite_boundaries(spec.alpha, spec.beta)
     i0, i1 = grid.indices(Region.THETA0), grid.indices(Region.THETA1)
@@ -322,8 +343,11 @@ def run_episode(
         _draw_truth_model(spec, truth[i], meta_rng) for i, spec in enumerate(specs)
     )
 
-    runtimes = [_ProcessRuntime(spec, policy.statistic) for spec in specs]
-    indices: list[IndexValue] = [rt.priority(active=True) for rt in runtimes]
+    runtimes = [
+        _GridRuntime(spec, policy.statistic) if spec.is_composite else _PairRuntime(spec)
+        for spec in specs
+    ]
+    indices = [rt.priority() for rt in runtimes]  # 0.0 once declared
 
     pstate = PolicyState.fresh(k, policy.m)
     sched = exploration_schedule(policy.zeta)
@@ -374,9 +398,9 @@ def run_episode(
                 pstate.declare(pid)
                 if slots is not None:
                     slots.complete(pid)
-                indices[pid - 1] = IndexValue(value=0.0, active=False)
+                indices[pid - 1] = 0.0
             else:
-                indices[pid - 1] = rt.priority(active=True)
+                indices[pid - 1] = rt.priority()
 
         prev_sel = set(sel)
         if trace is not None:
@@ -387,7 +411,7 @@ def run_episode(
                     selected=tuple(sel),
                     observations=tuple(observations),
                     beliefs=tuple(rt.posterior() for rt in runtimes),
-                    indices=tuple(iv.value for iv in indices),
+                    indices=tuple(indices),
                     stats=tuple(rt.stat_snapshot() for rt in runtimes),
                 )
             )
@@ -451,10 +475,12 @@ def lower_bound_oracle(
             realized = truth_models[i] if truth_models is not None else None
             if realized is None:
                 raise ValueError("grid spec needs the realized truth model for the bound")
-            d = min(
-                finite_kl(realized, spec.grid.models[j])
-                for j in spec.grid.indices(Region.THETA0)
-            )
+            try:
+                # equal grid points have equal rows, so the first match serves
+                point = spec.grid.models.index(realized)
+            except ValueError:
+                raise ValueError(f"process {i + 1}: truth {realized!r} is not a grid point") from None
+            d = spec.grid.nearest_kl[point][0]
         elif truth_models is not None:
             d = finite_kl(truth_models[i], spec.model_h0)
         else:

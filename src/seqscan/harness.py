@@ -14,16 +14,17 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from seqscan.belief import index
 from seqscan.composite import ParameterGrid, Region, StatisticKind
 from seqscan.engine import (
     PolicyConfig,
     PolicyKind,
     ProcessSpec,
+    a_priori_expected_size,
     lower_bound_oracle,
     run_episode,
 )
-from seqscan.models import Categorical, Gaussian, ObservationModel, Poisson, finite_kl
-from seqscan.sprt import expected_sample_sizes
+from seqscan.models import Categorical, Gaussian, ObservationModel, Poisson
 
 
 class ConfigError(ValueError):
@@ -514,13 +515,7 @@ def initial_priority(spec: ProcessSpec) -> float:
     rate over the prior-weighted first-order sample size."""
     if spec.is_composite:
         raise ValueError("initial priority is only defined for model-pair processes")
-    e0, e1 = expected_sample_sizes(
-        spec.alpha,
-        spec.beta,
-        finite_kl(spec.model_h0, spec.model_h1),
-        finite_kl(spec.model_h1, spec.model_h0),
-    )
-    return spec.prior * spec.cost_rate / (spec.prior * e1 + (1.0 - spec.prior) * e0)
+    return index(spec.prior, spec.cost_rate, a_priori_expected_size(spec))
 
 
 def match_error_budget(
@@ -832,6 +827,19 @@ def _fmt(x) -> str:
     return f"{xf:.10g}"
 
 
+def _write_lines(lines: list[str], path_or_file) -> None:
+    """Newline-terminated lines to an open stream or to a path."""
+    text = "\n".join(lines) + "\n"
+    if hasattr(path_or_file, "write"):
+        path_or_file.write(text)
+        return
+    try:
+        with open(path_or_file, "w", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OSError(f"cannot write CSV to {path_or_file}: {exc}") from exc
+
+
 def emit_csv(summaries: list[BatchSummary], path_or_file) -> None:
     """Header plus one row per batch, 10 significant digits, stable row
     order. Rows for failed batches keep their numeric cells empty."""
@@ -856,15 +864,7 @@ def emit_csv(summaries: list[BatchSummary], path_or_file) -> None:
             row.append(_fmt(s.extra.get("log_ce", math.nan)))
             row.append(_fmt(s.extra.get("log_R", math.nan)))
         lines.append(",".join(row))
-    text = "\n".join(lines) + "\n"
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(text)
-        return
-    try:
-        with open(path_or_file, "w", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write CSV to {path_or_file}: {exc}") from exc
+    _write_lines(lines, path_or_file)
 
 
 def emit_per_episode_csv(summaries: list[BatchSummary], path_or_file) -> None:
@@ -893,15 +893,7 @@ def emit_per_episode_csv(summaries: list[BatchSummary], path_or_file) -> None:
             if risk:
                 row.append(_fmt(r.get("risk", math.nan)))
             lines.append(",".join(row))
-    text = "\n".join(lines) + "\n"
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(text)
-        return
-    try:
-        with open(path_or_file, "w", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write CSV to {path_or_file}: {exc}") from exc
+    _write_lines(lines, path_or_file)
 
 
 # --- bundled studies ----------------------------------------------------

@@ -8,11 +8,10 @@ selection rule it implements.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
-
-from seqscan.belief import IndexValue
 
 
 @dataclass
@@ -105,7 +104,7 @@ def round_robin_next_multi(state: PolicyState, k: int, m: int) -> tuple[int, ...
 
 
 def select_cl(
-    indices: Sequence[IndexValue],
+    indices: Sequence[float],
     state: PolicyState,
     n: int,
     sched: ExplorationSchedule,
@@ -120,8 +119,9 @@ def select_cl(
     m = min(state.m, len(state.active))
     if is_exploration_instant(sched, n):
         return round_robin_next_multi(state, k, m)
-    ranked = sorted(state.active, key=lambda pid: (-indices[pid - 1].value, pid))
-    return tuple(ranked[:m])
+    # (-index, id) keys are unique, so the partial selection picks what a
+    # full sort's first m would
+    return tuple(heapq.nsmallest(m, state.active, key=lambda pid: (-indices[pid - 1], pid)))
 
 
 def ol_order(

@@ -1,8 +1,8 @@
 """Wald's sequential probability ratio test, one instance per process.
 
-The state is just the running sum of log-likelihood-ratio increments
-over the instants the process was actually probed, plus the probe
-count. Boundaries and expected sample sizes use Wald's classical
+The state is just a float: the running sum of log-likelihood-ratio
+increments over the instants the process was actually probed.
+Boundaries and expected sample sizes use Wald's classical
 approximations; exact boundary computation is out of scope.
 """
 
@@ -36,12 +36,6 @@ class SprtBoundaries:
             raise ValueError(f"need lower_a < 0 < upper_b, got ({self.lower_a}, {self.upper_b})")
 
 
-@dataclass(frozen=True)
-class SprtState:
-    sum_llr: float = 0.0
-    samples_taken: int = 0
-
-
 def _check_error_budgets(alpha: float, beta: float) -> None:
     if not (0 < alpha < 1 and 0 < beta < 1):
         raise ValueError(f"error probabilities must lie in (0,1), got alpha={alpha}, beta={beta}")
@@ -58,21 +52,20 @@ def wald_boundaries(alpha: float, beta: float) -> SprtBoundaries:
     )
 
 
-def update_llr(state: SprtState, llr_increment: float) -> SprtState:
-    """Fold one probed observation's LLR into the running sum."""
+def update_llr(sum_llr: float, llr_increment: float) -> float:
+    """Fold one probed observation's LLR into the running sum. An
+    infinite or NaN increment (an observation impossible under one model
+    or both) is an error, not a saturated sum."""
     if not math.isfinite(llr_increment):
         raise ValueError(f"LLR increment must be finite, got {llr_increment}")
-    return SprtState(
-        sum_llr=state.sum_llr + llr_increment,
-        samples_taken=state.samples_taken + 1,
-    )
+    return sum_llr + llr_increment
 
 
-def check_stop(state: SprtState, b: SprtBoundaries) -> Verdict:
+def check_stop(sum_llr: float, b: SprtBoundaries) -> Verdict:
     """Boundary hits declare (ties included); strictly inside continues."""
-    if state.sum_llr >= b.upper_b:
+    if sum_llr >= b.upper_b:
         return Verdict.DECLARE_ABNORMAL
-    if state.sum_llr <= b.lower_a:
+    if sum_llr <= b.lower_a:
         return Verdict.DECLARE_NORMAL
     return Verdict.CONTINUE
 

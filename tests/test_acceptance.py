@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from seqscan.belief import BeliefState, bayes_update
+from seqscan.belief import posterior, prior_log_odds
 from seqscan.composite import (
     ParameterGrid,
     Region,
@@ -34,7 +34,7 @@ from seqscan.engine import (
 )
 from seqscan.harness import figure_config, run_experiment
 from seqscan.models import Categorical, Poisson, kl_divergence, log_density, sample
-from seqscan.sprt import SprtState, Verdict, check_stop, expected_sample_sizes, update_llr, wald_boundaries
+from seqscan.sprt import Verdict, check_stop, expected_sample_sizes, update_llr, wald_boundaries
 
 
 def _report(num: int, passed: bool, detail: str) -> None:
@@ -208,16 +208,14 @@ def test_c8_oracle_equivalences():
             r1 += 0.5
         prior = rng.uniform(0.05, 0.95)
         truth = Poisson(r1 if rng.random() < 0.5 else r0)
-        belief = BeliefState(prior=prior)
         total = 0.0
         for _ in range(int(rng.integers(1, 40))):
             y = sample(truth, rng)
             l0 = log_density(Poisson(r0), y)
             l1 = log_density(Poisson(r1), y)
-            belief = bayes_update(belief, l0, l1, probed=True)
-            total += l1 - l0
+            total = update_llr(total, l1 - l0)
         closed = 1.0 / (((1 - prior) / prior) * math.exp(-total) + 1.0)
-        worst = max(worst, abs(belief.posterior - closed))
+        worst = max(worst, abs(posterior(prior, prior_log_odds(prior), total) - closed))
     ok_belief = worst <= 1e-10
 
     # incremental grid belief equals recomputation from scratch
@@ -258,17 +256,17 @@ def test_c8_oracle_equivalences():
     res = run_episode([spec], PolicyConfig(), seed, forced_truth=(True,), record_trace=True)
     child = np.random.SeedSequence(entropy=seed.entropy, spawn_key=(0, 0, 1))
     stream = np.random.default_rng(child)
-    state = SprtState()
+    sum_llr = 0.0
     bounds = wald_boundaries(1e-2, 1e-2)
     ok_trace = len(res.trace) == res.samples[0]
     for step in res.trace:
         y = sample(Poisson(15.0), stream)
         ok_trace = ok_trace and y == step.observations[0]
-        state = update_llr(
-            state, log_density(Poisson(15.0), y) - log_density(Poisson(10.0), y)
+        sum_llr = update_llr(
+            sum_llr, log_density(Poisson(15.0), y) - log_density(Poisson(10.0), y)
         )
-        ok_trace = ok_trace and state.sum_llr == step.stats[0]
-    verdict = check_stop(state, bounds)
+        ok_trace = ok_trace and sum_llr == step.stats[0]
+    verdict = check_stop(sum_llr, bounds)
     ok_trace = ok_trace and (verdict is Verdict.DECLARE_ABNORMAL) == res.declared[0]
 
     ok = ok_belief and ok_grid and ok_kl_poisson and ok_kl_cat and ok_trace

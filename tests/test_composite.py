@@ -26,7 +26,7 @@ from seqscan.composite import (
     init_state,
 )
 from seqscan.models import Categorical, Gaussian, Poisson, finite_kl, log_density, sample
-from seqscan.sprt import SprtState, Verdict, update_llr
+from seqscan.sprt import Verdict, update_llr
 
 
 @pytest.fixture
@@ -279,15 +279,15 @@ def test_singleton_regions_match_simple_sum_llr(binary_grid):
     # sum-LLR accumulated by the simple test
     rng = np.random.default_rng(23)
     s = init_state(binary_grid, prior=0.5)
-    sprt = SprtState()
+    sum_llr = 0.0
     for _ in range(40):
         y = sample(Poisson(15.0), rng)
         s = ingest(s, binary_grid, y)
-        sprt = update_llr(
-            sprt, log_density(Poisson(15.0), y) - log_density(Poisson(10.0), y)
+        sum_llr = update_llr(
+            sum_llr, log_density(Poisson(15.0), y) - log_density(Poisson(10.0), y)
         )
         if s.mle == 1:
-            assert glr_statistic(s, binary_grid, 1) == pytest.approx(sprt.sum_llr, abs=1e-9)
+            assert glr_statistic(s, binary_grid, 1) == pytest.approx(sum_llr, abs=1e-9)
 
 
 def test_mle_consistency_at_depth(mixture_grid):

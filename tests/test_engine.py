@@ -22,8 +22,9 @@ from seqscan.engine import (
     lower_bound_oracle,
     run_episode,
 )
-from seqscan.models import Poisson
+from seqscan.models import Gaussian, Poisson, finite_kl
 from seqscan.policy import ol_order
+from seqscan.sprt import wald_boundaries
 
 
 def simple_spec(prior=0.5, cost=1.0, alpha=1e-2, beta=1e-2, delay=0, r0=10.0, r1=15.0):
@@ -366,3 +367,35 @@ def test_lower_bound_composite_needs_realized_model():
         lower_bound_oracle([spec], truth=(True,))
     bound = lower_bound_oracle([spec], truth=(True,), truth_models=(Poisson(15.0),))
     assert bound > 0
+
+
+def test_lower_bound_grid_reads_nearest_divergence_table():
+    # duplicate points inside each region, and one model shared by both:
+    # the table lookup must equal the scan over Theta0 bit for bit
+    for models, regions in (
+        (
+            (Poisson(10.0), Poisson(10.0), Poisson(11.0), Poisson(15.0), Poisson(15.0), Poisson(20.0)),
+            (Region.THETA0,) * 3 + (Region.THETA1,) * 3,
+        ),
+        (
+            (Gaussian(0.0, 1.0), Gaussian(0.5, 1.0), Gaussian(0.5, 1.0), Gaussian(2.0, 1.5),
+             Gaussian(2.0, 1.5), Gaussian(0.5, 1.0)),
+            (Region.THETA0, Region.THETA0, Region.INDIFFERENCE, Region.THETA1, Region.THETA1,
+             Region.THETA1),
+        ),
+    ):
+        grid = ParameterGrid(models=models, regions=regions)
+        spec = ProcessSpec(prior=0.5, cost_rate=1.5, alpha=1e-3, beta=1e-2, grid=grid)
+        theta0 = [grid.models[j] for j in grid.indices(Region.THETA0)]
+        for i in grid.indices(Region.THETA1):
+            # an equal but distinct object, as a config round trip would give
+            realized = type(grid.models[i])(**vars(grid.models[i]))
+            d = min(finite_kl(realized, theta) for theta in theta0)
+            if d == 0:
+                with pytest.raises(ValueError, match="zero divergence"):
+                    lower_bound_oracle([spec], (True,), (realized,))
+                continue
+            scan = spec.cost_rate * (wald_boundaries(spec.alpha, spec.beta).upper_b / d)
+            assert lower_bound_oracle([spec], (True,), (realized,)) == scan
+    with pytest.raises(ValueError, match="not a grid point"):
+        lower_bound_oracle([spec], (True,), (Gaussian(9.0, 1.0),))

@@ -9,7 +9,6 @@ import math
 import numpy as np
 import pytest
 
-from seqscan.belief import IndexValue
 from seqscan.policy import (
     PolicyState,
     exploration_schedule,
@@ -22,10 +21,7 @@ from seqscan.policy import (
 
 
 def idx(*values, inactive=()):
-    return [
-        IndexValue(value=0.0, active=False) if i + 1 in inactive else IndexValue(v, True)
-        for i, v in enumerate(values)
-    ]
+    return [0.0 if i + 1 in inactive else float(v) for i, v in enumerate(values)]
 
 
 def test_schedule_head_for_default_zeta():
@@ -155,9 +151,7 @@ def test_selection_is_argmax_consistent_off_exploration():
         picks = select_cl(values, s, n=7, sched=sched)
         unpicked = s.active - set(picks)
         if unpicked:
-            assert min(values[p - 1].value for p in picks) >= max(
-                values[q - 1].value for q in unpicked
-            )
+            assert min(values[p - 1] for p in picks) >= max(values[q - 1] for q in unpicked)
 
 
 def test_exploration_visits_are_fair():

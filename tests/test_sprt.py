@@ -11,7 +11,6 @@ import pytest
 from seqscan.models import Poisson, kl_divergence, log_density, sample
 from seqscan.sprt import (
     SprtBoundaries,
-    SprtState,
     Verdict,
     check_stop,
     expected_sample_sizes,
@@ -46,11 +45,10 @@ def test_wald_boundaries_reject_bad_budgets():
 
 
 def test_update_llr_accumulates():
-    s = SprtState()
-    s = update_llr(s, 1.3)
-    assert s.sum_llr == pytest.approx(1.3) and s.samples_taken == 1
+    s = update_llr(0.0, 1.3)
+    assert s == pytest.approx(1.3)
     s = update_llr(s, 0.0)  # equal likelihoods leave the sum alone
-    assert s.sum_llr == pytest.approx(1.3) and s.samples_taken == 2
+    assert s == pytest.approx(1.3)
     with pytest.raises(ValueError):
         update_llr(s, math.inf)
     with pytest.raises(ValueError):
@@ -65,11 +63,11 @@ def test_poisson_llr_increment_frozen_value():
 
 def test_check_stop_ties_declare():
     b = SprtBoundaries(lower_a=-2.0, upper_b=3.0)
-    assert check_stop(SprtState(sum_llr=0.0), b) is Verdict.CONTINUE
-    assert check_stop(SprtState(sum_llr=3.0), b) is Verdict.DECLARE_ABNORMAL
-    assert check_stop(SprtState(sum_llr=-2.0), b) is Verdict.DECLARE_NORMAL
-    assert check_stop(SprtState(sum_llr=3.1), b) is Verdict.DECLARE_ABNORMAL
-    assert check_stop(SprtState(sum_llr=-2.1), b) is Verdict.DECLARE_NORMAL
+    assert check_stop(0.0, b) is Verdict.CONTINUE
+    assert check_stop(3.0, b) is Verdict.DECLARE_ABNORMAL
+    assert check_stop(-2.0, b) is Verdict.DECLARE_NORMAL
+    assert check_stop(3.1, b) is Verdict.DECLARE_ABNORMAL
+    assert check_stop(-2.1, b) is Verdict.DECLARE_NORMAL
     assert not Verdict.CONTINUE.decided and Verdict.DECLARE_NORMAL.decided
 
 
@@ -97,35 +95,39 @@ def test_expected_sample_sizes_reject_bad_divergences():
 
 
 def test_sum_llr_ignores_unprobed_instants():
-    # interleave two processes; each SPRT state must match the one built
+    # interleave two processes; each LLR sum must match the one built
     # from that process's observations alone
     rng = np.random.default_rng(5)
     f0, f1 = Poisson(10.0), Poisson(15.0)
     obs_a = [sample(f1, rng) for _ in range(30)]
     obs_b = [sample(f0, rng) for _ in range(30)]
 
-    inter_a, inter_b = SprtState(), SprtState()
+    inter_a = inter_b = 0.0
     for ya, yb in zip(obs_a, obs_b):
         inter_a = update_llr(inter_a, log_density(f1, ya) - log_density(f0, ya))
         inter_b = update_llr(inter_b, log_density(f1, yb) - log_density(f0, yb))
 
-    solo_a = SprtState()
+    solo_a = solo_b = 0.0
     for ya in obs_a:
         solo_a = update_llr(solo_a, log_density(f1, ya) - log_density(f0, ya))
+    for yb in obs_b:
+        solo_b = update_llr(solo_b, log_density(f1, yb) - log_density(f0, yb))
     assert solo_a == inter_a
-    assert inter_b.samples_taken == 30
+    assert solo_b == inter_b
 
 
 def _run_single_sprt(truth_abnormal: bool, boundaries, rng) -> tuple[Verdict, int]:
     f0, f1 = Poisson(10.0), Poisson(15.0)
     gen = f1 if truth_abnormal else f0
-    state = SprtState()
+    total = 0.0
+    taken = 0
     while True:
         y = sample(gen, rng)
-        state = update_llr(state, log_density(f1, y) - log_density(f0, y))
-        verdict = check_stop(state, boundaries)
+        total = update_llr(total, log_density(f1, y) - log_density(f0, y))
+        taken += 1
+        verdict = check_stop(total, boundaries)
         if verdict.decided:
-            return verdict, state.samples_taken
+            return verdict, taken
 
 
 def test_empirical_error_control_at_one_percent():
