@@ -349,7 +349,7 @@ def run_episode(
     ]
     indices = [rt.priority() for rt in runtimes]  # 0.0 once declared
 
-    pstate = PolicyState.fresh(k, policy.m)
+    pstate = PolicyState.fresh(indices, policy.m)
     sched = exploration_schedule(policy.zeta)
     slots = None
     if policy.kind is PolicyKind.OL:
@@ -374,7 +374,7 @@ def run_episode(
         if slots is not None:
             sel = slots.selection()
         else:
-            sel = select_cl(indices, pstate, instant, sched)
+            sel = select_cl(pstate, instant, sched)
 
         delta = apply_switching_delay(prev_sel, sel, specs)
         t += delta + 1
@@ -400,7 +400,8 @@ def run_episode(
                     slots.complete(pid)
                 indices[pid - 1] = 0.0
             else:
-                indices[pid - 1] = rt.priority()
+                indices[pid - 1] = value = rt.priority()
+                pstate.rerank(pid, value)
 
         prev_sel = set(sel)
         if trace is not None:
@@ -435,23 +436,6 @@ def run_episode(
         truth_models=truth_models,
         trace=trace,
     )
-
-
-def bayes_risk(
-    result: EpisodeResult, c_e: float, fa_rate: float = 0.0, md_rate: float = 0.0
-) -> float:
-    """Per-episode risk: time term for each truth-abnormal process plus
-    the batch's empirical error rates, as the normalized-risk study
-    defines it. Rates are batch-level inputs, not per-episode."""
-    if not c_e > 0:
-        raise ValueError(f"error cost must be positive, got {c_e}")
-    k1 = sum(result.truth)
-    if k1 == 0:
-        return 0.0
-    time_term = sum(
-        tau for tau, abnormal in zip(result.stop_times, result.truth) if abnormal
-    ) / c_e
-    return time_term + k1 * (fa_rate + md_rate)
 
 
 def lower_bound_oracle(

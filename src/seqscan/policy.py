@@ -8,8 +8,8 @@ selection rule it implements.
 
 from __future__ import annotations
 
-import heapq
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -50,28 +50,70 @@ def is_exploration_instant(sched: ExplorationSchedule, n: int) -> bool:
 
 @dataclass
 class PolicyState:
-    """Active (undeclared) ids, the last round-robin pick, and the probe
-    budget. The cursor starts at K so the first exploration instant
-    selects process 1, and the first M-probe rotation selects 1..M."""
+    """Active (undeclared) ids ranked by index, the last round-robin
+    pick, and the probe budget. Only a probed id gets a new index, so the
+    ranking is a sorted list that each update changes by one key, found
+    by bisection, instead of a scan of every active id. The keys
+    (index, -id) are unique and ascend, so the best ids, ties to the
+    lowest id, sit at the end, where moving a key shifts few others. The
+    cursor starts at K so the first exploration instant selects process
+    1, and the first M-probe rotation selects 1..M."""
 
-    active: set[int]
+    k: int
     rr_cursor: int
-    m: int = 1
+    m: int
+    _key: dict[int, tuple[float, int]]  # id -> its key in the ranking
+    _ranking: list[tuple[float, int]]
 
     @classmethod
-    def fresh(cls, k: int, m: int = 1) -> "PolicyState":
+    def fresh(cls, indices: Sequence[float], m: int = 1) -> "PolicyState":
+        """All K = len(indices) ids active, ranked by their indices."""
+        k = len(indices)
         if k < 1 or m < 1:
             raise ValueError(f"need K >= 1 and M >= 1, got K={k}, M={m}")
-        return cls(active=set(range(1, k + 1)), rr_cursor=k, m=m)
+        for pid, value in enumerate(indices, start=1):
+            _check_finite(pid, value)
+        key = {pid: (value, -pid) for pid, value in enumerate(indices, start=1)}
+        return cls(k=k, rr_cursor=k, m=m, _key=key, _ranking=sorted(key.values()))
+
+    @property
+    def active(self):
+        """The active ids, as a set-like view."""
+        return self._key.keys()
+
+    def top(self, m: int) -> tuple[int, ...]:
+        """The m active ids of largest index, ties to the lowest id."""
+        return tuple(-neg_pid for _, neg_pid in self._ranking[-1 : -m - 1 : -1])
+
+    def rerank(self, pid: int, value: float) -> None:
+        """Give an active id a new index and move its key."""
+        _check_finite(pid, value)
+        old = self._key.get(pid)
+        if old is None:
+            raise ValueError(f"process {pid} is not active")
+        ranking = self._ranking
+        del ranking[bisect_left(ranking, old)]
+        key = (value, -pid)
+        self._key[pid] = key
+        insort(ranking, key)
 
     def declare(self, pid: int) -> None:
-        self.active.discard(pid)
+        """Drop an id from the active set and the ranking, if present."""
+        key = self._key.pop(pid, None)
+        if key is not None:
+            del self._ranking[bisect_left(self._ranking, key)]
 
 
-def _wrapped_successor(prev: int, k: int, eligible) -> int | None:
+def _check_finite(pid: int, value: float) -> None:
+    # a NaN key would silently break the sorted order under bisect
+    if not math.isfinite(value):
+        raise ValueError(f"index of process {pid} must be finite, got {value}")
+
+
+def _wrapped_successor(prev: int, k: int, eligible, skip=()) -> int | None:
     for u in range(k):
         cand = ((prev + u) % k) + 1
-        if cand in eligible:
+        if cand in eligible and cand not in skip:
             return cand
     return None
 
@@ -92,8 +134,7 @@ def round_robin_next_multi(state: PolicyState, k: int, m: int) -> tuple[int, ...
     chosen: list[int] = []
     prev = state.rr_cursor
     for _ in range(m):
-        eligible = state.active - set(chosen)
-        pick = _wrapped_successor(prev, k, eligible)
+        pick = _wrapped_successor(prev, k, state.active, chosen)
         if pick is None:
             break
         chosen.append(pick)
@@ -103,25 +144,17 @@ def round_robin_next_multi(state: PolicyState, k: int, m: int) -> tuple[int, ...
     return tuple(chosen)
 
 
-def select_cl(
-    indices: Sequence[float],
-    state: PolicyState,
-    n: int,
-    sched: ExplorationSchedule,
-) -> tuple[int, ...]:
-    """Closed-loop selection for one instant: top-index processes, or a
-    round-robin rotation on exploration instants. Ties of the index go
-    to the lowest id. Empty active set returns the empty tuple (episode
-    complete), never a fault."""
+def select_cl(state: PolicyState, n: int, sched: ExplorationSchedule) -> tuple[int, ...]:
+    """Closed-loop selection for one instant: the top-index processes of
+    the ranking, or a round-robin rotation on exploration instants. Ties
+    of the index go to the lowest id. Empty active set returns the empty
+    tuple (episode complete), never a fault."""
     if not state.active:
         return ()
-    k = len(indices)
     m = min(state.m, len(state.active))
     if is_exploration_instant(sched, n):
-        return round_robin_next_multi(state, k, m)
-    # (-index, id) keys are unique, so the partial selection picks what a
-    # full sort's first m would
-    return tuple(heapq.nsmallest(m, state.active, key=lambda pid: (-indices[pid - 1], pid)))
+        return round_robin_next_multi(state, state.k, m)
+    return state.top(m)
 
 
 def ol_order(

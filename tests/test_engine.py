@@ -11,14 +11,12 @@ import pytest
 
 from seqscan.composite import ParameterGrid, Region
 from seqscan.engine import (
-    EpisodeResult,
     PolicyConfig,
     PolicyKind,
     ProcessSpec,
     SimulationError,
     a_priori_expected_size,
     apply_switching_delay,
-    bayes_risk,
     lower_bound_oracle,
     run_episode,
 )
@@ -293,34 +291,6 @@ def test_forced_truth_and_episode_cap():
         forced_truth=(True, False),
     )
     assert res.truth == (True, False)
-
-
-def test_bayes_risk_accounting():
-    res = EpisodeResult(
-        truth=(True, False, True),
-        declared=(True, False, False),
-        stop_times=(10, 5, 20),
-        samples=(10, 5, 20),
-        final_time=35,
-        total_delay=0,
-        idle_slots=0,
-        cost=30.0,
-        false_alarms=(False, False, False),
-        miss_detects=(False, False, True),
-        truth_models=(Poisson(15.0), Poisson(10.0), Poisson(15.0)),
-    )
-    # time term (10+20)/c_e plus two abnormal processes' error-rate terms
-    assert bayes_risk(res, c_e=100.0, fa_rate=0.01, md_rate=0.02) == pytest.approx(
-        30 / 100 + 2 * 0.03
-    )
-    none_abnormal = EpisodeResult(
-        truth=(False,), declared=(False,), stop_times=(4,), samples=(4,),
-        final_time=4, total_delay=0, idle_slots=0, cost=0.0,
-        false_alarms=(False,), miss_detects=(False,), truth_models=(Poisson(10.0),),
-    )
-    assert bayes_risk(none_abnormal, c_e=10.0, fa_rate=0.5, md_rate=0.5) == 0.0
-    with pytest.raises(ValueError):
-        bayes_risk(none_abnormal, c_e=0.0)
 
 
 def test_lower_bound_frozen_value():

@@ -4,8 +4,10 @@ of model-pair episodes.
 The reference keeps the plain form of every step: both log-densities
 through ``log_density``, the increment added to the sum before the
 boundaries are checked, the posterior recomputed from the prior on every
-use, and a full sort of the active set on every closed-loop instant that
-is not an exploration instant. The engine must reproduce it exactly:
+use, a plain set of active ids, a full sort of that set on every
+closed-loop instant that is not an exploration instant, and a
+round-robin rotation that rebuilds its eligible set for every pick. The
+engine must reproduce it exactly:
 every ``EpisodeResult`` field and every ``TraceStep`` compare with ``==``.
 """
 
@@ -29,13 +31,7 @@ from seqscan.engine import (
     run_episode,
 )
 from seqscan.models import Categorical, Gaussian, Poisson, finite_kl, log_density, sample
-from seqscan.policy import (
-    PolicyState,
-    exploration_schedule,
-    is_exploration_instant,
-    ol_order,
-    round_robin_next_multi,
-)
+from seqscan.policy import exploration_schedule, is_exploration_instant, ol_order
 from seqscan.sprt import expected_sample_sizes, wald_boundaries
 
 
@@ -79,7 +75,25 @@ def reference_episode(specs, policy: PolicyConfig, seed: np.random.SeedSequence)
         return belief(i) * specs[i].cost_rate / expected
 
     indices = [priority(i) for i in range(k)]
-    pstate = PolicyState.fresh(k, policy.m)
+    active = set(range(1, k + 1))
+    rr_cursor = k
+
+    def rotation(m: int) -> tuple[int, ...]:
+        nonlocal rr_cursor
+        chosen: list[int] = []
+        prev = rr_cursor
+        for _ in range(m):
+            eligible = active - set(chosen)
+            cands = [((prev + u) % k) + 1 for u in range(k)]
+            pick = next((c for c in cands if c in eligible), None)
+            if pick is None:
+                break
+            chosen.append(pick)
+            prev = pick
+        if chosen:
+            rr_cursor = chosen[-1]
+        return tuple(chosen)
+
     sched = exploration_schedule(policy.zeta)
     slots = None
     if policy.kind is PolicyKind.OL:
@@ -93,15 +107,15 @@ def reference_episode(specs, policy: PolicyConfig, seed: np.random.SeedSequence)
     t = total_delay = idle_slots = 0
     prev_sel: set[int] = set()
     trace = []
-    while pstate.active:
+    while active:
         instant = t + 1
-        m = min(pstate.m, len(pstate.active))
+        m = min(policy.m, len(active))
         if slots is not None:
             sel = slots.selection()
         elif is_exploration_instant(sched, instant):
-            sel = round_robin_next_multi(pstate, k, m)
+            sel = rotation(m)
         else:
-            ranked = sorted(pstate.active, key=lambda pid: (-indices[pid - 1], pid))
+            ranked = sorted(active, key=lambda pid: (-indices[pid - 1], pid))
             sel = tuple(ranked[:m])
         delta = apply_switching_delay(prev_sel, sel, specs)
         t += delta + 1
@@ -120,7 +134,7 @@ def reference_episode(specs, policy: PolicyConfig, seed: np.random.SeedSequence)
             if sum_llr[i] >= bounds[i].upper_b or sum_llr[i] <= bounds[i].lower_a:
                 declared[i] = sum_llr[i] >= bounds[i].upper_b
                 stop_times[i] = t
-                pstate.declare(pid)
+                active.discard(pid)
                 if slots is not None:
                     slots.complete(pid)
                 indices[i] = 0.0
@@ -211,6 +225,26 @@ def test_engine_matches_reference_replay(specs, policy, seed, data):
     assert plain.trace is None
     expected.trace = None
     assert plain == expected
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    spec=pair_specs(),
+    k=st.integers(2, 30),
+    policy=st.sampled_from(sorted(POLICIES)),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_identical_processes_match_reference_replay(spec, k, policy, seed, data):
+    # identical specs start with equal indices and keep long runs of ties,
+    # so the ranking's lowest-id tie-break and its removal of ids declared
+    # in the middle of a run are compared against the full sort
+    specs = [spec] * k
+    config = POLICIES[policy](data.draw(st.integers(1, min(5, k)), label="m"))
+    expected = reference_episode(specs, config, np.random.SeedSequence(seed))
+    traced = run_episode(specs, config, np.random.SeedSequence(seed), record_trace=True)
+    assert traced.trace == expected.trace
+    assert traced == expected
 
 
 def test_impossible_observation_fails_the_episode():

@@ -330,6 +330,36 @@ def test_risk_sweep_appends_columns():
     assert header.endswith(",log_ce,log_R")
 
 
+def test_risk_sweep_per_episode_risk_arithmetic():
+    # each episode's risk is its abnormal processes' declaration times over
+    # c_e plus, per abnormal process, the batch's empirical error rates
+    cfg = tiny_config(policies=("CL", "OL"), sweep_variable="c_e", sweep_values=(20.0, 100.0),
+                      generator={"kind": "identical", "K": 3}, episodes=12)
+    res = run_experiment(cfg, per_episode=True)
+    assert len(res) == 4
+    for s in res:
+        err = s.fa_rate + s.md_rate
+        err = 0.0 if math.isnan(err) else err
+        risks = []
+        for r in s.episode_records:
+            assert r["risk"] == r["abnormal_time"] / s.sweep_value + r["abnormal"] * err
+            risks.append(r["risk"])
+        assert s.extra["mean_risk"] == pytest.approx(np.mean(risks))
+        assert any(r["abnormal"] for r in s.episode_records)
+
+    # with no abnormal process there is no time term and no error term
+    spec = ProcessSpec(prior=0.5, cost_rate=1.0, alpha=1e-2, beta=1e-2,
+                       model_h0=Poisson(10.0), model_h1=Poisson(15.0))
+    none_abnormal = tiny_config(generator=None, processes=(spec, spec), truth=(False, False),
+                                sweep_variable="c_e", sweep_values=(10.0,), episodes=5)
+    for s in run_experiment(none_abnormal, per_episode=True):
+        assert [r["risk"] for r in s.episode_records] == [0.0] * 5
+        assert s.extra["mean_risk"] == 0.0
+
+    with pytest.raises(ConfigError, match="c_e"):
+        run_experiment(replace(cfg, sweep_values=(0.0,)))
+
+
 def test_unknown_figure_rejected():
     with pytest.raises(ConfigError, match="fig9"):
         figure_config("fig9")
