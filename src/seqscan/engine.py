@@ -6,7 +6,11 @@ delays plus one sampling unit; every sampling unit offers M probe
 slots, so over an episode the probe counts, delay units and idle slots
 add up to exactly M times the final clock. Observations come from one
 substream per process, which makes paired policy comparisons see the
-same data and keeps replays bit-identical.
+same data and keeps replays bit-identical; each substream is drawn in
+chunks. Only a probed process's index moves, so a lone probe keeps its
+selection until an event (a declaration, an exploration instant, the
+probed index falling below the best other one) and runs there in one
+call, with the same result as one decision per observation.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from seqscan.belief import expected_detection_time, index, posterior, prior_log_odds
+from seqscan.belief import _sigmoid, expected_detection_time, index, posterior, prior_log_odds
 from seqscan.composite import (
     CompositeBoundaries,
     CompositeState,
@@ -33,21 +37,15 @@ from seqscan.composite import (
     ingest,
     init_state,
 )
-from seqscan.models import ObservationModel, Poisson, finite_kl, log_density, sample
+from seqscan.models import Gaussian, ObservationModel, Poisson, finite_kl, log_density, sample_many
 from seqscan.policy import (
-    ExplorationSchedule,
     PolicyState,
     exploration_schedule,
+    next_exploration_instant,
     ol_order,
     select_cl,
 )
-from seqscan.sprt import (
-    Verdict,
-    check_stop,
-    expected_sample_sizes,
-    update_llr,
-    wald_boundaries,
-)
+from seqscan.sprt import Verdict, expected_sample_sizes, update_llr, wald_boundaries
 
 TIME_CAP = 10_000_000
 
@@ -156,46 +154,134 @@ def wald_expected_sizes(spec: ProcessSpec) -> tuple[float, float]:
     )
 
 
+_FIRST_CHUNK = 16
+_MAX_CHUNK = 512
+
+
+class _Stream:
+    """One process's observations, drawn from its own generator in chunks
+    that start small and double up to a cap. The generator is never
+    shared, so buffered draws reach the process in the order single
+    draws would."""
+
+    __slots__ = ("model", "rng", "buf", "pos", "chunk")
+
+    def __init__(self, model: ObservationModel, rng: np.random.Generator):
+        self.model = model
+        self.rng = rng
+        self.buf: list = []
+        self.pos = 0
+        self.chunk = _FIRST_CHUNK
+
+    def refill(self) -> list:
+        """Replace the spent buffer with the next chunk and return it."""
+        self.buf = sample_many(self.model, self.rng, self.chunk)
+        self.pos = 0
+        self.chunk = min(2 * self.chunk, _MAX_CHUNK)
+        return self.buf
+
+    def next(self) -> float:
+        if self.pos == len(self.buf):
+            self.refill()
+        self.pos += 1
+        return self.buf[self.pos - 1]
+
+    @property
+    def last(self) -> float:
+        """The observation taken most recently."""
+        return self.buf[self.pos - 1]
+
+
+def _pair_index(
+    prior: float, log_odds: float | None, llr: float, cost: float, e_n_h0: float, e_n_h1: float
+) -> float:
+    """index(posterior(...), cost, expected_detection_time(...)) in the
+    same float operations and order, without the argument checks: the
+    spec's validation and Wald's sizes, both positive, already pass them."""
+    p = prior if log_odds is None else _sigmoid(log_odds + llr)
+    return p * cost / (p * e_n_h1 + (1.0 - p) * e_n_h0)
+
+
 class _PairRuntime:
     """Per-episode state of a model-pair process: one float LLR sum is
     both the SPRT statistic and, added to the prior log-odds, the
     posterior. Everything else is fixed per spec and built once."""
 
-    def __init__(self, spec: ProcessSpec):
+    def __init__(self, pid: int, spec: ProcessSpec, increments: dict | None):
+        self.pid = pid
         self.spec = spec
         self.llr = 0.0
         self.log_odds = prior_log_odds(spec.prior)
         self.bounds = wald_boundaries(spec.alpha, spec.beta)
         self.e_n_h0, self.e_n_h1 = wald_expected_sizes(spec)
-        h0, h1 = spec.model_h0, spec.model_h1
-        # (log rate, rate) of both models, for log_density's Poisson arithmetic
-        self.poisson_terms = None
-        if isinstance(h0, Poisson) and isinstance(h1, Poisson):
-            self.poisson_terms = (math.log(h0.rate), h0.rate, math.log(h1.rate), h1.rate)
+        # LLR increment by observation (Poisson and Categorical pairs),
+        # shared by the processes of one model pair; None for Gaussians
+        self.increments = increments
 
     def posterior(self) -> float:
         return posterior(self.spec.prior, self.log_odds, self.llr)
 
     def priority(self) -> float:
-        p = self.posterior()
-        return index(p, self.spec.cost_rate, expected_detection_time(p, self.e_n_h0, self.e_n_h1))
+        spec = self.spec
+        return _pair_index(spec.prior, self.log_odds, self.llr, spec.cost_rate, self.e_n_h0, self.e_n_h1)
 
-    def absorb(self, y: float) -> Verdict:
-        """Fold one observation in and return the verdict. Poisson pairs
-        evaluate both log-pmfs in log_density's operation order, so the
-        increment is bit-identical to it."""
-        terms = self.poisson_terms
-        if terms is not None:
+    def increment(self, y: float) -> float:
+        """The LLR increment of one observation, as both log-densities
+        give it; a non-finite one raises as the sum's update does."""
+        h0, h1 = self.spec.model_h0, self.spec.model_h1
+        if isinstance(h0, Poisson) and isinstance(h1, Poisson):
+            # log_density's arithmetic with the lgamma term computed once
             k = int(y)
             if k != y or k < 0:
                 raise ValueError(f"Poisson support is the nonnegative integers, got {y}")
             g = math.lgamma(k + 1)
-            log_r0, r0, log_r1, r1 = terms
-            inc = (k * log_r1 - r1 - g) - (k * log_r0 - r0 - g)
+            inc = (k * math.log(h1.rate) - h1.rate - g) - (k * math.log(h0.rate) - h0.rate - g)
         else:
-            inc = log_density(self.spec.model_h1, y) - log_density(self.spec.model_h0, y)
-        self.llr = update_llr(self.llr, inc)
-        return check_stop(self.llr, self.bounds)
+            inc = log_density(h1, y) - log_density(h0, y)
+        update_llr(0.0, inc)
+        if self.increments is not None:
+            self.increments[y] = inc
+        return inc
+
+    def advance(self, stream: _Stream, n_max: int, floor: tuple[float, int] | None):
+        """Take observations until a boundary is hit, n_max are taken or
+        the key (index, -pid) falls below floor; return the steps taken,
+        the verdict and the index after the last step (0.0 once
+        declared)."""
+        llr = self.llr
+        lower, upper = self.bounds.lower_a, self.bounds.upper_b
+        prior, log_odds, cost = self.spec.prior, self.log_odds, self.spec.cost_rate
+        e_n_h0, e_n_h1 = self.e_n_h0, self.e_n_h1
+        lookup = self.increments.get if self.increments is not None else {}.get
+        floor_value, floor_neg_pid = floor if floor is not None else (-math.inf, 0)
+        # a key of equal index is below the floor when its id is larger
+        tie_below = -self.pid < floor_neg_pid
+        buf, pos = stream.buf, stream.pos
+        steps = 0
+        while True:
+            if pos == len(buf):
+                buf = stream.refill()
+                pos = 0
+            y = buf[pos]
+            pos += 1
+            inc = lookup(y)
+            if inc is None:
+                inc = self.increment(y)
+            llr += inc
+            steps += 1
+            if llr >= upper:
+                verdict, value = Verdict.DECLARE_ABNORMAL, 0.0
+                break
+            if llr <= lower:
+                verdict, value = Verdict.DECLARE_NORMAL, 0.0
+                break
+            value = _pair_index(prior, log_odds, llr, cost, e_n_h0, e_n_h1)
+            if steps == n_max or value < floor_value or (tie_below and value == floor_value):
+                verdict = Verdict.CONTINUE
+                break
+        stream.pos = pos
+        self.llr = llr
+        return steps, verdict, value
 
     def stat_snapshot(self) -> float:
         return self.llr
@@ -205,7 +291,8 @@ class _GridRuntime:
     """Per-episode state of a grid process: per-point cumulative
     log-likelihoods, the GLR or ALR test and the estimated belief."""
 
-    def __init__(self, spec: ProcessSpec, statistic: StatisticKind):
+    def __init__(self, pid: int, spec: ProcessSpec, statistic: StatisticKind):
+        self.pid = pid
         self.spec = spec
         self.statistic = statistic
         self.cstate = init_state(spec.grid, spec.prior)
@@ -223,6 +310,18 @@ class _GridRuntime:
         ingest(self.cstate, self.spec.grid, y)
         estimated_belief_update(self.cstate, self.spec.grid)
         return check_stop_composite(self.cstate, self.spec.grid, self.cbounds, self.statistic)
+
+    def advance(self, stream: _Stream, n_max: int, floor: tuple[float, int] | None):
+        """As ``_PairRuntime.advance``, one ``absorb`` per observation."""
+        steps = 0
+        while True:
+            verdict = self.absorb(stream.next())
+            steps += 1
+            if verdict.decided:
+                return steps, verdict, 0.0
+            value = self.priority()
+            if steps == n_max or (floor is not None and (value, -self.pid) < floor):
+                return steps, verdict, value
 
     def stat_snapshot(self) -> float:
         if self.cstate.n_obs == 0:
@@ -343,10 +442,17 @@ def run_episode(
         _draw_truth_model(spec, truth[i], meta_rng) for i, spec in enumerate(specs)
     )
 
-    runtimes = [
-        _GridRuntime(spec, policy.statistic) if spec.is_composite else _PairRuntime(spec)
-        for spec in specs
-    ]
+    increments: dict[tuple, dict] = {}  # one increment table per model pair
+
+    def runtime(pid: int, spec: ProcessSpec):
+        if spec.is_composite:
+            return _GridRuntime(pid, spec, policy.statistic)
+        h0, h1 = spec.model_h0, spec.model_h1
+        table = None if isinstance(h0, Gaussian) else increments.setdefault((h0, h1), {})
+        return _PairRuntime(pid, spec, table)
+
+    runtimes = [runtime(pid, spec) for pid, spec in enumerate(specs, start=1)]
+    streams = [_Stream(model, r) for model, r in zip(truth_models, obs_rngs)]
     indices = [rt.priority() for rt in runtimes]  # 0.0 once declared
 
     pstate = PolicyState.fresh(indices, policy.m)
@@ -369,6 +475,13 @@ def run_episode(
     prev_sel: set[int] = set()
     trace: list[TraceStep] | None = [] if record_trace else None
 
+    # Each pass is one decision: select, charge the entering delays and
+    # one sampling unit, then advance every selected process. A lone
+    # untraced probe runs on, one sampling unit per observation, until
+    # its selection could change: at its declaration, at the next
+    # exploration instant or the time cap, or (closed loop) when its key
+    # falls below the best key of the other active ids, whose indices
+    # are frozen meanwhile.
     while pstate.active:
         instant = t + 1
         if slots is not None:
@@ -385,23 +498,29 @@ def run_episode(
                 f"episode exceeded {time_cap} time units with {len(pstate.active)} processes undecided"
             )
 
-        observations = []
+        n_max, floor = 1, None
+        if len(sel) == 1 and trace is None:
+            n_max = time_cap - t + 1
+            if slots is None:
+                n_max = min(n_max, next_exploration_instant(sched, t + 1) - t)
+                floor = pstate.best_key_except(sel[0])
         for pid in sel:
-            rt = runtimes[pid - 1]
-            y = sample(truth_models[pid - 1], obs_rngs[pid - 1])
-            observations.append(y)
-            samples[pid - 1] += 1
-            verdict = rt.absorb(y)
+            i = pid - 1
+            steps, verdict, value = runtimes[i].advance(streams[i], n_max, floor)
+            t += steps - 1
+            idle_slots += (policy.m - 1) * (steps - 1)
+            samples[i] += steps
             if verdict.decided:
-                declared[pid - 1] = verdict is Verdict.DECLARE_ABNORMAL
-                stop_times[pid - 1] = t
+                declared[i] = verdict is Verdict.DECLARE_ABNORMAL
+                stop_times[i] = t
                 pstate.declare(pid)
                 if slots is not None:
                     slots.complete(pid)
-                indices[pid - 1] = 0.0
+                indices[i] = 0.0
             else:
-                indices[pid - 1] = value = rt.priority()
-                pstate.rerank(pid, value)
+                indices[i] = value
+                if slots is None:
+                    pstate.rerank(pid, value)
 
         prev_sel = set(sel)
         if trace is not None:
@@ -410,7 +529,7 @@ def run_episode(
                     instant=instant,
                     delay=delta,
                     selected=tuple(sel),
-                    observations=tuple(observations),
+                    observations=tuple(streams[pid - 1].last for pid in sel),
                     beliefs=tuple(rt.posterior() for rt in runtimes),
                     indices=tuple(indices),
                     stats=tuple(rt.stat_snapshot() for rt in runtimes),

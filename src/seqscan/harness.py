@@ -728,9 +728,11 @@ def _run_batch(
 
     if cfg.sweep_variable == "c_e":
         c_e = float(sweep_value)
-        err = summary.fa_rate + summary.md_rate
-        if math.isnan(err):
-            err = 0.0
+        # a rate with no episode behind it (NaN) adds nothing; the other counts
+        err = 0.0
+        for error_rate in (summary.fa_rate, summary.md_rate):
+            if not math.isnan(error_rate):
+                err += error_rate
         risks = np.array(
             [r["abnormal_time"] / c_e + r["abnormal"] * err for r in records]
         )

@@ -68,15 +68,31 @@ def sample(model: ObservationModel, rng: np.random.Generator) -> float:
     if isinstance(model, Gaussian):
         return float(rng.normal(model.mean, model.stddev))
     if isinstance(model, Categorical):
-        # inverse CDF on a single uniform
-        u = rng.random()
-        acc = 0.0
-        for i, p in enumerate(model.probs):
-            acc += p
-            if u < acc:
-                return i
-        return len(model.probs) - 1
+        return _category(model.probs, rng.random())
     raise TypeError(f"not an observation model: {model!r}")
+
+
+def sample_many(model: ObservationModel, rng: np.random.Generator, n: int) -> list:
+    """Draw n observations in one generator call, as a list equal to n
+    calls of ``sample`` that leaves the generator where they would."""
+    if isinstance(model, Poisson):
+        return rng.poisson(model.rate, n).tolist()
+    if isinstance(model, Gaussian):
+        return rng.normal(model.mean, model.stddev, n).tolist()
+    if isinstance(model, Categorical):
+        probs = model.probs
+        return [_category(probs, u) for u in rng.random(n).tolist()]
+    raise TypeError(f"not an observation model: {model!r}")
+
+
+def _category(probs: tuple[float, ...], u: float) -> int:
+    """Inverse CDF of a categorical at one uniform."""
+    acc = 0.0
+    for i, p in enumerate(probs):
+        acc += p
+        if u < acc:
+            return i
+    return len(probs) - 1
 
 
 def log_density(model: ObservationModel, y: float) -> float:

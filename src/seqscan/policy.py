@@ -33,19 +33,31 @@ def exploration_schedule(zeta: float) -> ExplorationSchedule:
     return ExplorationSchedule(zeta=zeta)
 
 
-def is_exploration_instant(sched: ExplorationSchedule, n: int) -> bool:
-    """Membership of n in the exploration subsequence, O(1) amortized."""
+def _extend_to(sched: ExplorationSchedule, n: int) -> None:
+    """Materialize the instants up to the first one at or after n."""
     if n < 1:
         raise ValueError(f"time index must be >= 1, got {n}")
-    if math.isinf(sched.zeta):
-        return False
-    while not sched._instants or sched._instants[-1] < n:
+    while not math.isinf(sched.zeta) and (not sched._instants or sched._instants[-1] < n):
         v = math.ceil(sched.zeta**sched._next_exponent)
         sched._next_exponent += 1
         if v not in sched._members:
             sched._members.add(v)
             sched._instants.append(v)
+
+
+def is_exploration_instant(sched: ExplorationSchedule, n: int) -> bool:
+    """Membership of n in the exploration subsequence, O(1) amortized."""
+    _extend_to(sched, n)
     return n in sched._members
+
+
+def next_exploration_instant(sched: ExplorationSchedule, n: int) -> int | float:
+    """The first exploration instant at or after n; inf for zeta = inf."""
+    _extend_to(sched, n)
+    if math.isinf(sched.zeta):
+        return math.inf
+    instants = sched._instants
+    return instants[bisect_left(instants, n)]
 
 
 @dataclass
@@ -84,6 +96,14 @@ class PolicyState:
     def top(self, m: int) -> tuple[int, ...]:
         """The m active ids of largest index, ties to the lowest id."""
         return tuple(-neg_pid for _, neg_pid in self._ranking[-1 : -m - 1 : -1])
+
+    def best_key_except(self, pid: int) -> tuple[float, int] | None:
+        """The largest key of an active id other than pid, or None."""
+        ranking = self._ranking
+        for key in ranking[-1:-3:-1]:
+            if key[1] != -pid:
+                return key
+        return None
 
     def rerank(self, pid: int, value: float) -> None:
         """Give an active id a new index and move its key."""

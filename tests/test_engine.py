@@ -8,8 +8,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from seqscan.composite import ParameterGrid, Region
+from seqscan.composite import ParameterGrid, Region, StatisticKind
 from seqscan.engine import (
     PolicyConfig,
     PolicyKind,
@@ -291,6 +293,84 @@ def test_forced_truth_and_episode_cap():
         forced_truth=(True, False),
     )
     assert res.truth == (True, False)
+
+
+POLICIES = {
+    "CL": lambda m, statistic: PolicyConfig(PolicyKind.CL, m, 1.3, statistic),
+    "OL": lambda m, statistic: PolicyConfig(PolicyKind.OL, m, 1.7, statistic),
+    "CL-no-explore": lambda m, statistic: PolicyConfig(PolicyKind.CL, m, math.inf, statistic),
+}
+
+
+def _untraced_equals_traced(specs, policy, seed, time_cap):
+    """Run traced and untraced; both raise the same SimulationError or
+    give equal results. Returns whether the episode finished."""
+    outcomes = []
+    for record_trace in (True, False):
+        try:
+            res = run_episode(specs, policy, np.random.SeedSequence(seed),
+                              record_trace=record_trace, time_cap=time_cap)
+        except SimulationError as exc:
+            outcomes.append(str(exc))
+        else:
+            res.trace = None
+            outcomes.append(res)
+    assert outcomes[0] == outcomes[1]
+    return not isinstance(outcomes[0], str)
+
+
+def test_time_cap_fires_at_the_same_instant_traced_or_not():
+    # untraced runs take a lone probe's observations in one stretch, which
+    # must stop at the cap; each cap either fails both runs with the same
+    # message (same undecided count) or lets both finish alike
+    slow = simple_spec(alpha=1e-3, beta=1e-3, r0=10.0, r1=11.0, delay=1)
+    fast = simple_spec(alpha=0.05, beta=0.05, r0=10.0, r1=20.0, delay=2)
+    finished = set()
+    for name in POLICIES:
+        for m in (1, 2):
+            policy = POLICIES[name](m, StatisticKind.GLR)
+            for cap in range(1, 61):
+                finished.add(_untraced_equals_traced([fast, slow], policy, 23, cap))
+                if m == 1:
+                    finished.add(_untraced_equals_traced([fast], policy, 24, cap))
+    assert finished == {True, False}
+
+
+@st.composite
+def grid_specs(draw):
+    theta0 = draw(st.lists(st.floats(1.0, 10.0), min_size=1, max_size=2))
+    theta1 = [max(theta0) * f for f in draw(st.lists(st.floats(1.4, 2.5), min_size=1, max_size=2))]
+    middle = [(max(theta0) + min(theta1)) / 2] if draw(st.booleans()) else []
+    models = tuple(Poisson(r) for r in theta0 + theta1 + middle)
+    regions = (
+        (Region.THETA0,) * len(theta0)
+        + (Region.THETA1,) * len(theta1)
+        + (Region.INDIFFERENCE,) * len(middle)
+    )
+    budget = st.floats(1e-4, 0.2)
+    return ProcessSpec(
+        prior=draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.05, 0.95))),
+        cost_rate=draw(st.floats(0.1, 5.0)),
+        alpha=draw(budget),
+        beta=draw(budget),
+        grid=ParameterGrid(models, regions),
+        switch_delay=draw(st.integers(0, 2)),
+    )
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    specs=st.lists(grid_specs(), min_size=1, max_size=4),
+    policy=st.sampled_from(sorted(POLICIES)),
+    statistic=st.sampled_from(list(StatisticKind)),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_grid_episode_untraced_equals_traced(specs, policy, statistic, seed, data):
+    # the traced run takes one observation per decision; the untraced one
+    # runs each lone probe to its next event
+    config = POLICIES[policy](data.draw(st.integers(1, len(specs)), label="m"), statistic)
+    _untraced_equals_traced(specs, config, seed, time_cap=20_000)
 
 
 def test_lower_bound_frozen_value():

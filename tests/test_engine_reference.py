@@ -9,6 +9,9 @@ closed-loop instant that is not an exploration instant, and a
 round-robin rotation that rebuilds its eligible set for every pick. The
 engine must reproduce it exactly:
 every ``EpisodeResult`` field and every ``TraceStep`` compare with ``==``.
+Traced runs take one observation per decision; untraced runs take a lone
+probe's observations in stretches up to its next event, and their
+``EpisodeResult`` must equal the same replay.
 """
 
 from __future__ import annotations
@@ -170,26 +173,32 @@ def reference_episode(specs, policy: PolicyConfig, seed: np.random.SeedSequence)
 
 
 @st.composite
-def model_pairs(draw):
+def model_pairs(draw, near=False):
+    # near pairs take hundreds of observations to tell apart
     family = draw(st.sampled_from(["poisson", "gaussian", "categorical"]))
     if family == "poisson":
         r0 = draw(st.floats(1.0, 12.0))
-        return Poisson(r0), Poisson(r0 * draw(st.floats(1.3, 2.5)))
+        return Poisson(r0), Poisson(r0 * draw(st.floats(1.05, 1.3) if near else st.floats(1.3, 2.5)))
     if family == "gaussian":
         sd = draw(st.floats(0.5, 2.0))
         mean0 = draw(st.floats(-3.0, 3.0))
-        return Gaussian(mean0, sd), Gaussian(mean0 + draw(st.floats(0.6, 2.0)) * sd, sd)
+        shift = draw(st.floats(0.15, 0.6) if near else st.floats(0.6, 2.0))
+        return Gaussian(mean0, sd), Gaussian(mean0 + shift * sd, sd)
     w = draw(st.lists(st.floats(1.0, 10.0), min_size=3, max_size=3))
-    p0 = Categorical(tuple(x / sum(w) for x in w))
-    p1 = Categorical(tuple(x / sum(w) for x in w[1:] + w[:1]))
-    assume(finite_kl(p0, p1) > 0.1 and finite_kl(p1, p0) > 0.1)
+    p0 = tuple(x / sum(w) for x in w)
+    p1 = p0[1:] + p0[:1]
+    if near:
+        p1 = tuple(0.7 * a + 0.3 * b for a, b in zip(p0, p1))
+    p0, p1 = Categorical(p0), Categorical(p1)
+    least = 0.005 if near else 0.1
+    assume(finite_kl(p0, p1) > least and finite_kl(p1, p0) > least)
     return p0, p1
 
 
 @st.composite
-def pair_specs(draw):
-    h0, h1 = draw(model_pairs())
-    budget = st.floats(1e-3, 0.2)
+def pair_specs(draw, min_budget=1e-3, near=False):
+    h0, h1 = draw(model_pairs(near))
+    budget = st.floats(min_budget, 0.2)
     return ProcessSpec(
         prior=draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.05, 0.95))),
         cost_rate=draw(st.floats(0.1, 5.0)),
@@ -245,6 +254,27 @@ def test_identical_processes_match_reference_replay(spec, k, policy, seed, data)
     traced = run_episode(specs, config, np.random.SeedSequence(seed), record_trace=True)
     assert traced.trace == expected.trace
     assert traced == expected
+    plain = run_episode(specs, config, np.random.SeedSequence(seed))
+    expected.trace = None
+    assert plain == expected
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    specs=st.lists(pair_specs(min_budget=1e-4, near=True), min_size=2, max_size=2),
+    zeta=st.sampled_from([1.005, math.inf]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_two_process_single_probe_stretches_match_reference_replay(specs, zeta, seed):
+    # K=2, M=1 with small error budgets: an untraced run takes each lone
+    # probe's observations in stretches of up to hundreds of steps, across
+    # refills of the observation buffer, ending at a declaration, the
+    # next exploration instant or a crossing of the other process's index
+    config = PolicyConfig(kind=PolicyKind.CL, m=1, zeta=zeta)
+    expected = reference_episode(specs, config, np.random.SeedSequence(seed))
+    plain = run_episode(specs, config, np.random.SeedSequence(seed))
+    expected.trace = None
+    assert plain == expected
 
 
 def test_impossible_observation_fails_the_episode():

@@ -338,8 +338,7 @@ def test_risk_sweep_per_episode_risk_arithmetic():
     res = run_experiment(cfg, per_episode=True)
     assert len(res) == 4
     for s in res:
-        err = s.fa_rate + s.md_rate
-        err = 0.0 if math.isnan(err) else err
+        err = sum(r for r in (s.fa_rate, s.md_rate) if not math.isnan(r))
         risks = []
         for r in s.episode_records:
             assert r["risk"] == r["abnormal_time"] / s.sweep_value + r["abnormal"] * err
@@ -358,6 +357,22 @@ def test_risk_sweep_per_episode_risk_arithmetic():
 
     with pytest.raises(ConfigError, match="c_e"):
         run_experiment(replace(cfg, sweep_values=(0.0,)))
+
+
+def test_risk_sweep_without_normal_processes_keeps_missed_detections():
+    # no normal process: fa_rate has no episode behind it (NaN) and adds
+    # nothing, while every abnormal process still pays md_rate
+    spec = ProcessSpec(prior=0.5, cost_rate=1.0, alpha=1e-2, beta=1e-2,
+                       model_h0=Poisson(10.0), model_h1=Poisson(11.0))
+    cfg = tiny_config(generator=None, processes=(spec, spec), truth=(True, True),
+                      policies=("CL",), sweep_variable="c_e", sweep_values=(3.0,),
+                      episodes=60)
+    [s] = run_experiment(cfg, per_episode=True)
+    assert math.isnan(s.fa_rate) and s.md_rate > 0
+    time_term = np.mean([r["abnormal_time"] / 3.0 for r in s.episode_records])
+    assert all(r["abnormal"] == 2 for r in s.episode_records)
+    assert s.extra["mean_risk"] == pytest.approx(time_term + 2 * s.md_rate)
+    assert s.extra["mean_risk"] > time_term
 
 
 def test_unknown_figure_rejected():

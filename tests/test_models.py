@@ -19,6 +19,7 @@ from seqscan.models import (
     kl_divergence,
     log_density,
     sample,
+    sample_many,
 )
 
 
@@ -79,6 +80,28 @@ def test_sampling_is_deterministic_under_equal_seeds():
         seq1 = [sample(model, rng1) for _ in range(50)]
         seq2 = [sample(model, rng2) for _ in range(50)]
         assert seq1 == seq2
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        Poisson(0.5),
+        Poisson(10.0),
+        Poisson(1000.0),
+        Gaussian(-1.0, 2.0),
+        Categorical((0.2, 0.0, 0.5, 0.3)),
+    ],
+    ids=repr,
+)
+def test_sample_many_equals_single_draws(model):
+    # a chunk must be the next n single draws, of the same types, and leave
+    # the generator where they would: the draws that follow agree too
+    for n in range(1, 301):
+        single, chunked = np.random.default_rng(n), np.random.default_rng(n)
+        expected = [sample(model, single) for _ in range(n + 2)]
+        got = sample_many(model, chunked, n) + [sample(model, chunked) for _ in range(2)]
+        assert got == expected
+        assert [type(y) for y in got] == [type(y) for y in expected]
 
 
 def test_poisson_sample_mean_matches_rate():

@@ -15,6 +15,7 @@ from seqscan.policy import (
     PolicyState,
     exploration_schedule,
     is_exploration_instant,
+    next_exploration_instant,
     ol_order,
     round_robin_next,
     round_robin_next_multi,
@@ -68,6 +69,41 @@ def test_schedule_large_n_stays_cheap():
     sched = exploration_schedule(1.01)
     assert is_exploration_instant(sched, 1_000_000) in (True, False)
     assert len(sched._instants) < 3000
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    zeta=st.sampled_from([1.005, 1.3, 1.7, 2.0, math.inf]),
+    queries=st.lists(st.integers(1, 20_000), min_size=1, max_size=8),
+)
+def test_next_exploration_instant_is_first_member_at_or_after(zeta, queries):
+    # queries in any order on one schedule, against a scan on another
+    sched, oracle = exploration_schedule(zeta), exploration_schedule(zeta)
+    for n in queries:
+        got = next_exploration_instant(sched, n)
+        if math.isinf(zeta):
+            assert got == math.inf
+            assert not any(is_exploration_instant(oracle, j) for j in range(n, n + 200))
+            continue
+        first = n
+        while not is_exploration_instant(oracle, first):
+            first += 1
+        assert got == first
+        assert is_exploration_instant(sched, got)
+    with pytest.raises(ValueError):
+        next_exploration_instant(sched, 0)
+
+
+def test_best_key_except_skips_only_the_given_id():
+    s = ranked(idx(3, 5, 5, 1))
+    assert s.best_key_except(2) == (5.0, -3)
+    assert s.best_key_except(3) == (5.0, -2)
+    assert s.best_key_except(4) == (5.0, -2)
+    s.declare(2)
+    s.declare(3)
+    s.declare(4)
+    assert s.best_key_except(1) is None
+    assert s.best_key_except(2) == (3.0, -1)
 
 
 def test_round_robin_wrapped_successors():
