@@ -95,15 +95,9 @@ class CompositeState:
     cum_ll: Sequence[float]     # cumulative log-likelihood per grid point
     n_obs: int
     mle: int                    # argmax of cum_ll, ties to lowest index
-    mle_prev: int               # the estimate held before the latest observation
     alr_numerator: float        # sum of log f(y_r | estimate before y_r)
     prior: float
     estimated_belief: float
-
-    @property
-    def alr_numerators(self) -> tuple[float, float]:
-        # one per hypothesis to reject; both sides share the same sum
-        return (self.alr_numerator, self.alr_numerator)
 
 
 @dataclass(frozen=True)
@@ -136,7 +130,6 @@ def init_state(grid: ParameterGrid, prior: float) -> CompositeState:
         cum_ll=[0.0] * len(grid),
         n_obs=0,
         mle=0,
-        mle_prev=0,
         alr_numerator=0.0,
         prior=prior,
         estimated_belief=prior,
@@ -161,7 +154,6 @@ def ingest(state: CompositeState, grid: ParameterGrid, y: float) -> CompositeSta
     else:
         inc = [log_density(m, y) for m in grid.models]
     state.alr_numerator += inc[state.mle]
-    state.mle_prev = state.mle
     cum = [c + d for c, d in zip(state.cum_ll, inc)]
     state.cum_ll = cum
     state.n_obs += 1

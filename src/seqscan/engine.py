@@ -18,14 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from seqscan.belief import _sigmoid, expected_detection_time, index, posterior, prior_log_odds
 from seqscan.composite import (
-    CompositeBoundaries,
-    CompositeState,
     ParameterGrid,
     Region,
     StatisticKind,
@@ -37,7 +36,7 @@ from seqscan.composite import (
     ingest,
     init_state,
 )
-from seqscan.models import Gaussian, ObservationModel, Poisson, finite_kl, log_density, sample_many
+from seqscan.models import Gaussian, ObservationModel, finite_kl, log_density, sample_many
 from seqscan.policy import (
     PolicyState,
     exploration_schedule,
@@ -45,7 +44,7 @@ from seqscan.policy import (
     ol_order,
     select_cl,
 )
-from seqscan.sprt import Verdict, expected_sample_sizes, update_llr, wald_boundaries
+from seqscan.sprt import SprtBoundaries, Verdict, expected_sample_sizes, update_llr, wald_boundaries
 
 TIME_CAP = 10_000_000
 
@@ -113,6 +112,29 @@ class ProcessSpec:
     def is_composite(self) -> bool:
         return self.grid is not None
 
+    @cached_property
+    def table(self) -> _PairTable:
+        """A model-pair spec's fixed numbers, built on first use and kept
+        for the spec's lifetime, so every episode of a batch shares them."""
+        h0, h1 = self.model_h0, self.model_h1
+        return _PairTable(
+            prior_log_odds(self.prior),
+            wald_boundaries(self.alpha, self.beta),
+            *expected_sample_sizes(self.alpha, self.beta, finite_kl(h0, h1), finite_kl(h1, h0)),
+            None if isinstance(h0, Gaussian) else {},
+        )
+
+
+@dataclass(frozen=True)
+class _PairTable:
+    """What a model-pair spec fixes for every episode."""
+
+    log_odds: float | None  # prior_log_odds(prior)
+    bounds: SprtBoundaries
+    e_n_h0: float  # Wald's expected sample sizes
+    e_n_h1: float
+    increments: dict | None  # LLR increment by observation, filled on first sight; None for Gaussians
+
 
 @dataclass(frozen=True)
 class TraceStep:
@@ -141,17 +163,6 @@ class EpisodeResult:
     miss_detects: tuple[bool, ...]
     truth_models: tuple[ObservationModel, ...]
     trace: list[TraceStep] | None = None
-
-
-def wald_expected_sizes(spec: ProcessSpec) -> tuple[float, float]:
-    """Wald's expected sample sizes (under H0, under H1) of a model-pair
-    process, from its error budgets and the two clamped divergences."""
-    return expected_sample_sizes(
-        spec.alpha,
-        spec.beta,
-        finite_kl(spec.model_h0, spec.model_h1),
-        finite_kl(spec.model_h1, spec.model_h0),
-    )
 
 
 _FIRST_CHUNK = 16
@@ -205,42 +216,28 @@ def _pair_index(
 class _PairRuntime:
     """Per-episode state of a model-pair process: one float LLR sum is
     both the SPRT statistic and, added to the prior log-odds, the
-    posterior. Everything else is fixed per spec and built once."""
+    posterior. Everything else is the spec's table."""
 
-    def __init__(self, pid: int, spec: ProcessSpec, increments: dict | None):
+    def __init__(self, pid: int, spec: ProcessSpec):
         self.pid = pid
         self.spec = spec
+        self.table = spec.table
         self.llr = 0.0
-        self.log_odds = prior_log_odds(spec.prior)
-        self.bounds = wald_boundaries(spec.alpha, spec.beta)
-        self.e_n_h0, self.e_n_h1 = wald_expected_sizes(spec)
-        # LLR increment by observation (Poisson and Categorical pairs),
-        # shared by the processes of one model pair; None for Gaussians
-        self.increments = increments
 
     def posterior(self) -> float:
-        return posterior(self.spec.prior, self.log_odds, self.llr)
+        return posterior(self.spec.prior, self.table.log_odds, self.llr)
 
     def priority(self) -> float:
-        spec = self.spec
-        return _pair_index(spec.prior, self.log_odds, self.llr, spec.cost_rate, self.e_n_h0, self.e_n_h1)
+        spec, table = self.spec, self.table
+        return _pair_index(spec.prior, table.log_odds, self.llr, spec.cost_rate, table.e_n_h0, table.e_n_h1)
 
     def increment(self, y: float) -> float:
         """The LLR increment of one observation, as both log-densities
         give it; a non-finite one raises as the sum's update does."""
-        h0, h1 = self.spec.model_h0, self.spec.model_h1
-        if isinstance(h0, Poisson) and isinstance(h1, Poisson):
-            # log_density's arithmetic with the lgamma term computed once
-            k = int(y)
-            if k != y or k < 0:
-                raise ValueError(f"Poisson support is the nonnegative integers, got {y}")
-            g = math.lgamma(k + 1)
-            inc = (k * math.log(h1.rate) - h1.rate - g) - (k * math.log(h0.rate) - h0.rate - g)
-        else:
-            inc = log_density(h1, y) - log_density(h0, y)
+        inc = log_density(self.spec.model_h1, y) - log_density(self.spec.model_h0, y)
         update_llr(0.0, inc)
-        if self.increments is not None:
-            self.increments[y] = inc
+        if self.table.increments is not None:
+            self.table.increments[y] = inc
         return inc
 
     def advance(self, stream: _Stream, n_max: int, floor: tuple[float, int] | None):
@@ -248,11 +245,11 @@ class _PairRuntime:
         the key (index, -pid) falls below floor; return the steps taken,
         the verdict and the index after the last step (0.0 once
         declared)."""
-        llr = self.llr
-        lower, upper = self.bounds.lower_a, self.bounds.upper_b
-        prior, log_odds, cost = self.spec.prior, self.log_odds, self.spec.cost_rate
-        e_n_h0, e_n_h1 = self.e_n_h0, self.e_n_h1
-        lookup = self.increments.get if self.increments is not None else {}.get
+        llr, table = self.llr, self.table
+        lower, upper = table.bounds.lower_a, table.bounds.upper_b
+        prior, log_odds, cost = self.spec.prior, table.log_odds, self.spec.cost_rate
+        e_n_h0, e_n_h1 = table.e_n_h0, table.e_n_h1
+        lookup = table.increments.get if table.increments is not None else {}.get
         floor_value, floor_neg_pid = floor if floor is not None else (-math.inf, 0)
         # a key of equal index is below the floor when its id is larger
         tie_below = -self.pid < floor_neg_pid
@@ -345,7 +342,7 @@ def a_priori_expected_size(spec: ProcessSpec) -> float:
     the conditional sizes average boundary-over-divergence across the
     configured truth mixture of each region."""
     if not spec.is_composite:
-        return expected_detection_time(spec.prior, *wald_expected_sizes(spec))
+        return expected_detection_time(spec.prior, spec.table.e_n_h0, spec.table.e_n_h1)
     grid = spec.grid
     b = composite_boundaries(spec.alpha, spec.beta)
     i0, i1 = grid.indices(Region.THETA0), grid.indices(Region.THETA1)
@@ -442,16 +439,10 @@ def run_episode(
         _draw_truth_model(spec, truth[i], meta_rng) for i, spec in enumerate(specs)
     )
 
-    increments: dict[tuple, dict] = {}  # one increment table per model pair
-
-    def runtime(pid: int, spec: ProcessSpec):
-        if spec.is_composite:
-            return _GridRuntime(pid, spec, policy.statistic)
-        h0, h1 = spec.model_h0, spec.model_h1
-        table = None if isinstance(h0, Gaussian) else increments.setdefault((h0, h1), {})
-        return _PairRuntime(pid, spec, table)
-
-    runtimes = [runtime(pid, spec) for pid, spec in enumerate(specs, start=1)]
+    runtimes = [
+        _GridRuntime(pid, spec, policy.statistic) if spec.is_composite else _PairRuntime(pid, spec)
+        for pid, spec in enumerate(specs, start=1)
+    ]
     streams = [_Stream(model, r) for model, r in zip(truth_models, obs_rngs)]
     indices = [rt.priority() for rt in runtimes]  # 0.0 once declared
 
@@ -568,6 +559,8 @@ def lower_bound_oracle(
     time, then the cumulative double sum. With M probes the ordered list
     is striped across the M slots, which is only derived for equal
     costs."""
+    if m < 1:
+        raise ValueError(f"probe budget must be >= 1, got {m}")
     abnormal = [i for i, flag in enumerate(truth) if flag]
     if not abnormal:
         return 0.0
@@ -598,25 +591,12 @@ def lower_bound_oracle(
     }
     ordered = sorted(abnormal, key=lambda i: (-specs[i].cost_rate / wald_time[i], i))
 
-    if m <= 1:
-        total = 0.0
+    if m > 1 and len({specs[i].cost_rate for i in ordered}) > 1:
+        raise ValueError("multi-probe bound is only derived for equal costs")
+    total = 0.0
+    for lane in range(m):
         acc = 0.0
-        for i in ordered:
+        for i in ordered[lane::m]:
             acc += wald_time[i]
             total += specs[i].cost_rate * acc
-        return total
-
-    costs = {specs[i].cost_rate for i in ordered}
-    if len(costs) > 1:
-        raise ValueError("multi-probe bound is only derived for equal costs")
-    k1 = len(ordered)
-    total = 0.0
-    for lane in range(1, m + 1):
-        acc = 0.0
-        for i in range(1, math.ceil(k1 / m) + 1):
-            pos = lane + (i - 1) * m
-            if pos > k1:
-                break
-            acc += wald_time[ordered[pos - 1]]
-            total += specs[ordered[pos - 1]].cost_rate * acc
     return total

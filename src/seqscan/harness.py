@@ -97,9 +97,6 @@ class BatchSummary:
     cost_over_bound: float = math.nan
     rho: float | None = None
     rho_se: float | None = None
-    fa_rates: tuple[float, ...] = ()
-    md_rates: tuple[float, ...] = ()
-    mean_samples_per_process: tuple[float, ...] = ()
     extra: dict = field(default_factory=dict)
     error: str | None = None
     episode_records: tuple[dict, ...] | None = None
@@ -377,6 +374,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for pid, spec in enumerate(cfg.processes or (), start=1):
         if spec.is_composite:
             _validate_grid_decidable(spec, pid)
+            continue
+        try:
+            spec.table  # Wald's sizes need a positive divergence either way
+        except ValueError as exc:
+            raise ConfigError(f"process {pid}: its two models cannot be told apart ({exc})") from exc
 
     k = _known_process_count(cfg)
     if k is not None and cfg.m > k:
@@ -416,6 +418,10 @@ def _validate_generator(gen: dict, needs_k: bool) -> None:
             raise ConfigError(f"generator {kind}: K must be given and positive")
         if kind == "two_tier" and int(k) % 2:
             raise ConfigError(f"generator two_tier: K must be even, got {k}")
+    if kind == "two_tier" and float(gen.get("ratio", 1.5)) == 1.0:
+        raise ConfigError("generator two_tier: ratio must differ from 1")
+    if kind == "identical" and float(gen.get("rate0", 10.0)) == float(gen.get("rate1", 15.0)):
+        raise ConfigError("generator identical: rate0 and rate1 must differ")
     if kind == "equally_spaced_mixture":
         ratios = tuple(gen.get("ratios", (1.5, 1.2)))
         weights = tuple(gen.get("weights", (0.5, 0.5)))
@@ -657,13 +663,6 @@ def _run_batch(
     episodes: int,
 ) -> BatchSummary:
     policy = _policy_config(cfg, policy_name)
-    k = len(specs)
-    costs = np.empty(episodes)
-    totals = np.zeros(k)
-    fa_counts = np.zeros(k, dtype=int)
-    md_counts = np.zeros(k, dtype=int)
-    normal_counts = np.zeros(k, dtype=int)
-    abnormal_counts = np.zeros(k, dtype=int)
     bounds = np.empty(episodes)
     bounds_ok = True
     records: list[dict] = []
@@ -671,21 +670,11 @@ def _run_batch(
     for ep in range(episodes):
         seed = np.random.SeedSequence(cfg.master_seed, spawn_key=(sweep_idx, ep))
         res = run_episode(specs, policy, seed, forced_truth=cfg.truth)
-        costs[ep] = res.cost
-        totals += np.asarray(res.samples)
-        for i in range(k):
-            if res.truth[i]:
-                abnormal_counts[i] += 1
-                md_counts[i] += res.miss_detects[i]
-            else:
-                normal_counts[i] += 1
-                fa_counts[i] += res.false_alarms[i]
         if bounds_ok:
             try:
                 bounds[ep] = lower_bound_oracle(specs, res.truth, res.truth_models, m=cfg.m)
             except ValueError:
                 bounds_ok = False
-        abnormal = sum(res.truth)
         records.append(
             {
                 "episode": ep,
@@ -693,7 +682,7 @@ def _run_batch(
                 "samples": int(sum(res.samples)),
                 "fa": int(sum(res.false_alarms)),
                 "md": int(sum(res.miss_detects)),
-                "abnormal": int(abnormal),
+                "abnormal": int(sum(res.truth)),
                 "abnormal_time": int(
                     sum(t for t, ab in zip(res.stop_times, res.truth) if ab)
                 ),
@@ -701,10 +690,13 @@ def _run_batch(
             }
         )
 
+    costs = np.array([r["cost"] for r in records], dtype=float)
     mean_cost = float(costs.mean())
     stderr = float(costs.std(ddof=1) / math.sqrt(episodes)) if episodes > 1 else math.nan
-    fa_total, md_total = int(fa_counts.sum()), int(md_counts.sum())
-    normal_total, abnormal_total = int(normal_counts.sum()), int(abnormal_counts.sum())
+    fa_total = sum(r["fa"] for r in records)
+    md_total = sum(r["md"] for r in records)
+    abnormal_total = sum(r["abnormal"] for r in records)
+    normal_total = len(specs) * episodes - abnormal_total
     mean_bound = float(bounds.mean()) if bounds_ok else math.nan
 
     def rate(count: int, denom: int) -> float:
@@ -718,12 +710,9 @@ def _run_batch(
         stderr_cost=stderr,
         fa_rate=rate(fa_total, normal_total),
         md_rate=rate(md_total, abnormal_total),
-        mean_samples=float(totals.sum() / episodes),
+        mean_samples=sum(r["samples"] for r in records) / episodes,
         lower_bound=mean_bound,
         cost_over_bound=mean_cost / mean_bound if mean_bound and mean_bound > 0 else math.nan,
-        fa_rates=tuple(rate(int(fa_counts[i]), int(normal_counts[i])) for i in range(k)),
-        md_rates=tuple(rate(int(md_counts[i]), int(abnormal_counts[i])) for i in range(k)),
-        mean_samples_per_process=tuple(float(t / episodes) for t in totals),
     )
 
     if cfg.sweep_variable == "c_e":
@@ -733,11 +722,9 @@ def _run_batch(
         for error_rate in (summary.fa_rate, summary.md_rate):
             if not math.isnan(error_rate):
                 err += error_rate
-        risks = np.array(
-            [r["abnormal_time"] / c_e + r["abnormal"] * err for r in records]
-        )
         for r in records:
             r["risk"] = r["abnormal_time"] / c_e + r["abnormal"] * err
+        risks = np.array([r["risk"] for r in records])
         mean_risk = float(risks.mean())
         summary.extra = {
             "mean_risk": mean_risk,

@@ -16,13 +16,13 @@ from typing import Sequence
 
 @dataclass
 class ExplorationSchedule:
-    """Instants ceil(zeta^l), duplicates removed, materialized lazily.
-    zeta = inf is the documented sentinel for "never explore"."""
+    """Instants ceil(zeta^l), duplicates removed, materialized lazily as
+    one ascending list. zeta = inf is the documented sentinel for "never
+    explore"."""
 
     zeta: float
     _next_exponent: int = 1
     _instants: list[int] = field(default_factory=list)
-    _members: set[int] = field(default_factory=set)
 
     def __post_init__(self) -> None:
         if not self.zeta > 1.0:
@@ -40,15 +40,9 @@ def _extend_to(sched: ExplorationSchedule, n: int) -> None:
     while not math.isinf(sched.zeta) and (not sched._instants or sched._instants[-1] < n):
         v = math.ceil(sched.zeta**sched._next_exponent)
         sched._next_exponent += 1
-        if v not in sched._members:
-            sched._members.add(v)
+        # ceil(zeta^l) never decreases, so a repeat can only equal the last
+        if not sched._instants or v > sched._instants[-1]:
             sched._instants.append(v)
-
-
-def is_exploration_instant(sched: ExplorationSchedule, n: int) -> bool:
-    """Membership of n in the exploration subsequence, O(1) amortized."""
-    _extend_to(sched, n)
-    return n in sched._members
 
 
 def next_exploration_instant(sched: ExplorationSchedule, n: int) -> int | float:
@@ -138,16 +132,6 @@ def _wrapped_successor(prev: int, k: int, eligible, skip=()) -> int | None:
     return None
 
 
-def round_robin_next(state: PolicyState, k: int) -> int:
-    """Smallest shift from the previous pick's successor that lands on
-    an active process; commits the cursor."""
-    if not state.active:
-        raise ValueError("round-robin needs a nonempty active set")
-    pick = _wrapped_successor(state.rr_cursor, k, state.active)
-    state.rr_cursor = pick
-    return pick
-
-
 def round_robin_next_multi(state: PolicyState, k: int, m: int) -> tuple[int, ...]:
     """Sequential wrapped successors, skipping declared ids and ids
     already chosen this instant; short when fewer than m are active."""
@@ -172,7 +156,7 @@ def select_cl(state: PolicyState, n: int, sched: ExplorationSchedule) -> tuple[i
     if not state.active:
         return ()
     m = min(state.m, len(state.active))
-    if is_exploration_instant(sched, n):
+    if next_exploration_instant(sched, n) == n:
         return round_robin_next_multi(state, state.k, m)
     return state.top(m)
 

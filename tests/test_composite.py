@@ -72,7 +72,6 @@ def test_ingest_tracks_mle_and_counts(binary_grid):
     s = ingest(s, binary_grid, 16)
     assert s.n_obs == 1
     assert s.mle == 1  # 16 sits closer in likelihood to rate 15
-    assert s.mle_prev == 0
 
 
 def test_mle_tie_breaks_to_lowest_index():
@@ -313,13 +312,12 @@ class _Oracle:
     def __init__(self, grid, prior):
         self.grid, self.prior = grid, prior
         self.cum = np.zeros(len(grid))
-        self.mle = self.mle_prev = 0
+        self.mle = 0
         self.alr_numerator = 0.0
 
     def ingest(self, y):
         inc = np.array([log_density(m, y) for m in self.grid.models])
         self.alr_numerator += float(inc[self.mle])
-        self.mle_prev = self.mle
         self.cum = self.cum + inc
         self.mle = int(np.argmax(self.cum))
 
@@ -403,7 +401,7 @@ def test_grid_fold_equals_direct_recomputation(case):
         oracle.ingest(y)
         expected_belief = oracle.belief(s.estimated_belief)
         assert list(s.cum_ll) == oracle.cum.tolist()
-        assert (s.mle, s.mle_prev) == (oracle.mle, oracle.mle_prev)
+        assert s.mle == oracle.mle
         assert s.alr_numerator == oracle.alr_numerator
         for declare in (0, 1):
             assert glr_statistic(s, grid, declare) == oracle.glr(declare)

@@ -5,6 +5,7 @@ analysis lower bound."""
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from seqscan.engine import (
     lower_bound_oracle,
     run_episode,
 )
-from seqscan.models import Gaussian, Poisson, finite_kl
+from seqscan.models import Categorical, Gaussian, Poisson, finite_kl
 from seqscan.policy import ol_order
 from seqscan.sprt import wald_boundaries
 
@@ -302,6 +303,35 @@ POLICIES = {
 }
 
 
+def test_spec_table_never_caches_an_impossible_increment():
+    # category 2 has no mass under H1: its increment is -inf whenever drawn
+    spec = ProcessSpec(
+        prior=0.5, cost_rate=1.0, alpha=1e-6, beta=1e-6,
+        model_h0=Categorical((0.4, 0.3, 0.3)),
+        model_h1=Categorical((0.3, 0.7, 0.0)),
+    )
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ValueError, match="LLR increment must be finite") as exc:
+            run_episode([spec], PolicyConfig(), np.random.SeedSequence(4), forced_truth=(False,))
+        messages.append(str(exc.value))
+        assert 2 not in spec.table.increments
+    assert messages[0] == messages[1]
+
+
+def test_spec_table_shared_across_episodes_equals_fresh_copies():
+    # one spec object serves every process and episode, so later episodes
+    # read increments that earlier ones cached
+    shared = simple_spec(alpha=1e-3, beta=1e-4, r0=4.0, r1=5.0)
+    for kind, m in ((PolicyKind.CL, 1), (PolicyKind.OL, 2), (PolicyKind.CL, 3)):
+        policy = PolicyConfig(kind=kind, m=m, zeta=1.3)
+        for seed in range(4):
+            got = run_episode([shared] * 3, policy, np.random.SeedSequence(seed))
+            fresh = [replace(shared) for _ in range(3)]
+            assert got == run_episode(fresh, policy, np.random.SeedSequence(seed))
+    assert len(shared.table.increments) > 5
+
+
 def _untraced_equals_traced(specs, policy, seed, time_cap):
     """Run traced and untraced; both raise the same SimulationError or
     give equal results. Returns whether the episode finished."""
@@ -405,10 +435,14 @@ def test_lower_bound_multi_probe_stripes():
     bound = lower_bound_oracle(specs, truth=(True,) * 4, m=2)
     # two lanes of two: each lane contributes w + 2w
     assert bound == pytest.approx(6 * w, rel=1e-9)
+    # three lanes of two, one and one: w + 2w, then w and w
+    assert lower_bound_oracle(specs, truth=(True,) * 4, m=3) == pytest.approx(5 * w, rel=1e-9)
     with pytest.raises(ValueError):
         lower_bound_oracle(
             [simple_spec(cost=1.0), simple_spec(cost=2.0)], truth=(True, True), m=2
         )
+    with pytest.raises(ValueError, match="probe budget"):
+        lower_bound_oracle(specs, truth=(True,) * 4, m=0)
 
 
 def test_lower_bound_composite_needs_realized_model():

@@ -5,9 +5,10 @@ The reference keeps the plain form of every step: both log-densities
 through ``log_density``, the increment added to the sum before the
 boundaries are checked, the posterior recomputed from the prior on every
 use, a plain set of active ids, a full sort of that set on every
-closed-loop instant that is not an exploration instant, and a
-round-robin rotation that rebuilds its eligible set for every pick. The
-engine must reproduce it exactly:
+closed-loop instant that is not an exploration instant, exploration
+instants ceil(zeta^l) from its own set rather than the schedule under
+test, and a round-robin rotation that rebuilds its eligible set for
+every pick. The engine must reproduce it exactly:
 every ``EpisodeResult`` field and every ``TraceStep`` compare with ``==``.
 Traced runs take one observation per decision; untraced runs take a lone
 probe's observations in stretches up to its next event, and their
@@ -34,7 +35,7 @@ from seqscan.engine import (
     run_episode,
 )
 from seqscan.models import Categorical, Gaussian, Poisson, finite_kl, log_density, sample
-from seqscan.policy import exploration_schedule, is_exploration_instant, ol_order
+from seqscan.policy import ol_order
 from seqscan.sprt import expected_sample_sizes, wald_boundaries
 
 
@@ -97,7 +98,17 @@ def reference_episode(specs, policy: PolicyConfig, seed: np.random.SeedSequence)
             rr_cursor = chosen[-1]
         return tuple(chosen)
 
-    sched = exploration_schedule(policy.zeta)
+    explore: set[int] = set()  # the instants ceil(zeta^l) computed so far
+    last_power, exponent = 0, 1
+
+    def exploring(n: int) -> bool:
+        nonlocal last_power, exponent
+        while not math.isinf(policy.zeta) and last_power < n:
+            last_power = math.ceil(policy.zeta**exponent)
+            exponent += 1
+            explore.add(last_power)
+        return n in explore
+
     slots = None
     if policy.kind is PolicyKind.OL:
         a_priori = [s.prior * e1 + (1.0 - s.prior) * e0 for s, (e0, e1) in zip(specs, sizes)]
@@ -115,7 +126,7 @@ def reference_episode(specs, policy: PolicyConfig, seed: np.random.SeedSequence)
         m = min(policy.m, len(active))
         if slots is not None:
             sel = slots.selection()
-        elif is_exploration_instant(sched, instant):
+        elif exploring(instant):
             sel = rotation(m)
         else:
             ranked = sorted(active, key=lambda pid: (-indices[pid - 1], pid))

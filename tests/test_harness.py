@@ -1,5 +1,6 @@
 """Experiment harness: config codec, generators, sweeps, CSV, CLI."""
 
+import hashlib
 import io
 import json
 import math
@@ -28,7 +29,7 @@ from seqscan.harness import (
     validate_config,
 )
 from seqscan.engine import ProcessSpec
-from seqscan.models import Poisson
+from seqscan.models import Categorical, Gaussian, Poisson
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -482,3 +483,77 @@ def test_cli_unknown_subcommand():
 def test_cli_missing_config_file(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "nope.json")]) == 2
     assert "nope.json" in capsys.readouterr().err
+
+
+# --- twin model pairs and recipe bytes -----------------------------------
+
+
+def _twin_config(h0, h1) -> ExperimentConfig:
+    good = ProcessSpec(prior=0.5, cost_rate=1.0, alpha=1e-2, beta=1e-2,
+                       model_h0=Poisson(10.0), model_h1=Poisson(15.0))
+    twin = ProcessSpec(prior=0.5, cost_rate=1.0, alpha=1e-2, beta=1e-2, model_h0=h0, model_h1=h1)
+    return tiny_config(generator=None, processes=(good, twin),
+                       sweep_variable="c_e", sweep_values=(10.0,))
+
+
+def test_validate_rejects_twin_model_pairs():
+    # zero divergence either way gives the SPRT no drift: no episode could end
+    for h0, h1 in ((Poisson(10.0), Poisson(10.0)),
+                   (Gaussian(0.0, 1.0), Gaussian(0.0, 1.0)),
+                   (Categorical((0.25, 0.75)), Categorical((0.25, 0.75)))):
+        with pytest.raises(ConfigError, match="process 2: its two models cannot be told apart"):
+            validate_config(_twin_config(h0, h1))
+    validate_config(_twin_config(Gaussian(0.0, 1.0), Gaussian(0.0, 2.0)))
+
+
+@pytest.mark.parametrize(
+    "generator,pattern",
+    [
+        ({"kind": "identical", "rate0": 12.0, "rate1": 12.0}, "rate0 and rate1 must differ"),
+        ({"kind": "identical", "rate0": 10.0}, None),
+        ({"kind": "identical", "rate1": 10.0}, "rate0 and rate1 must differ"),
+        ({"kind": "two_tier", "ratio": 1.0}, "ratio must differ from 1"),
+        ({"kind": "two_tier", "ratio": 0.8}, None),
+    ],
+)
+def test_validate_rejects_twin_generators(generator, pattern):
+    cfg = tiny_config(generator=generator)
+    if pattern is None:
+        validate_config(cfg)
+    else:
+        with pytest.raises(ConfigError, match=pattern):
+            validate_config(cfg)
+
+
+def test_cli_rejects_twin_model_pair(tmp_path, capsys):
+    path = _write_config(tmp_path, _twin_config(Poisson(10.0), Poisson(10.0)))
+    out = tmp_path / "twin.csv"
+    assert main(["validate", str(path)]) == 2
+    assert "process 2" in capsys.readouterr().err
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert "process 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# sha256 of the summary and per-episode CSVs of `seqscan figures NAME
+# --scale 100 --seed 0 --per-episode`; the byte contract for M=5 (fig2),
+# switching delays (fig3) and the c_e risk columns (fig4)
+RECIPE_DIGESTS = {
+    "fig2": ("b446bb75bd3500342b6c4fc1fbaea3da3f927d6e2432b434479c5484c306df4a",
+             "3e52246732915a15c3f65ebd53e60722e44940038d1b76d2fb28101d74ea192b"),
+    "fig3": ("ec2f349b4bae3623ee22329a59e6ce56075b0b9d1a778509de7c1f80691cd48c",
+             "54bd3298ec61c88519e3ac84ee4dd43334665654a790ec3d7f7da6b5f4dea4a6"),
+    "fig4": ("3c7befe3056ca16dd3809ceb3cd5bc34f0ec5ced5bb5d6c7ad171642ad413197",
+             "63c425b5c882fa8c192079c237f5b866bc0bfd4db5532d9f39cfc731bcb1a80d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECIPE_DIGESTS))
+def test_recipe_csv_digests_are_unchanged(name):
+    summaries = run_experiment(figure_config(name), scale=100, seed_override=0, per_episode=True)
+    digests = []
+    for emit in (emit_csv, emit_per_episode_csv):
+        buf = io.StringIO()
+        emit(summaries, buf)
+        digests.append(hashlib.sha256(buf.getvalue().encode()).hexdigest())
+    assert tuple(digests) == RECIPE_DIGESTS[name]

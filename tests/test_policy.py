@@ -14,10 +14,8 @@ from hypothesis import strategies as st
 from seqscan.policy import (
     PolicyState,
     exploration_schedule,
-    is_exploration_instant,
     next_exploration_instant,
     ol_order,
-    round_robin_next,
     round_robin_next_multi,
     select_cl,
 )
@@ -39,21 +37,34 @@ def ranked(values, m=1, active=None, rr_cursor=None):
     return s
 
 
+def explores(sched, n):
+    return next_exploration_instant(sched, n) == n
+
+
+def ceil_powers(zeta, limit):
+    """The instants ceil(zeta^l) up to limit, computed without the schedule."""
+    instants, exponent = set(), 1
+    while not math.isinf(zeta) and math.ceil(zeta**exponent) <= limit:
+        instants.add(math.ceil(zeta**exponent))
+        exponent += 1
+    return instants
+
+
 def test_schedule_head_for_default_zeta():
     sched = exploration_schedule(1.7)
-    members = [n for n in range(1, 26) if is_exploration_instant(sched, n)]
+    members = [n for n in range(1, 26) if explores(sched, n)]
     assert members == [2, 3, 5, 9, 15, 25]
 
 
 def test_schedule_sentinel_never_explores():
     sched = exploration_schedule(math.inf)
-    assert not any(is_exploration_instant(sched, n) for n in range(1, 2000))
+    assert not any(explores(sched, n) for n in range(1, 2000))
 
 
 def test_schedule_near_one_is_dense_early():
     sched = exploration_schedule(1.005)
     # consecutive integers until the geometric gaps exceed 1
-    assert all(is_exploration_instant(sched, n) for n in range(2, 100))
+    assert all(explores(sched, n) for n in range(2, 100))
 
 
 def test_schedule_rejects_bad_arguments():
@@ -62,12 +73,12 @@ def test_schedule_rejects_bad_arguments():
     with pytest.raises(ValueError):
         exploration_schedule(0.5)
     with pytest.raises(ValueError):
-        is_exploration_instant(exploration_schedule(1.7), 0)
+        next_exploration_instant(exploration_schedule(1.7), 0)
 
 
 def test_schedule_large_n_stays_cheap():
     sched = exploration_schedule(1.01)
-    assert is_exploration_instant(sched, 1_000_000) in (True, False)
+    assert next_exploration_instant(sched, 1_000_000) >= 1_000_000
     assert len(sched._instants) < 3000
 
 
@@ -77,19 +88,17 @@ def test_schedule_large_n_stays_cheap():
     queries=st.lists(st.integers(1, 20_000), min_size=1, max_size=8),
 )
 def test_next_exploration_instant_is_first_member_at_or_after(zeta, queries):
-    # queries in any order on one schedule, against a scan on another
-    sched, oracle = exploration_schedule(zeta), exploration_schedule(zeta)
+    # queries in any order on one schedule, against a scan of ceil(zeta^l)
+    sched = exploration_schedule(zeta)
+    members = ceil_powers(zeta, 50_000)  # past the member after any query
     for n in queries:
         got = next_exploration_instant(sched, n)
         if math.isinf(zeta):
             assert got == math.inf
-            assert not any(is_exploration_instant(oracle, j) for j in range(n, n + 200))
             continue
-        first = n
-        while not is_exploration_instant(oracle, first):
-            first += 1
-        assert got == first
-        assert is_exploration_instant(sched, got)
+        assert got == min(j for j in members if j >= n)
+        assert explores(sched, n) == (n in members)
+        assert explores(sched, got)
     with pytest.raises(ValueError):
         next_exploration_instant(sched, 0)
 
@@ -108,23 +117,23 @@ def test_best_key_except_skips_only_the_given_id():
 
 def test_round_robin_wrapped_successors():
     s = ranked(idx(0, 0, 0), active={1, 2, 3}, rr_cursor=1)
-    assert round_robin_next(s, 3) == 2
+    assert round_robin_next_multi(s, 3, 1) == (2,)
 
     s = ranked(idx(0, 0, 0), active={1, 3}, rr_cursor=1)  # process 2 declared
-    assert round_robin_next(s, 3) == 3
+    assert round_robin_next_multi(s, 3, 1) == (3,)
 
     s = ranked(idx(0, 0, 0), active={1}, rr_cursor=1)  # wraps all the way around
-    assert round_robin_next(s, 3) == 1
+    assert round_robin_next_multi(s, 3, 1) == (1,)
 
     s = ranked(idx(0, 0, 0), active=set(), rr_cursor=1)
-    with pytest.raises(ValueError):
-        round_robin_next(s, 3)
+    assert round_robin_next_multi(s, 3, 1) == ()
+    assert s.rr_cursor == 1
 
 
 def test_round_robin_first_instant_starts_at_one():
     s = PolicyState.fresh(idx(0, 0, 0, 0, 0))
-    assert round_robin_next(s, 5) == 1
-    assert round_robin_next(s, 5) == 2
+    assert round_robin_next_multi(s, 5, 1) == (1,)
+    assert round_robin_next_multi(s, 5, 1) == (2,)
 
 
 def test_round_robin_multi_examples():
@@ -215,7 +224,7 @@ def test_exploration_visits_are_fair():
     visits = {pid: 0 for pid in range(1, k + 1)}
     instants = 0
     for n in range(1, 3000):
-        if is_exploration_instant(sched, n):
+        if explores(sched, n):
             instants += 1
             (pick,) = select_cl(s, n=n, sched=sched)
             visits[pick] += 1
