@@ -5,7 +5,9 @@ grid point. Those sums are sufficient for everything this module
 serves: the generalized statistic (re-maximized over all data), the
 adaptive statistic (plug-in estimate from the previous step), the
 restricted maximum-likelihood estimates per region, the estimated
-belief, and the estimated expected sample size.
+belief, and the estimated expected sample size. ``ingest`` is the one
+place that scans the sums; it keeps their maxima in the state, and the
+statistics read those fields.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from seqscan.belief import _sigmoid
-from seqscan.models import KL_SATURATION, ObservationModel, Poisson, finite_kl, log_density
+from seqscan.models import KL_SATURATION, Gaussian, ObservationModel, finite_kl, log_density
 from seqscan.sprt import Verdict
 
 # floor for divergences in sample-size denominators; identical models
@@ -41,32 +43,27 @@ class ParameterGrid:
     models are allowed (even across regions).
 
     The tables every observation would otherwise re-derive are built
-    once here: the point indices of each region, and per point the
-    smallest divergence to Theta0 and to Theta1 (``nearest_kl``)."""
+    once here: the point indices of Theta0 and of Theta1, and per point
+    the smallest divergence to Theta0 and to Theta1 (``nearest_kl``).
+    ``increments`` maps an observation to its row of log-densities, one
+    per point, filled on first sight and kept for the grid's lifetime;
+    it is None when a point is Gaussian."""
 
     models: tuple[ObservationModel, ...]
     regions: tuple[Region, ...]
-    region_indices: dict[Region, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    theta0: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    theta1: tuple[int, ...] = field(init=False, repr=False, compare=False)
     nearest_kl: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
-    # (log rate, rate) per point when every point is Poisson, else None
-    poisson_terms: tuple[tuple[float, float], ...] | None = field(
-        init=False, repr=False, compare=False
-    )
+    increments: dict | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "models", tuple(self.models))
         object.__setattr__(self, "regions", tuple(self.regions))
         if len(self.models) != len(self.regions):
             raise ValueError("one region label per grid point required")
-        if not any(r is Region.THETA0 for r in self.regions):
-            raise ValueError("region Theta0 must be nonempty")
-        if not any(r is Region.THETA1 for r in self.regions):
-            raise ValueError("region Theta1 must be nonempty")
-        region_indices = {
-            region: tuple(i for i, r in enumerate(self.regions) if r is region)
-            for region in Region
-        }
-        i0, i1 = region_indices[Region.THETA0], region_indices[Region.THETA1]
+        i0, i1 = self.indices(Region.THETA0), self.indices(Region.THETA1)
+        if not (i0 and i1):
+            raise ValueError("regions Theta0 and Theta1 must be nonempty")
         nearest_kl = tuple(
             (
                 min(finite_kl(m, self.models[j]) for j in i0),
@@ -74,18 +71,17 @@ class ParameterGrid:
             )
             for m in self.models
         )
-        poisson_terms = None
-        if all(isinstance(m, Poisson) for m in self.models):
-            poisson_terms = tuple((math.log(m.rate), m.rate) for m in self.models)
-        object.__setattr__(self, "region_indices", region_indices)
+        gaussian = any(isinstance(m, Gaussian) for m in self.models)
+        object.__setattr__(self, "theta0", i0)
+        object.__setattr__(self, "theta1", i1)
         object.__setattr__(self, "nearest_kl", nearest_kl)
-        object.__setattr__(self, "poisson_terms", poisson_terms)
+        object.__setattr__(self, "increments", None if gaussian else {})
 
     def __len__(self) -> int:
         return len(self.models)
 
     def indices(self, region: Region) -> tuple[int, ...]:
-        return self.region_indices[region]
+        return tuple(i for i, r in enumerate(self.regions) if r is region)
 
 
 @dataclass
@@ -95,6 +91,8 @@ class CompositeState:
     cum_ll: Sequence[float]     # cumulative log-likelihood per grid point
     n_obs: int
     mle: int                    # argmax of cum_ll, ties to lowest index
+    max0: float                 # max of cum_ll over Theta0
+    max1: float                 # max of cum_ll over Theta1
     alr_numerator: float        # sum of log f(y_r | estimate before y_r)
     prior: float
     estimated_belief: float
@@ -130,6 +128,8 @@ def init_state(grid: ParameterGrid, prior: float) -> CompositeState:
         cum_ll=[0.0] * len(grid),
         n_obs=0,
         mle=0,
+        max0=0.0,
+        max1=0.0,
         alr_numerator=0.0,
         prior=prior,
         estimated_belief=prior,
@@ -137,50 +137,43 @@ def init_state(grid: ParameterGrid, prior: float) -> CompositeState:
 
 
 def ingest(state: CompositeState, grid: ParameterGrid, y: float) -> CompositeState:
-    """Fold one observation into every per-point sum. The adaptive
-    numerator uses the estimate held before this observation.
+    """Fold one observation into every per-point sum and refresh the
+    estimate and the two regional maxima. The adaptive numerator uses
+    the estimate held before this observation.
 
-    Poisson grids evaluate the log-pmf from the cached (log rate, rate)
-    pairs in the same operation order as ``log_density``, so every term
-    is bit-identical to it. Log-densities are never +inf or NaN, so the
-    sums stay NaN-free and a plain ``max`` finds the estimate."""
-    terms = grid.poisson_terms
-    if terms is not None:
-        k = int(y)
-        if k != y or k < 0:
-            raise ValueError(f"Poisson support is the nonnegative integers, got {y}")
-        g = math.lgamma(k + 1)
-        inc = [k * log_rate - rate - g for log_rate, rate in terms]
-    else:
+    The row of log-densities comes from the grid's table when it has
+    one; a ``y`` that ``log_density`` rejects raises before any caching.
+    Log-densities are never +inf or NaN, so the sums stay NaN-free and a
+    plain ``max`` finds the estimate."""
+    table = grid.increments
+    inc = None if table is None else table.get(y)
+    if inc is None:
         inc = [log_density(m, y) for m in grid.models]
+        if table is not None:
+            table[y] = inc
     state.alr_numerator += inc[state.mle]
     cum = [c + d for c, d in zip(state.cum_ll, inc)]
     state.cum_ll = cum
     state.n_obs += 1
     state.mle = cum.index(max(cum))  # first maximum: ties to the lowest index
+    state.max0 = max([cum[i] for i in grid.theta0])
+    state.max1 = max([cum[i] for i in grid.theta1])
     return state
 
 
-def _restricted_max(state: CompositeState, grid: ParameterGrid, region: Region) -> float:
-    cum = state.cum_ll
-    return max([cum[i] for i in grid.region_indices[region]])
-
-
-def glr_statistic(state: CompositeState, grid: ParameterGrid, declare: int) -> float:
+def glr_statistic(state: CompositeState, declare: int) -> float:
     """Unrestricted maximum minus the maximum over the region being
     rejected (declare=1 rejects Theta0 and vice versa)."""
-    rejected = Region.THETA0 if declare == 1 else Region.THETA1
-    full = max(state.cum_ll)
-    restricted = _restricted_max(state, grid, rejected)
+    full = state.cum_ll[state.mle]
+    restricted = state.max0 if declare == 1 else state.max1
     if math.isinf(full) and math.isinf(restricted):
         return 0.0
     return full - restricted
 
 
-def alr_statistic(state: CompositeState, grid: ParameterGrid, declare: int) -> float:
+def alr_statistic(state: CompositeState, declare: int) -> float:
     """Adaptive numerator minus the maximum over the rejected region."""
-    rejected = Region.THETA0 if declare == 1 else Region.THETA1
-    restricted = _restricted_max(state, grid, rejected)
+    restricted = state.max0 if declare == 1 else state.max1
     if math.isinf(state.alr_numerator) and math.isinf(restricted):
         return 0.0
     return state.alr_numerator - restricted
@@ -188,15 +181,14 @@ def alr_statistic(state: CompositeState, grid: ParameterGrid, declare: int) -> f
 
 def check_stop_composite(
     state: CompositeState,
-    grid: ParameterGrid,
     b: CompositeBoundaries,
     which: StatisticKind = StatisticKind.GLR,
 ) -> Verdict:
     """One-sided crossings; when both sides cross at once the larger
     boundary excess wins and an exact tie declares abnormal."""
     stat = glr_statistic if which is StatisticKind.GLR else alr_statistic
-    excess1 = stat(state, grid, 1) - b.b1
-    excess0 = stat(state, grid, 0) - b.b0
+    excess1 = stat(state, 1) - b.b1
+    excess0 = stat(state, 0) - b.b0
     if excess1 >= 0 and excess0 >= 0:
         return Verdict.DECLARE_ABNORMAL if excess1 >= excess0 else Verdict.DECLARE_NORMAL
     if excess1 >= 0:
@@ -206,15 +198,14 @@ def check_stop_composite(
     return Verdict.CONTINUE
 
 
-def estimated_belief_update(state: CompositeState, grid: ParameterGrid) -> float:
+def estimated_belief_update(state: CompositeState) -> float:
     """Posterior-odds belief against the two restricted maximum-likelihood
-    models. All past observations enter through the per-point sums, so the
-    cost is O(grid), not O(n)."""
+    models. All past observations enter through the regional maxima, so
+    the cost is O(1), not O(n)."""
     if state.prior in (0.0, 1.0):
         state.estimated_belief = state.prior
         return state.prior
-    l1 = _restricted_max(state, grid, Region.THETA1)
-    l0 = _restricted_max(state, grid, Region.THETA0)
+    l1, l0 = state.max1, state.max0
     if math.isinf(l1) and math.isinf(l0):
         return state.estimated_belief
     logit = math.log(state.prior / (1.0 - state.prior)) + l1 - l0

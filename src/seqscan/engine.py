@@ -26,7 +26,6 @@ import numpy as np
 from seqscan.belief import _sigmoid, expected_detection_time, index, posterior, prior_log_odds
 from seqscan.composite import (
     ParameterGrid,
-    Region,
     StatisticKind,
     check_stop_composite,
     composite_boundaries,
@@ -105,6 +104,9 @@ class ProcessSpec:
             if w is not None:
                 if self.grid is None:
                     raise ValueError("truth weights only make sense with a grid")
+                points = len(self.grid.theta0 if region == "h0" else self.grid.theta1)
+                if len(w) != points:
+                    raise ValueError(f"{region}_weights needs one weight per point ({points}), got {len(w)}")
                 if any(x < 0 for x in w) or abs(sum(w) - 1.0) > 1e-9:
                     raise ValueError(f"{region}_weights must be a probability vector")
 
@@ -117,10 +119,12 @@ class ProcessSpec:
         """A model-pair spec's fixed numbers, built on first use and kept
         for the spec's lifetime, so every episode of a batch shares them."""
         h0, h1 = self.model_h0, self.model_h1
+        kl10 = finite_kl(h1, h0)
         return _PairTable(
             prior_log_odds(self.prior),
             wald_boundaries(self.alpha, self.beta),
-            *expected_sample_sizes(self.alpha, self.beta, finite_kl(h0, h1), finite_kl(h1, h0)),
+            *expected_sample_sizes(self.alpha, self.beta, finite_kl(h0, h1), kl10),
+            kl10,
             None if isinstance(h0, Gaussian) else {},
         )
 
@@ -133,6 +137,7 @@ class _PairTable:
     bounds: SprtBoundaries
     e_n_h0: float  # Wald's expected sample sizes
     e_n_h1: float
+    kl10: float  # finite_kl(model_h1, model_h0)
     increments: dict | None  # LLR increment by observation, filled on first sight; None for Gaussians
 
 
@@ -302,17 +307,15 @@ class _GridRuntime:
         expected = estimated_expected_sample_size(self.cstate, self.spec.grid, self.cbounds)
         return index(self.cstate.estimated_belief, self.spec.cost_rate, expected)
 
-    def absorb(self, y: float) -> Verdict:
-        """Fold one observation in, refresh belief, return the verdict."""
-        ingest(self.cstate, self.spec.grid, y)
-        estimated_belief_update(self.cstate, self.spec.grid)
-        return check_stop_composite(self.cstate, self.spec.grid, self.cbounds, self.statistic)
-
     def advance(self, stream: _Stream, n_max: int, floor: tuple[float, int] | None):
-        """As ``_PairRuntime.advance``, one ``absorb`` per observation."""
+        """As ``_PairRuntime.advance``: fold each observation in, refresh
+        the belief and test for a verdict."""
+        state, grid, bounds = self.cstate, self.spec.grid, self.cbounds
         steps = 0
         while True:
-            verdict = self.absorb(stream.next())
+            ingest(state, grid, stream.next())
+            estimated_belief_update(state)
+            verdict = check_stop_composite(state, bounds, self.statistic)
             steps += 1
             if verdict.decided:
                 return steps, verdict, 0.0
@@ -321,9 +324,7 @@ class _GridRuntime:
                 return steps, verdict, value
 
     def stat_snapshot(self) -> float:
-        if self.cstate.n_obs == 0:
-            return 0.0
-        return glr_statistic(self.cstate, self.spec.grid, 1)
+        return glr_statistic(self.cstate, 1)
 
 
 def apply_switching_delay(
@@ -333,8 +334,7 @@ def apply_switching_delay(
 ) -> int:
     """Delay units consumed by every process entering the probed set
     this instant; simultaneous entries add."""
-    prev = set(previous)
-    return sum(specs[pid - 1].switch_delay for pid in new if pid not in prev)
+    return sum(specs[pid - 1].switch_delay for pid in new if pid not in previous)
 
 
 def a_priori_expected_size(spec: ProcessSpec) -> float:
@@ -345,7 +345,7 @@ def a_priori_expected_size(spec: ProcessSpec) -> float:
         return expected_detection_time(spec.prior, spec.table.e_n_h0, spec.table.e_n_h1)
     grid = spec.grid
     b = composite_boundaries(spec.alpha, spec.beta)
-    i0, i1 = grid.indices(Region.THETA0), grid.indices(Region.THETA1)
+    i0, i1 = grid.theta0, grid.theta1
     w0 = spec.h0_weights or tuple(1.0 / len(i0) for _ in i0)
     w1 = spec.h1_weights or tuple(1.0 / len(i1) for _ in i1)
     e1 = sum(w * b.b1 / max(grid.nearest_kl[i][0], 1e-12) for w, i in zip(w1, i1))
@@ -357,7 +357,7 @@ def _draw_truth_model(spec: ProcessSpec, abnormal: bool, meta_rng: np.random.Gen
     if not spec.is_composite:
         return spec.model_h1 if abnormal else spec.model_h0
     grid = spec.grid
-    idxs = grid.indices(Region.THETA1 if abnormal else Region.THETA0)
+    idxs = grid.theta1 if abnormal else grid.theta0
     weights = (spec.h1_weights if abnormal else spec.h0_weights) or tuple(
         1.0 / len(idxs) for _ in idxs
     )
@@ -403,7 +403,7 @@ class _OlSlots:
 def run_episode(
     specs: Sequence[ProcessSpec],
     policy: PolicyConfig,
-    rng: np.random.SeedSequence | np.random.Generator,
+    rng: np.random.SeedSequence,
     forced_truth: Sequence[bool] | None = None,
     record_trace: bool = False,
     time_cap: int = TIME_CAP,
@@ -415,19 +415,14 @@ def run_episode(
     if policy.m > k:
         raise ValueError(f"probe budget {policy.m} exceeds process count {k}")
 
-    if isinstance(rng, np.random.SeedSequence):
-        # derive children by spawn-key extension rather than .spawn(),
-        # which mutates the parent and would break seed-object reuse
-        children = [
-            np.random.SeedSequence(entropy=rng.entropy, spawn_key=tuple(rng.spawn_key) + (i,))
-            for i in range(k + 1)
-        ]
-        meta_rng = np.random.default_rng(children[0])
-        obs_rngs = [np.random.default_rng(c) for c in children[1:]]
-    else:
-        seeds = rng.integers(0, 2**63 - 1, size=k + 1)
-        meta_rng = np.random.default_rng(int(seeds[0]))
-        obs_rngs = [np.random.default_rng(int(s)) for s in seeds[1:]]
+    # derive children by spawn-key extension rather than .spawn(),
+    # which mutates the parent and would break seed-object reuse
+    children = [
+        np.random.SeedSequence(entropy=rng.entropy, spawn_key=tuple(rng.spawn_key) + (i,))
+        for i in range(k + 1)
+    ]
+    meta_rng = np.random.default_rng(children[0])
+    obs_rngs = [np.random.default_rng(c) for c in children[1:]]
 
     if forced_truth is not None:
         truth = tuple(bool(b) for b in forced_truth)
@@ -565,30 +560,26 @@ def lower_bound_oracle(
     if not abnormal:
         return 0.0
 
-    def divergence(i: int) -> float:
+    def detection_time(i: int) -> float:
+        """Wald detection time of abnormal process i; a model pair's
+        truth is its model_h1, so its table holds both numbers."""
         spec = specs[i]
-        if spec.is_composite:
-            realized = truth_models[i] if truth_models is not None else None
-            if realized is None:
-                raise ValueError("grid spec needs the realized truth model for the bound")
-            try:
-                # equal grid points have equal rows, so the first match serves
-                point = spec.grid.models.index(realized)
-            except ValueError:
-                raise ValueError(f"process {i + 1}: truth {realized!r} is not a grid point") from None
-            d = spec.grid.nearest_kl[point][0]
-        elif truth_models is not None:
-            d = finite_kl(truth_models[i], spec.model_h0)
-        else:
-            d = finite_kl(spec.model_h1, spec.model_h0)
+        if not spec.is_composite:
+            return spec.table.bounds.upper_b / spec.table.kl10
+        realized = truth_models[i] if truth_models is not None else None
+        if realized is None:
+            raise ValueError("grid spec needs the realized truth model for the bound")
+        try:
+            # equal grid points have equal rows, so the first match serves
+            point = spec.grid.models.index(realized)
+        except ValueError:
+            raise ValueError(f"process {i + 1}: truth {realized!r} is not a grid point") from None
+        d = spec.grid.nearest_kl[point][0]
         if d == 0:
             raise ValueError(f"process {i + 1} has zero divergence; bound undefined")
-        return d
+        return wald_boundaries(spec.alpha, spec.beta).upper_b / d
 
-    wald_time = {
-        i: wald_boundaries(specs[i].alpha, specs[i].beta).upper_b / divergence(i)
-        for i in abnormal
-    }
+    wald_time = {i: detection_time(i) for i in abnormal}
     ordered = sorted(abnormal, key=lambda i: (-specs[i].cost_rate / wald_time[i], i))
 
     if m > 1 and len({specs[i].cost_rate for i in ordered}) > 1:

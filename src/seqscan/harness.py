@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -131,9 +132,6 @@ def model_from_json(obj) -> ObservationModel:
     raise ConfigError(f"unknown model family {family!r}")
 
 
-_REGION_NAMES = {r.value: r for r in Region}
-
-
 def process_to_json(spec: ProcessSpec) -> dict:
     out: dict = {
         "prior": spec.prior,
@@ -174,7 +172,7 @@ def process_from_json(obj: dict, pid: int) -> ProcessSpec:
         grid = None
         if "grid" in obj:
             gobj = obj["grid"]
-            regions = tuple(_REGION_NAMES[r] for r in gobj["regions"])
+            regions = tuple(Region(r) for r in gobj["regions"])
             grid = ParameterGrid(
                 models=tuple(model_from_json(m) for m in gobj["models"]),
                 regions=regions,
@@ -284,8 +282,7 @@ def _known_process_count(cfg: ExperimentConfig) -> int | None:
     if cfg.processes is not None:
         return len(cfg.processes)
     if cfg.sweep_variable != "K" and cfg.generator is not None:
-        k = cfg.generator.get("K")
-        return int(k) if k is not None else None
+        return _generator_fields(cfg.generator)["K"]
     return None
 
 
@@ -412,19 +409,19 @@ def _validate_generator(gen: dict, needs_k: bool) -> None:
     unknown = set(gen) - _GENERATOR_KEYS[kind]
     if unknown:
         raise ConfigError(f"generator {kind}: unknown keys {sorted(unknown)}")
+    fields = _generator_fields(gen)
     if needs_k:
-        k = gen.get("K")
-        if k is None or int(k) < 1:
+        k = fields["K"]
+        if k is None or k < 1:
             raise ConfigError(f"generator {kind}: K must be given and positive")
-        if kind == "two_tier" and int(k) % 2:
+        if kind == "two_tier" and k % 2:
             raise ConfigError(f"generator two_tier: K must be even, got {k}")
-    if kind == "two_tier" and float(gen.get("ratio", 1.5)) == 1.0:
+    if kind == "two_tier" and fields["ratio"] == 1.0:
         raise ConfigError("generator two_tier: ratio must differ from 1")
-    if kind == "identical" and float(gen.get("rate0", 10.0)) == float(gen.get("rate1", 15.0)):
+    if kind == "identical" and fields["rate0"] == fields["rate1"]:
         raise ConfigError("generator identical: rate0 and rate1 must differ")
     if kind == "equally_spaced_mixture":
-        ratios = tuple(gen.get("ratios", (1.5, 1.2)))
-        weights = tuple(gen.get("weights", (0.5, 0.5)))
+        ratios, weights = fields["ratios"], fields["weights"]
         if len(ratios) != len(weights) or not ratios:
             raise ConfigError("generator equally_spaced_mixture: ratios and weights must align")
         if any(r <= 0 or r == 1.0 for r in ratios):
@@ -435,76 +432,84 @@ def _validate_generator(gen: dict, needs_k: bool) -> None:
 
 # --- process-set generators --------------------------------------------
 
+# each generator field's default and type; a tuple default marks a list
+_GENERATOR_FIELDS = {
+    "K": (None, int), "low": (10.0, float), "high": (20.0, float),
+    "ratios": ((1.5, 1.2), float), "weights": ((0.5, 0.5), float), "ratio": (1.5, float),
+    "prior": (0.5, float), "alpha": (1e-3, float), "beta": (1e-6, float),
+    "d1": (0, int), "d2": (0, int), "rate0": (10.0, float), "rate1": (15.0, float),
+    "cost": (1.0, float),
+}
 
-def _gen_equally_spaced_mixture(gen: dict, k: int) -> tuple[ProcessSpec, ...]:
-    low = float(gen.get("low", 10.0))
-    high = float(gen.get("high", 20.0))
-    ratios = tuple(float(r) for r in gen.get("ratios", (1.5, 1.2)))
-    weights = tuple(float(w) for w in gen.get("weights", (0.5, 0.5)))
-    prior = float(gen.get("prior", 0.5))
-    alpha = float(gen.get("alpha", 1e-3))
-    beta = float(gen.get("beta", 1e-6))
-    rates = np.linspace(low, high, k) if k > 1 else np.array([low])
+
+def _generator_fields(gen: dict) -> dict:
+    """The fields of a generator's kind, defaults filled in, each read as
+    its type. A number field must hold a number and a list field a list
+    of numbers, or the ConfigError names the field; only K may be absent."""
+    kind, out = gen["kind"], {"equal_cost": bool(gen.get("equal_cost", False))}
+    for name in _GENERATOR_KEYS[kind] & _GENERATOR_FIELDS.keys():
+        default, cast = _GENERATOR_FIELDS[name]
+        value = gen.get(name, default)
+        many = isinstance(default, tuple)
+        items = value if many else [value]
+        numeric = isinstance(items, (list, tuple)) and all(
+            isinstance(x, numbers.Real) and not isinstance(x, bool) for x in items
+        )
+        if not numeric and not (value is None and default is None):
+            what = "a list of numbers" if many else "a number"
+            raise ConfigError(f"generator {kind}: {name} must be {what}, got {value!r}")
+        out[name] = value if value is None else tuple(map(cast, items)) if many else cast(value)
+    return out
+
+
+def _gen_equally_spaced_mixture(f: dict, k: int) -> tuple[ProcessSpec, ...]:
+    low, ratios = f["low"], f["ratios"]
+    rates = np.linspace(low, f["high"], k) if k > 1 else np.array([low])
     specs = []
     for r0 in rates:
         models = (Poisson(float(r0)),) + tuple(Poisson(float(r0 * r)) for r in ratios)
         regions = (Region.THETA0,) + (Region.THETA1,) * len(ratios)
         specs.append(
             ProcessSpec(
-                prior=prior,
+                prior=f["prior"],
                 cost_rate=float(r0),
-                alpha=alpha,
-                beta=beta,
+                alpha=f["alpha"],
+                beta=f["beta"],
                 grid=ParameterGrid(models=models, regions=regions),
-                h1_weights=weights,
+                h1_weights=f["weights"],
             )
         )
     return tuple(specs)
 
 
-def _gen_two_tier(gen: dict, k: int) -> tuple[ProcessSpec, ...]:
+def _gen_two_tier(f: dict, k: int) -> tuple[ProcessSpec, ...]:
     if k % 2:
         raise ConfigError(f"generator two_tier: K must be even, got {k}")
-    low = float(gen.get("low", 10.0))
-    high = float(gen.get("high", 20.0))
-    ratio = float(gen.get("ratio", 1.5))
-    prior = float(gen.get("prior", 0.5))
-    alpha = float(gen.get("alpha", 1e-3))
-    beta = float(gen.get("beta", 1e-6))
-    equal_cost = bool(gen.get("equal_cost", False))
-    d1 = int(gen.get("d1", 0))
-    d2 = int(gen.get("d2", 0))
     specs = []
     for i in range(k):
-        r0 = low if i < k // 2 else high
+        r0 = f["low"] if i < k // 2 else f["high"]
         specs.append(
             ProcessSpec(
-                prior=prior,
-                cost_rate=1.0 if equal_cost else r0,
-                alpha=alpha,
-                beta=beta,
+                prior=f["prior"],
+                cost_rate=1.0 if f["equal_cost"] else r0,
+                alpha=f["alpha"],
+                beta=f["beta"],
                 model_h0=Poisson(r0),
-                model_h1=Poisson(ratio * r0),
-                switch_delay=d1 if i < k // 2 else d2,
+                model_h1=Poisson(f["ratio"] * r0),
+                switch_delay=f["d1"] if i < k // 2 else f["d2"],
             )
         )
     return tuple(specs)
 
 
-def _gen_identical(gen: dict, k: int) -> tuple[ProcessSpec, ...]:
-    rate0 = float(gen.get("rate0", 10.0))
-    rate1 = float(gen.get("rate1", 15.0))
-    cost = float(gen.get("cost", 1.0))
-    prior = float(gen.get("prior", 0.5))
-    alpha = float(gen.get("alpha", 1e-3))
-    beta = float(gen.get("beta", 1e-6))
+def _gen_identical(f: dict, k: int) -> tuple[ProcessSpec, ...]:
     spec = ProcessSpec(
-        prior=prior,
-        cost_rate=cost,
-        alpha=alpha,
-        beta=beta,
-        model_h0=Poisson(rate0),
-        model_h1=Poisson(rate1),
+        prior=f["prior"],
+        cost_rate=f["cost"],
+        alpha=f["alpha"],
+        beta=f["beta"],
+        model_h0=Poisson(f["rate0"]),
+        model_h1=Poisson(f["rate1"]),
     )
     return (spec,) * k
 
@@ -558,8 +563,9 @@ def materialize_processes(cfg: ExperimentConfig, sweep_value: float) -> tuple[Pr
         gen["d2"] = int(sweep_value)
 
     if gen is not None:
-        k = int(sweep_value) if var == "K" else int(gen["K"])
-        specs = _GENERATORS[gen["kind"]](gen, k)
+        fields = _generator_fields(gen)
+        k = int(sweep_value) if var == "K" else fields["K"]
+        specs = _GENERATORS[gen["kind"]](fields, k)
     else:
         specs = cfg.processes
 

@@ -228,11 +228,11 @@ def test_c8_oracle_equivalences():
     ys = [int(v) for v in np.random.default_rng(88).poisson(11, size=60)]
     for n, y in enumerate(ys, start=1):
         ingest(state, grid, y)
-        estimated_belief_update(state, grid)
+        estimated_belief_update(state)
         fresh = init_state(grid, prior=0.37)
         for past in ys[:n]:
             ingest(fresh, grid, past)
-        estimated_belief_update(fresh, grid)
+        estimated_belief_update(fresh)
         worst_grid = max(worst_grid, abs(state.estimated_belief - fresh.estimated_belief))
     ok_grid = worst_grid <= 1e-10
 

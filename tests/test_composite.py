@@ -84,8 +84,8 @@ def test_mle_tie_breaks_to_lowest_index():
         s = ingest(s, twin, y)
         assert s.mle == 0
         # identical models in both regions: the statistic has nothing to separate
-        assert glr_statistic(s, twin, 1) == 0.0
-        assert glr_statistic(s, twin, 0) == 0.0
+        assert glr_statistic(s, 1) == 0.0
+        assert glr_statistic(s, 0) == 0.0
 
 
 def test_glr_constant_data_hand_sum(binary_grid):
@@ -95,10 +95,10 @@ def test_glr_constant_data_hand_sum(binary_grid):
     # direct summation: gap per sample is log f(15|15) - log f(15|10) = 15 ln 1.5 - 5
     gap = log_density(Poisson(15.0), 15) - log_density(Poisson(10.0), 15)
     assert gap == pytest.approx(15 * math.log(1.5) - 5, abs=1e-12)
-    assert glr_statistic(s, binary_grid, 1) == pytest.approx(5.409883108112328, abs=1e-10)
-    assert glr_statistic(s, binary_grid, 1) == pytest.approx(5 * gap, abs=1e-12)
+    assert glr_statistic(s, 1) == pytest.approx(5.409883108112328, abs=1e-10)
+    assert glr_statistic(s, 1) == pytest.approx(5 * gap, abs=1e-12)
     # the declared-for side whose region holds the MLE is pinned at zero
-    assert glr_statistic(s, binary_grid, 0) == 0.0
+    assert glr_statistic(s, 0) == 0.0
 
 
 def test_glr_nonnegative_on_random_data(mixture_grid):
@@ -106,8 +106,8 @@ def test_glr_nonnegative_on_random_data(mixture_grid):
     s = init_state(mixture_grid, prior=0.5)
     for _ in range(60):
         s = ingest(s, mixture_grid, sample(Poisson(11.0), rng))
-        assert glr_statistic(s, mixture_grid, 0) >= 0.0
-        assert glr_statistic(s, mixture_grid, 1) >= 0.0
+        assert glr_statistic(s, 0) >= 0.0
+        assert glr_statistic(s, 1) >= 0.0
 
 
 def test_alr_equals_glr_on_first_obs_when_initial_estimate_maximizes(binary_grid):
@@ -115,11 +115,11 @@ def test_alr_equals_glr_on_first_obs_when_initial_estimate_maximizes(binary_grid
     s = init_state(binary_grid, prior=0.5)
     s = ingest(s, binary_grid, 8)
     assert s.mle == 0
-    assert alr_statistic(s, binary_grid, 1) == pytest.approx(
-        glr_statistic(s, binary_grid, 1), abs=1e-12
+    assert alr_statistic(s, 1) == pytest.approx(
+        glr_statistic(s, 1), abs=1e-12
     )
-    assert alr_statistic(s, binary_grid, 0) == pytest.approx(
-        glr_statistic(s, binary_grid, 0), abs=1e-12
+    assert alr_statistic(s, 0) == pytest.approx(
+        glr_statistic(s, 0), abs=1e-12
     )
 
 
@@ -131,9 +131,7 @@ def test_alr_never_exceeds_glr(mixture_grid):
         for _ in range(int(rng.integers(1, 40))):
             s = ingest(s, mixture_grid, sample(true, rng))
         for declare in (0, 1):
-            assert alr_statistic(s, mixture_grid, declare) <= glr_statistic(
-                s, mixture_grid, declare
-            ) + 1e-12
+            assert alr_statistic(s, declare) <= glr_statistic(s, declare) + 1e-12
 
 
 def test_alr_grows_linearly_once_estimate_stabilizes(binary_grid):
@@ -141,7 +139,7 @@ def test_alr_grows_linearly_once_estimate_stabilizes(binary_grid):
     values = []
     for _ in range(12):
         s = ingest(s, binary_grid, 15)
-        values.append(alr_statistic(s, binary_grid, 1))
+        values.append(alr_statistic(s, 1))
     gap = log_density(Poisson(15.0), 15) - log_density(Poisson(10.0), 15)
     diffs = np.diff(values[1:])  # estimate locks onto rate 15 after the first obs
     assert np.allclose(diffs, gap, atol=1e-12)
@@ -151,33 +149,40 @@ def test_check_stop_composite_rules(binary_grid):
     b = CompositeBoundaries(b0=4.0, b1=6.0)
     s = init_state(binary_grid, prior=0.5)
 
-    s.cum_ll = np.array([0.0, 0.0])
+    def set_sums(*cum):
+        # the sums, and the estimate and maxima ingest would derive from them
+        s.cum_ll = np.array(cum)
+        s.mle = int(np.argmax(s.cum_ll))
+        s.max0 = max(cum[i] for i in binary_grid.indices(Region.THETA0))
+        s.max1 = max(cum[i] for i in binary_grid.indices(Region.THETA1))
+
+    set_sums(0.0, 0.0)
     s.n_obs = 1
-    assert check_stop_composite(s, binary_grid, b) is Verdict.CONTINUE
+    assert check_stop_composite(s, b) is Verdict.CONTINUE
 
     # abnormal side at its boundary exactly
-    s.cum_ll = np.array([-6.0, 0.0])
-    assert check_stop_composite(s, binary_grid, b) is Verdict.DECLARE_ABNORMAL
+    set_sums(-6.0, 0.0)
+    assert check_stop_composite(s, b) is Verdict.DECLARE_ABNORMAL
 
-    s.cum_ll = np.array([0.0, -4.0])
-    assert check_stop_composite(s, binary_grid, b) is Verdict.DECLARE_NORMAL
+    set_sums(0.0, -4.0)
+    assert check_stop_composite(s, b) is Verdict.DECLARE_NORMAL
 
     # the GLR can only cross one side at a time (one side is always 0),
     # so drive the simultaneous-crossing branch through the adaptive
     # statistic with an engineered numerator
-    s.cum_ll = np.array([-8.0, -6.5])
+    set_sums(-8.0, -6.5)
     s.alr_numerator = 0.0
     # excess for abnormal: 0-(-8)-6 = 2; for normal: 0-(-6.5)-4 = 2.5
-    assert check_stop_composite(s, binary_grid, b, StatisticKind.ALR) is Verdict.DECLARE_NORMAL
-    s.cum_ll = np.array([-8.0, -6.0])
+    assert check_stop_composite(s, b, StatisticKind.ALR) is Verdict.DECLARE_NORMAL
+    set_sums(-8.0, -6.0)
     # both excesses equal 2: tie declares abnormal
-    assert check_stop_composite(s, binary_grid, b, StatisticKind.ALR) is Verdict.DECLARE_ABNORMAL
+    assert check_stop_composite(s, b, StatisticKind.ALR) is Verdict.DECLARE_ABNORMAL
 
 
 def test_estimated_belief_frozen_value(binary_grid):
     s = init_state(binary_grid, prior=0.5)
     s = ingest(s, binary_grid, 12)
-    belief = estimated_belief_update(s, binary_grid)
+    belief = estimated_belief_update(s)
     # posterior odds e^{-5} 1.5^{12} against the flat prior
     assert belief == pytest.approx(0.4664458315935051, abs=1e-10)
     assert s.estimated_belief == belief
@@ -188,7 +193,7 @@ def test_estimated_belief_degenerate_priors(binary_grid):
         s = init_state(binary_grid, prior=prior)
         for y in (12, 18, 9):
             s = ingest(s, binary_grid, y)
-            assert estimated_belief_update(s, binary_grid) == prior
+            assert estimated_belief_update(s) == prior
 
 
 def test_estimated_belief_identical_restricted_models():
@@ -199,7 +204,7 @@ def test_estimated_belief_identical_restricted_models():
     s = init_state(twin, prior=0.5)
     for y in (9, 13, 10):
         s = ingest(s, twin, y)
-        assert estimated_belief_update(s, twin) == pytest.approx(0.5, abs=1e-15)
+        assert estimated_belief_update(s) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_estimated_belief_matches_brute_force(mixture_grid):
@@ -215,7 +220,7 @@ def test_estimated_belief_matches_brute_force(mixture_grid):
             y = sample(true, rng)
             obs.append(y)
             s = ingest(s, mixture_grid, y)
-            got = estimated_belief_update(s, mixture_grid)
+            got = estimated_belief_update(s)
 
             lls = [sum(log_density(m, o) for o in obs) for m in mixture_grid.models]
             l0 = max(lls[i] for i in mixture_grid.indices(Region.THETA0))
@@ -286,7 +291,7 @@ def test_singleton_regions_match_simple_sum_llr(binary_grid):
             sum_llr, log_density(Poisson(15.0), y) - log_density(Poisson(10.0), y)
         )
         if s.mle == 1:
-            assert glr_statistic(s, binary_grid, 1) == pytest.approx(sum_llr, abs=1e-9)
+            assert glr_statistic(s, 1) == pytest.approx(sum_llr, abs=1e-9)
 
 
 def test_mle_consistency_at_depth(mixture_grid):
@@ -344,6 +349,15 @@ class _Oracle:
         x = math.log(self.prior / (1.0 - self.prior)) + l1 - l0
         return 1.0 / (1.0 + math.exp(-x)) if x >= 0 else math.exp(x) / (1.0 + math.exp(x))
 
+    def verdict(self, b, which):
+        stat = self.glr if which is StatisticKind.GLR else self.alr
+        excess1, excess0 = stat(1) - b.b1, stat(0) - b.b0
+        if excess1 >= 0 and excess0 >= 0:
+            return Verdict.DECLARE_ABNORMAL if excess1 >= excess0 else Verdict.DECLARE_NORMAL
+        if excess1 >= 0:
+            return Verdict.DECLARE_ABNORMAL
+        return Verdict.DECLARE_NORMAL if excess0 >= 0 else Verdict.CONTINUE
+
     def expected_size(self, b):
         models, regions = self.grid.models, self.grid.regions
         theta = models[self.mle]
@@ -395,16 +409,34 @@ def _grid_and_data(draw):
 def test_grid_fold_equals_direct_recomputation(case):
     grid, ys, prior = case
     b = composite_boundaries(1e-3, 1e-5)
-    s, oracle = init_state(grid, prior), _Oracle(grid, prior)
-    for y in ys:
-        ingest(s, grid, y)
-        oracle.ingest(y)
-        expected_belief = oracle.belief(s.estimated_belief)
-        assert list(s.cum_ll) == oracle.cum.tolist()
-        assert s.mle == oracle.mle
-        assert s.alr_numerator == oracle.alr_numerator
-        for declare in (0, 1):
-            assert glr_statistic(s, grid, declare) == oracle.glr(declare)
-            assert alr_statistic(s, grid, declare) == oracle.alr(declare)
-        assert estimated_belief_update(s, grid) == expected_belief
-        assert estimated_expected_sample_size(s, grid, b) == oracle.expected_size(b)
+    # the second fold over the same grid object reads the rows the first
+    # one put in its table
+    for data in (ys, ys[::-1]):
+        s, oracle = init_state(grid, prior), _Oracle(grid, prior)
+        for y in data:
+            ingest(s, grid, y)
+            oracle.ingest(y)
+            expected_belief = oracle.belief(s.estimated_belief)
+            assert list(s.cum_ll) == oracle.cum.tolist()
+            assert s.mle == oracle.mle
+            assert s.max0 == oracle.restricted(Region.THETA0)
+            assert s.max1 == oracle.restricted(Region.THETA1)
+            assert s.alr_numerator == oracle.alr_numerator
+            for declare in (0, 1):
+                assert glr_statistic(s, declare) == oracle.glr(declare)
+                assert alr_statistic(s, declare) == oracle.alr(declare)
+            for which in StatisticKind:
+                assert check_stop_composite(s, b, which) == oracle.verdict(b, which)
+            assert estimated_belief_update(s) == expected_belief
+            assert estimated_expected_sample_size(s, grid, b) == oracle.expected_size(b)
+    model = grid.models[0]
+    if isinstance(model, Gaussian):
+        assert grid.increments is None
+        return
+    # an observation log_density rejects raises and never enters the table
+    bad = (2.5, -1) if isinstance(model, Poisson) else (2.5, -1, len(model.probs))
+    for y in bad:
+        with pytest.raises(ValueError):
+            ingest(init_state(grid, prior), grid, y)
+        assert y not in grid.increments
+    assert set(grid.increments) == set(ys)

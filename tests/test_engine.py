@@ -74,6 +74,12 @@ def test_spec_validation():
         simple_spec(delay=-1)
     with pytest.raises(ValueError):
         grid_spec(weights=(0.5, 0.6))
+    # one truth weight per point of the region: zip would drop or ignore the rest
+    for weights in ((1.0,), (0.2, 0.3, 0.5)):
+        with pytest.raises(ValueError, match="one weight per point"):
+            grid_spec(weights=weights)
+    with pytest.raises(ValueError, match="h0_weights needs one weight per point"):
+        replace(grid_spec(), h0_weights=(0.5, 0.5))
     with pytest.raises(ValueError):
         PolicyConfig(m=0)
     with pytest.raises(ValueError):

@@ -145,6 +145,25 @@ def test_validate_rejects_grid_truth_point_without_divergence():
     validate_config(_grid_config((10.0, 15.0, 10.0), (t0, t1, Region.INDIFFERENCE)))
 
 
+def test_parse_rejects_grid_truth_weights_of_wrong_length():
+    regions = (Region.THETA0, Region.THETA1, Region.THETA1)
+    raw = json.loads(serialize_config(_grid_config((10.0, 12.0, 15.0), regions)))
+    for weights in ([1.0], [0.2, 0.3, 0.5]):
+        raw["processes"][1]["h1_weights"] = weights
+        with pytest.raises(ConfigError, match="process 2: h1_weights needs one weight per point"):
+            parse_config(json.dumps(raw))
+    raw["processes"][1]["h1_weights"] = [0.25, 0.75]
+    assert parse_config(json.dumps(raw)).processes[1].h1_weights == (0.25, 0.75)
+
+
+def test_parse_names_unknown_region():
+    regions = (Region.THETA0, Region.THETA1)
+    raw = json.loads(serialize_config(_grid_config((10.0, 15.0), regions)))
+    raw["processes"][1]["grid"]["regions"][1] = "theta2"
+    with pytest.raises(ConfigError, match="process 2: 'theta2' is not a valid Region"):
+        parse_config(json.dumps(raw))
+
+
 def test_k_sweep_needs_generator():
     cfg = tiny_config(
         generator=None,
@@ -525,6 +544,26 @@ def test_validate_rejects_twin_generators(generator, pattern):
             validate_config(cfg)
 
 
+@pytest.mark.parametrize(
+    "generator,field",
+    [
+        ({"kind": "two_tier", "ratio": "x"}, "ratio"),
+        ({"kind": "identical", "K": [2]}, "K"),
+        ({"kind": "identical", "K": 2, "rate0": True}, "rate0"),
+        ({"kind": "identical", "K": 2, "alpha": None}, "alpha"),
+        ({"kind": "equally_spaced_mixture", "K": 2, "ratios": 1.5}, "ratios"),
+        ({"kind": "equally_spaced_mixture", "K": 2, "weights": [0.5, "0.5"]}, "weights"),
+    ],
+)
+def test_cli_rejects_wrong_typed_generator_field(tmp_path, capsys, generator, field):
+    cfg = tiny_config(generator=generator, sweep_variable="c_e", sweep_values=(10.0,))
+    path = _write_config(tmp_path, cfg)
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"generator {generator['kind']}: {field} must be" in err
+    assert "Traceback" not in err
+
+
 def test_cli_rejects_twin_model_pair(tmp_path, capsys):
     path = _write_config(tmp_path, _twin_config(Poisson(10.0), Poisson(10.0)))
     out = tmp_path / "twin.csv"
@@ -539,6 +578,8 @@ def test_cli_rejects_twin_model_pair(tmp_path, capsys):
 # --scale 100 --seed 0 --per-episode`; the byte contract for M=5 (fig2),
 # switching delays (fig3) and the c_e risk columns (fig4)
 RECIPE_DIGESTS = {
+    "fig1": ("c865b9b7890621725193c55a90ce32321119b8d9a1a395d058f643703ff2986d",
+             "2b9b72defb20dbb96fc4da80b4964fe048e63d6748730a57951c8c4993800e5a"),
     "fig2": ("b446bb75bd3500342b6c4fc1fbaea3da3f927d6e2432b434479c5484c306df4a",
              "3e52246732915a15c3f65ebd53e60722e44940038d1b76d2fb28101d74ea192b"),
     "fig3": ("ec2f349b4bae3623ee22329a59e6ce56075b0b9d1a778509de7c1f80691cd48c",
