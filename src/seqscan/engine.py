@@ -36,13 +36,7 @@ from seqscan.composite import (
     init_state,
 )
 from seqscan.models import Gaussian, ObservationModel, finite_kl, log_density, sample_many
-from seqscan.policy import (
-    PolicyState,
-    exploration_schedule,
-    next_exploration_instant,
-    ol_order,
-    select_cl,
-)
+from seqscan.policy import PolicyState, exploration_schedule, next_exploration_instant, select_cl
 from seqscan.sprt import SprtBoundaries, Verdict, expected_sample_sizes, update_llr, wald_boundaries
 
 TIME_CAP = 10_000_000
@@ -353,6 +347,12 @@ def a_priori_expected_size(spec: ProcessSpec) -> float:
     return spec.prior * e1 + (1.0 - spec.prior) * e0
 
 
+def initial_priority(spec: ProcessSpec) -> float:
+    """Pre-data priority: prior times cost rate over the prior-weighted
+    expected sample size. Open loop ranks by it for the whole episode."""
+    return index(spec.prior, spec.cost_rate, a_priori_expected_size(spec))
+
+
 def _draw_truth_model(spec: ProcessSpec, abnormal: bool, meta_rng: np.random.Generator):
     if not spec.is_composite:
         return spec.model_h1 if abnormal else spec.model_h0
@@ -370,34 +370,6 @@ def _draw_truth_model(spec: ProcessSpec, abnormal: bool, meta_rng: np.random.Gen
         if u < acc:
             return grid.models[i]
     return grid.models[idxs[-1]]
-
-
-class _OlSlots:
-    """Open-loop execution: a fixed probe order, each slot walking it,
-    switching only on declaration."""
-
-    def __init__(self, order: tuple[int, ...], m: int):
-        self.order = list(order)
-        self.next = 0
-        self.occupants: list[int | None] = []
-        for _ in range(m):
-            self.occupants.append(self._take())
-
-    def _take(self) -> int | None:
-        if self.next < len(self.order):
-            pid = self.order[self.next]
-            self.next += 1
-            return pid
-        return None
-
-    def selection(self) -> tuple[int, ...]:
-        return tuple(sorted(pid for pid in self.occupants if pid is not None))
-
-    def complete(self, pid: int) -> None:
-        for slot, occupant in enumerate(self.occupants):
-            if occupant == pid:
-                self.occupants[slot] = self._take()
-                return
 
 
 def run_episode(
@@ -441,16 +413,12 @@ def run_episode(
     streams = [_Stream(model, r) for model, r in zip(truth_models, obs_rngs)]
     indices = [rt.priority() for rt in runtimes]  # 0.0 once declared
 
-    pstate = PolicyState.fresh(indices, policy.m)
-    sched = exploration_schedule(policy.zeta)
-    slots = None
-    if policy.kind is PolicyKind.OL:
-        order = ol_order(
-            [s.prior for s in specs],
-            [s.cost_rate for s in specs],
-            [a_priori_expected_size(s) for s in specs],
-        )
-        slots = _OlSlots(order, policy.m)
+    # open loop ranks by the pre-data priorities and never reranks or
+    # explores, so it probes the first M undeclared ids of that order,
+    # each to its declaration
+    cl = policy.kind is PolicyKind.CL
+    pstate = PolicyState.fresh(indices if cl else [initial_priority(s) for s in specs], policy.m)
+    sched = exploration_schedule(policy.zeta if cl else math.inf)
 
     declared = [False] * k
     stop_times = [0] * k
@@ -470,10 +438,7 @@ def run_episode(
     # are frozen meanwhile.
     while pstate.active:
         instant = t + 1
-        if slots is not None:
-            sel = slots.selection()
-        else:
-            sel = select_cl(pstate, instant, sched)
+        sel = select_cl(pstate, instant, sched)
 
         delta = apply_switching_delay(prev_sel, sel, specs)
         t += delta + 1
@@ -486,9 +451,8 @@ def run_episode(
 
         n_max, floor = 1, None
         if len(sel) == 1 and trace is None:
-            n_max = time_cap - t + 1
-            if slots is None:
-                n_max = min(n_max, next_exploration_instant(sched, t + 1) - t)
+            n_max = min(time_cap - t + 1, next_exploration_instant(sched, t + 1) - t)
+            if cl:
                 floor = pstate.best_key_except(sel[0])
         for pid in sel:
             i = pid - 1
@@ -500,12 +464,10 @@ def run_episode(
                 declared[i] = verdict is Verdict.DECLARE_ABNORMAL
                 stop_times[i] = t
                 pstate.declare(pid)
-                if slots is not None:
-                    slots.complete(pid)
                 indices[i] = 0.0
             else:
                 indices[i] = value
-                if slots is None:
+                if cl:
                     pstate.rerank(pid, value)
 
         prev_sel = set(sel)

@@ -15,13 +15,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from seqscan.belief import index
 from seqscan.composite import ParameterGrid, Region, StatisticKind
 from seqscan.engine import (
     PolicyConfig,
     PolicyKind,
     ProcessSpec,
-    a_priori_expected_size,
+    initial_priority,
     lower_bound_oracle,
     run_episode,
 )
@@ -325,6 +324,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         for v in cfg.sweep_values:
             if v != int(v) or v < 1:
                 raise ConfigError(f"K sweep values must be positive integers, got {v}")
+            if cfg.generator.get("kind") == "two_tier" and v % 2:
+                raise ConfigError(f"generator two_tier: K must be even, got {int(v)}")
     elif var == "d2":
         if cfg.generator is None or cfg.generator.get("kind") != "two_tier":
             raise ConfigError("a d2 sweep needs the two_tier generator")
@@ -438,25 +439,34 @@ _GENERATOR_FIELDS = {
     "ratios": ((1.5, 1.2), float), "weights": ((0.5, 0.5), float), "ratio": (1.5, float),
     "prior": (0.5, float), "alpha": (1e-3, float), "beta": (1e-6, float),
     "d1": (0, int), "d2": (0, int), "rate0": (10.0, float), "rate1": (15.0, float),
-    "cost": (1.0, float),
+    "cost": (1.0, float), "equal_cost": (False, bool),
 }
+
+
+def _is_number(x, cast) -> bool:
+    """x is a JSON number, and an integral one when cast is int."""
+    if not isinstance(x, numbers.Real) or isinstance(x, bool):
+        return False
+    return cast is float or isinstance(x, numbers.Integral) or float(x).is_integer()
 
 
 def _generator_fields(gen: dict) -> dict:
     """The fields of a generator's kind, defaults filled in, each read as
-    its type. A number field must hold a number and a list field a list
-    of numbers, or the ConfigError names the field; only K may be absent."""
-    kind, out = gen["kind"], {"equal_cost": bool(gen.get("equal_cost", False))}
+    its type. A number field must hold a number (an integral one for an
+    int field), a list field a list of numbers and a flag a boolean, or
+    the ConfigError names the field; only K may be absent."""
+    kind, out = gen["kind"], {}
     for name in _GENERATOR_KEYS[kind] & _GENERATOR_FIELDS.keys():
         default, cast = _GENERATOR_FIELDS[name]
         value = gen.get(name, default)
         many = isinstance(default, tuple)
         items = value if many else [value]
-        numeric = isinstance(items, (list, tuple)) and all(
-            isinstance(x, numbers.Real) and not isinstance(x, bool) for x in items
-        )
-        if not numeric and not (value is None and default is None):
-            what = "a list of numbers" if many else "a number"
+        if cast is bool:
+            ok, what = isinstance(value, bool), "true or false"
+        else:
+            ok = isinstance(items, (list, tuple)) and all(_is_number(x, cast) for x in items)
+            what = "a list of numbers" if many else "an integer" if cast is int else "a number"
+        if not ok and not (value is None and default is None):
             raise ConfigError(f"generator {kind}: {name} must be {what}, got {value!r}")
         out[name] = value if value is None else tuple(map(cast, items)) if many else cast(value)
     return out
@@ -519,14 +529,6 @@ _GENERATORS = {
     "two_tier": _gen_two_tier,
     "identical": _gen_identical,
 }
-
-
-def initial_priority(spec: ProcessSpec) -> float:
-    """Pre-data priority of a fully specified process: prior times cost
-    rate over the prior-weighted first-order sample size."""
-    if spec.is_composite:
-        raise ValueError("initial priority is only defined for model-pair processes")
-    return index(spec.prior, spec.cost_rate, a_priori_expected_size(spec))
 
 
 def match_error_budget(
@@ -604,19 +606,24 @@ def _policy_config(cfg: ExperimentConfig, name: str) -> PolicyConfig:
     return PolicyConfig(kind=PolicyKind.CL, m=cfg.m, zeta=cfg.zeta, statistic=stat)
 
 
+def _scaled_k(cfg: ExperimentConfig, k: float, scale: int) -> int:
+    """K over the scale, floored at max(2, m), rounded up to even for
+    two_tier."""
+    w = max(2, cfg.m, round(k / scale))
+    if cfg.generator is not None and cfg.generator.get("kind") == "two_tier" and w % 2:
+        w += 1
+    return w
+
+
 def scaled_sweep_values(cfg: ExperimentConfig, scale: int) -> tuple[float, ...]:
-    """Desk-scale shrink: K values divide by the scale factor (floor 2,
-    even for two_tier, deduplicated); other variables pass through."""
+    """Desk-scale shrink: K values divide by the scale factor (see
+    _scaled_k, deduplicated); other variables pass through."""
     if scale <= 1 or cfg.sweep_variable != "K":
         return cfg.sweep_values
-    even = cfg.generator is not None and cfg.generator.get("kind") == "two_tier"
-    floor = max(2, cfg.m)
     out: list[float] = []
     seen: set[int] = set()
     for v in cfg.sweep_values:
-        w = max(floor, round(v / scale))
-        if even and w % 2:
-            w += 1
+        w = _scaled_k(cfg, v, scale)
         if w not in seen:
             seen.add(w)
             out.append(float(w))
@@ -630,10 +637,7 @@ def apply_scale(cfg: ExperimentConfig, scale: int) -> ExperimentConfig:
         return cfg
     gen = cfg.generator
     if gen is not None and cfg.sweep_variable != "K" and gen.get("K") is not None:
-        k = max(2, cfg.m, round(int(gen["K"]) / scale))
-        if gen.get("kind") == "two_tier" and k % 2:
-            k += 1
-        gen = dict(gen, K=k)
+        gen = dict(gen, K=_scaled_k(cfg, int(gen["K"]), scale))
     return replace(
         cfg,
         episodes=max(1, cfg.episodes // scale) if cfg.episodes else 0,
@@ -822,8 +826,10 @@ def _fmt(x) -> str:
     return f"{xf:.10g}"
 
 
-def _write_lines(lines: list[str], path_or_file) -> None:
-    """Newline-terminated lines to an open stream or to a path."""
+def _write_lines(columns: tuple[str, ...], rows, path_or_file) -> None:
+    """A header and one line of formatted cells per row, newline
+    terminated, to an open stream or to a path."""
+    lines = [",".join(columns)] + [",".join(map(_fmt, row)) for row in rows]
     text = "\n".join(lines) + "\n"
     if hasattr(path_or_file, "write"):
         path_or_file.write(text)
@@ -838,28 +844,12 @@ def _write_lines(lines: list[str], path_or_file) -> None:
 def emit_csv(summaries: list[BatchSummary], path_or_file) -> None:
     """Header plus one row per batch, 10 significant digits, stable row
     order. Rows for failed batches keep their numeric cells empty."""
-    risk_sweep = any("log_ce" in s.extra for s in summaries)
-    columns = CSV_COLUMNS + (("log_ce", "log_R") if risk_sweep else ())
-    lines = [",".join(columns)]
-    for s in summaries:
-        row = [
-            _fmt(s.sweep_value),
-            s.policy,
-            _fmt(s.episodes),
-            _fmt(s.mean_cost),
-            _fmt(s.stderr_cost),
-            _fmt(s.fa_rate),
-            _fmt(s.md_rate),
-            _fmt(s.mean_samples),
-            _fmt(s.lower_bound),
-            _fmt(s.cost_over_bound),
-            _fmt(s.rho),
-        ]
-        if risk_sweep:
-            row.append(_fmt(s.extra.get("log_ce", math.nan)))
-            row.append(_fmt(s.extra.get("log_R", math.nan)))
-        lines.append(",".join(row))
-    _write_lines(lines, path_or_file)
+    extra = ("log_ce", "log_R") if any("log_ce" in s.extra for s in summaries) else ()
+    rows = (
+        [getattr(s, c) for c in CSV_COLUMNS] + [s.extra.get(c, math.nan) for c in extra]
+        for s in summaries
+    )
+    _write_lines(CSV_COLUMNS + extra, rows, path_or_file)
 
 
 def emit_per_episode_csv(summaries: list[BatchSummary], path_or_file) -> None:
@@ -868,27 +858,13 @@ def emit_per_episode_csv(summaries: list[BatchSummary], path_or_file) -> None:
         s.episode_records and any("risk" in r for r in s.episode_records) for s in summaries
     )
     columns = EPISODE_COLUMNS + (("risk",) if risk else ())
-    lines = [",".join(columns)]
-    for s in summaries:
-        if not s.episode_records:
-            continue
-        for r in s.episode_records:
-            row = [
-                _fmt(s.sweep_value),
-                s.policy,
-                _fmt(r["episode"]),
-                _fmt(r["cost"]),
-                _fmt(r["samples"]),
-                _fmt(r["fa"]),
-                _fmt(r["md"]),
-                _fmt(r["abnormal"]),
-                _fmt(r["abnormal_time"]),
-                _fmt(r["bound"]),
-            ]
-            if risk:
-                row.append(_fmt(r.get("risk", math.nan)))
-            lines.append(",".join(row))
-    _write_lines(lines, path_or_file)
+    # every column after sweep_value and policy is a record field
+    rows = (
+        [s.sweep_value, s.policy] + [r.get(c, math.nan) for c in columns[2:]]
+        for s in summaries
+        for r in s.episode_records or ()
+    )
+    _write_lines(columns, rows, path_or_file)
 
 
 # --- bundled studies ----------------------------------------------------

@@ -1,5 +1,7 @@
-"""Probe selection: the closed-loop index policy with exponentially
-sparse round-robin exploration, and the open-loop priority ordering.
+"""Probe selection: the top-M ids of an index ranking, with exponentially
+sparse round-robin exploration. Closed loop reranks a probed id after
+each observation; open loop ranks once by the pre-data priorities and
+never explores, so the same selection walks its fixed order.
 
 Process ids are 1-based throughout this module; the round-robin
 arithmetic r = ((prev + u) mod K) + 1 is taken verbatim from the
@@ -89,7 +91,7 @@ class PolicyState:
 
     def top(self, m: int) -> tuple[int, ...]:
         """The m active ids of largest index, ties to the lowest id."""
-        return tuple(-neg_pid for _, neg_pid in self._ranking[-1 : -m - 1 : -1])
+        return tuple([-neg_pid for _, neg_pid in self._ranking[-1 : -m - 1 : -1]])
 
     def best_key_except(self, pid: int) -> tuple[float, int] | None:
         """The largest key of an active id other than pid, or None."""
@@ -149,27 +151,11 @@ def round_robin_next_multi(state: PolicyState, k: int, m: int) -> tuple[int, ...
 
 
 def select_cl(state: PolicyState, n: int, sched: ExplorationSchedule) -> tuple[int, ...]:
-    """Closed-loop selection for one instant: the top-index processes of
-    the ranking, or a round-robin rotation on exploration instants. Ties
-    of the index go to the lowest id. Empty active set returns the empty
-    tuple (episode complete), never a fault."""
-    if not state.active:
-        return ()
-    m = min(state.m, len(state.active))
+    """Selection for one instant: the top-index processes of the ranking,
+    or a round-robin rotation on exploration instants. Ties of the index
+    go to the lowest id. Empty active set returns the empty tuple
+    (episode complete), never a fault; both picks come out short when
+    fewer than M ids are active."""
     if next_exploration_instant(sched, n) == n:
-        return round_robin_next_multi(state, state.k, m)
-    return state.top(m)
-
-
-def ol_order(
-    priors: Sequence[float], costs: Sequence[float], expected_sizes: Sequence[float]
-) -> tuple[int, ...]:
-    """Open-loop probe order: decreasing prior * cost / expected size,
-    ties to the lowest id. Execution elsewhere walks this order, probing
-    each process to completion."""
-    if not len(priors) == len(costs) == len(expected_sizes):
-        raise ValueError("priors, costs and expected sizes must align")
-    if any(not e > 0 for e in expected_sizes):
-        raise ValueError("expected sizes must be positive")
-    ratios = [p * c / e for p, c, e in zip(priors, costs, expected_sizes)]
-    return tuple(sorted(range(1, len(ratios) + 1), key=lambda pid: (-ratios[pid - 1], pid)))
+        return round_robin_next_multi(state, state.k, state.m)
+    return state.top(state.m)

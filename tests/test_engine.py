@@ -18,13 +18,13 @@ from seqscan.engine import (
     PolicyKind,
     ProcessSpec,
     SimulationError,
-    a_priori_expected_size,
     apply_switching_delay,
+    initial_priority,
     lower_bound_oracle,
     run_episode,
 )
 from seqscan.models import Categorical, Gaussian, Poisson, finite_kl
-from seqscan.policy import ol_order
+from seqscan.policy import PolicyState
 from seqscan.sprt import wald_boundaries
 
 
@@ -245,11 +245,7 @@ def test_exploration_instants_rotate_in_trace():
 def test_open_loop_probes_to_completion_in_order():
     specs = [simple_spec(prior=0.5, cost=1.0), simple_spec(prior=0.5, cost=3.0),
              simple_spec(prior=0.5, cost=2.0)]
-    order = ol_order(
-        [s.prior for s in specs],
-        [s.cost_rate for s in specs],
-        [a_priori_expected_size(s) for s in specs],
-    )
+    order = PolicyState.fresh([initial_priority(s) for s in specs]).top(3)
     assert order == (2, 3, 1)
     res = run_episode(
         specs, PolicyConfig(kind=PolicyKind.OL), np.random.SeedSequence(13), record_trace=True
@@ -407,6 +403,42 @@ def test_grid_episode_untraced_equals_traced(specs, policy, statistic, seed, dat
     # runs each lone probe to its next event
     config = POLICIES[policy](data.draw(st.integers(1, len(specs)), label="m"), statistic)
     _untraced_equals_traced(specs, config, seed, time_cap=20_000)
+
+
+@st.composite
+def pair_specs(draw):
+    r0 = draw(st.floats(1.0, 10.0))
+    budget = st.floats(1e-3, 0.2)
+    return ProcessSpec(
+        prior=draw(st.floats(0.05, 0.95)),
+        cost_rate=draw(st.floats(0.1, 5.0)),
+        alpha=draw(budget),
+        beta=draw(budget),
+        model_h0=Poisson(r0),
+        model_h1=Poisson(r0 * draw(st.floats(1.3, 2.5))),
+        switch_delay=draw(st.integers(0, 2)),
+    )
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    pool=st.lists(st.one_of(pair_specs(), grid_specs()), min_size=1, max_size=3),
+    picks=st.lists(st.integers(0, 2), min_size=1, max_size=5),
+    m=st.integers(1, 3),
+    statistic=st.sampled_from(list(StatisticKind)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_open_loop_probes_the_first_active_ids_of_the_pre_data_order(pool, picks, m, statistic, seed):
+    # a repeated spec ties on priority, which goes to the lowest id; a
+    # process is active at an instant up to and including its stop time
+    specs = [pool[i % len(pool)] for i in picks]
+    m = min(m, len(specs))
+    policy = PolicyConfig(kind=PolicyKind.OL, m=m, statistic=statistic)
+    res = run_episode(specs, policy, np.random.SeedSequence(seed), record_trace=True)
+    order = sorted(range(1, len(specs) + 1), key=lambda pid: (-initial_priority(specs[pid - 1]), pid))
+    for step in res.trace:
+        active = [pid for pid in order if res.stop_times[pid - 1] >= step.instant]
+        assert step.selected == tuple(active[:m])
 
 
 def test_lower_bound_frozen_value():

@@ -5,10 +5,11 @@ The reference keeps the plain form of every step: both log-densities
 through ``log_density``, the increment added to the sum before the
 boundaries are checked, the posterior recomputed from the prior on every
 use, a plain set of active ids, a full sort of that set on every
-closed-loop instant that is not an exploration instant, exploration
-instants ceil(zeta^l) from its own set rather than the schedule under
-test, and a round-robin rotation that rebuilds its eligible set for
-every pick. The engine must reproduce it exactly:
+closed-loop instant that is not an exploration instant, the first M
+active ids of one full sort by pre-data priority for open loop,
+exploration instants ceil(zeta^l) from its own set rather than the
+schedule under test, and a round-robin rotation that rebuilds its
+eligible set for every pick. The engine must reproduce it exactly:
 every ``EpisodeResult`` field and every ``TraceStep`` compare with ``==``.
 Traced runs take one observation per decision; untraced runs take a lone
 probe's observations in stretches up to its next event, and their
@@ -30,12 +31,10 @@ from seqscan.engine import (
     PolicyKind,
     ProcessSpec,
     TraceStep,
-    _OlSlots,
     apply_switching_delay,
     run_episode,
 )
 from seqscan.models import Categorical, Gaussian, Poisson, finite_kl, log_density, sample
-from seqscan.policy import ol_order
 from seqscan.sprt import expected_sample_sizes, wald_boundaries
 
 
@@ -109,11 +108,11 @@ def reference_episode(specs, policy: PolicyConfig, seed: np.random.SeedSequence)
             explore.add(last_power)
         return n in explore
 
-    slots = None
+    order = None  # open loop: every id by decreasing prior * cost / a-priori size
     if policy.kind is PolicyKind.OL:
         a_priori = [s.prior * e1 + (1.0 - s.prior) * e0 for s, (e0, e1) in zip(specs, sizes)]
-        order = ol_order([s.prior for s in specs], [s.cost_rate for s in specs], a_priori)
-        slots = _OlSlots(order, policy.m)
+        ratio = [s.prior * s.cost_rate / e for s, e in zip(specs, a_priori)]
+        order = sorted(range(1, k + 1), key=lambda pid: (-ratio[pid - 1], pid))
 
     declared = [False] * k
     stop_times = [0] * k
@@ -124,8 +123,8 @@ def reference_episode(specs, policy: PolicyConfig, seed: np.random.SeedSequence)
     while active:
         instant = t + 1
         m = min(policy.m, len(active))
-        if slots is not None:
-            sel = slots.selection()
+        if order is not None:
+            sel = tuple([pid for pid in order if pid in active][:m])
         elif exploring(instant):
             sel = rotation(m)
         else:
@@ -149,8 +148,6 @@ def reference_episode(specs, policy: PolicyConfig, seed: np.random.SeedSequence)
                 declared[i] = sum_llr[i] >= bounds[i].upper_b
                 stop_times[i] = t
                 active.discard(pid)
-                if slots is not None:
-                    slots.complete(pid)
                 indices[i] = 0.0
             else:
                 indices[i] = priority(i)

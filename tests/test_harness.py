@@ -553,6 +553,11 @@ def test_validate_rejects_twin_generators(generator, pattern):
         ({"kind": "identical", "K": 2, "alpha": None}, "alpha"),
         ({"kind": "equally_spaced_mixture", "K": 2, "ratios": 1.5}, "ratios"),
         ({"kind": "equally_spaced_mixture", "K": 2, "weights": [0.5, "0.5"]}, "weights"),
+        ({"kind": "two_tier", "K": 2.7}, "K"),
+        ({"kind": "two_tier", "K": 2, "d1": 1.5}, "d1"),
+        ({"kind": "two_tier", "K": 2, "d2": math.inf}, "d2"),
+        ({"kind": "two_tier", "K": 2, "equal_cost": "no"}, "equal_cost"),
+        ({"kind": "two_tier", "K": 2, "equal_cost": 1}, "equal_cost"),
     ],
 )
 def test_cli_rejects_wrong_typed_generator_field(tmp_path, capsys, generator, field):
@@ -562,6 +567,27 @@ def test_cli_rejects_wrong_typed_generator_field(tmp_path, capsys, generator, fi
     err = capsys.readouterr().err
     assert f"generator {generator['kind']}: {field} must be" in err
     assert "Traceback" not in err
+
+
+def test_integral_float_generator_fields_pass():
+    cfg = tiny_config(generator={"kind": "two_tier", "K": 4.0, "d1": 1.0, "equal_cost": True},
+                      sweep_variable="c_e", sweep_values=(10.0,))
+    validate_config(cfg)
+    specs = materialize_processes(cfg, 10.0)
+    assert len(specs) == 4
+    assert [s.switch_delay for s in specs] == [1, 1, 0, 0]
+    assert all(s.cost_rate == 1.0 for s in specs)
+
+
+def test_cli_rejects_odd_two_tier_k_sweep(tmp_path, capsys):
+    cfg = tiny_config(generator={"kind": "two_tier"}, sweep_values=(2.0, 3.0), episodes=2)
+    path = _write_config(tmp_path, cfg)
+    out = tmp_path / "odd.csv"
+    assert main(["validate", str(path)]) == 2
+    assert "generator two_tier: K must be even, got 3" in capsys.readouterr().err
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert "K must be even" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_rejects_twin_model_pair(tmp_path, capsys):

@@ -1,6 +1,6 @@
 """Selection tests: exploration schedule membership, round-robin
 rotation with declared processes skipped, closed-loop argmax selection
-from the incrementally updated ranking, and the open-loop ordering."""
+from the incrementally updated ranking, and the open-loop pre-data order."""
 
 from __future__ import annotations
 
@@ -11,11 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqscan.belief import index
+from seqscan.engine import ProcessSpec, a_priori_expected_size, initial_priority
+from seqscan.models import Poisson
 from seqscan.policy import (
     PolicyState,
     exploration_schedule,
     next_exploration_instant,
-    ol_order,
     round_robin_next_multi,
     select_cl,
 )
@@ -279,13 +281,26 @@ def test_ranking_matches_full_sort_under_updates(initial, data):
         PolicyState.fresh([math.nan] * k)
 
 
+def pre_data_order(priors, costs, expected_sizes):
+    """Open loop's order as the engine builds it: ids ranked by the pre-data
+    priority prior * cost / expected size (initial_priority's index)."""
+    values = [index(p, c, e) for p, c, e in zip(priors, costs, expected_sizes)]
+    return PolicyState.fresh(values).top(len(values))
+
+
 def test_ol_order_examples():
-    assert ol_order([0.5, 0.5, 0.5], [1.0, 3.0, 2.0], [4.0, 4.0, 4.0]) == (2, 3, 1)
-    assert ol_order([0.9, 0.1], [5.0, 5.0], [3.0, 3.0]) == (1, 2)
-    assert ol_order([0.5, 0.5], [10.0, 20.0], [5.0, 20.0]) == (1, 2)
+    assert pre_data_order([0.5, 0.5, 0.5], [1.0, 3.0, 2.0], [4.0, 4.0, 4.0]) == (2, 3, 1)
+    assert pre_data_order([0.9, 0.1], [5.0, 5.0], [3.0, 3.0]) == (1, 2)
+    assert pre_data_order([0.5, 0.5], [10.0, 20.0], [5.0, 20.0]) == (1, 2)
     # ties break to the lowest id
-    assert ol_order([0.5, 0.5], [2.0, 2.0], [4.0, 4.0]) == (1, 2)
+    assert pre_data_order([0.5, 0.5], [2.0, 2.0], [4.0, 4.0]) == (1, 2)
     with pytest.raises(ValueError):
-        ol_order([0.5], [1.0], [0.0])
-    with pytest.raises(ValueError):
-        ol_order([0.5, 0.5], [1.0], [1.0, 1.0])
+        pre_data_order([0.5], [1.0], [0.0])
+    # initial_priority is that index over a spec's a-priori expected size
+    specs = [
+        ProcessSpec(prior=0.5, cost_rate=c, alpha=1e-2, beta=1e-2,
+                    model_h0=Poisson(10.0), model_h1=Poisson(15.0))
+        for c in (1.0, 3.0, 2.0)
+    ]
+    for spec in specs:
+        assert initial_priority(spec) == index(0.5, spec.cost_rate, a_priori_expected_size(spec))
