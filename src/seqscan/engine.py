@@ -108,6 +108,15 @@ class ProcessSpec:
     def is_composite(self) -> bool:
         return self.grid is not None
 
+    def truth_points(self, abnormal: bool) -> tuple[tuple[int, float], ...]:
+        """A grid spec's (point index, weight) pairs for drawing the truth
+        in Theta1 (abnormal) or Theta0; without weights, uniform."""
+        idxs = self.grid.theta1 if abnormal else self.grid.theta0
+        weights = (self.h1_weights if abnormal else self.h0_weights) or tuple(
+            1.0 / len(idxs) for _ in idxs
+        )
+        return tuple(zip(idxs, weights))
+
     @cached_property
     def table(self) -> _PairTable:
         """A model-pair spec's fixed numbers, built on first use and kept
@@ -339,11 +348,8 @@ def a_priori_expected_size(spec: ProcessSpec) -> float:
         return expected_detection_time(spec.prior, spec.table.e_n_h0, spec.table.e_n_h1)
     grid = spec.grid
     b = composite_boundaries(spec.alpha, spec.beta)
-    i0, i1 = grid.theta0, grid.theta1
-    w0 = spec.h0_weights or tuple(1.0 / len(i0) for _ in i0)
-    w1 = spec.h1_weights or tuple(1.0 / len(i1) for _ in i1)
-    e1 = sum(w * b.b1 / max(grid.nearest_kl[i][0], 1e-12) for w, i in zip(w1, i1))
-    e0 = sum(w * b.b0 / max(grid.nearest_kl[i][1], 1e-12) for w, i in zip(w0, i0))
+    e1 = sum(w * b.b1 / max(grid.nearest_kl[i][0], 1e-12) for i, w in spec.truth_points(True))
+    e0 = sum(w * b.b0 / max(grid.nearest_kl[i][1], 1e-12) for i, w in spec.truth_points(False))
     return spec.prior * e1 + (1.0 - spec.prior) * e0
 
 
@@ -356,20 +362,16 @@ def initial_priority(spec: ProcessSpec) -> float:
 def _draw_truth_model(spec: ProcessSpec, abnormal: bool, meta_rng: np.random.Generator):
     if not spec.is_composite:
         return spec.model_h1 if abnormal else spec.model_h0
-    grid = spec.grid
-    idxs = grid.theta1 if abnormal else grid.theta0
-    weights = (spec.h1_weights if abnormal else spec.h0_weights) or tuple(
-        1.0 / len(idxs) for _ in idxs
-    )
+    points = spec.truth_points(abnormal)
     # one uniform per composite process regardless of truth or arity,
     # so the stream position does not depend on the realization
     u = meta_rng.random()
     acc = 0.0
-    for i, w in zip(idxs, weights):
+    for i, w in points:
         acc += w
         if u < acc:
-            return grid.models[i]
-    return grid.models[idxs[-1]]
+            return spec.grid.models[i]
+    return spec.grid.models[points[-1][0]]
 
 
 def run_episode(

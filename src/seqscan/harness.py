@@ -186,7 +186,7 @@ def process_from_json(obj: dict, pid: int) -> ProcessSpec:
             grid=grid,
             h0_weights=tuple(obj["h0_weights"]) if "h0_weights" in obj else None,
             h1_weights=tuple(obj["h1_weights"]) if "h1_weights" in obj else None,
-            switch_delay=int(obj.get("switch_delay", 0)),
+            switch_delay=_integer(obj.get("switch_delay", 0), "switch_delay"),
         )
     except KeyError as exc:
         raise ConfigError(f"process {pid}: missing field {exc}") from exc
@@ -231,20 +231,25 @@ def parse_config(text: str) -> ExperimentConfig:
         processes = tuple(
             process_from_json(p, i + 1) for i, p in enumerate(raw["processes"])
         )
+    truth = raw.get("truth")
+    if truth is not None and not (
+        isinstance(truth, list) and all(isinstance(b, bool) for b in truth)
+    ):
+        raise ConfigError(f"truth must be a list of true or false, got {truth!r}")
     try:
         cfg = ExperimentConfig(
             name=raw["name"],
-            episodes=int(raw["episodes"]),
-            master_seed=int(raw["master_seed"]),
+            episodes=_integer(raw["episodes"], "episodes"),
+            master_seed=_integer(raw["master_seed"], "master_seed"),
             policies=tuple(raw["policies"]),
             sweep_variable=sweep["variable"],
             sweep_values=tuple(float(v) for v in sweep["values"]),
-            m=int(raw.get("m", 1)),
+            m=_integer(raw.get("m", 1), "m"),
             zeta=float(raw.get("zeta", 1.7)),
             statistic=raw.get("statistic", "SPRT"),
             generator=raw.get("generator"),
             processes=processes,
-            truth=tuple(bool(b) for b in raw["truth"]) if raw.get("truth") is not None else None,
+            truth=tuple(truth) if truth is not None else None,
             alpha_match=raw.get("alpha_match"),
         )
     except KeyError as exc:
@@ -277,15 +282,10 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     return json.dumps(out, indent=2, sort_keys=True)
 
 
-def _known_process_count(cfg: ExperimentConfig) -> int | None:
-    if cfg.processes is not None:
-        return len(cfg.processes)
-    if cfg.sweep_variable != "K" and cfg.generator is not None:
-        return _generator_fields(cfg.generator)["K"]
-    return None
-
-
-def validate_config(cfg: ExperimentConfig) -> None:
+def validate_config(cfg: ExperimentConfig) -> tuple[tuple[ProcessSpec, ...], ...]:
+    """Check the config's fields, then build the process set of every
+    sweep point as a run would and check each process in it; return the
+    sets in sweep order."""
     if not isinstance(cfg.name, str) or not cfg.name:
         raise ConfigError("name must be a nonempty string")
     if cfg.episodes < 0:
@@ -324,8 +324,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         for v in cfg.sweep_values:
             if v != int(v) or v < 1:
                 raise ConfigError(f"K sweep values must be positive integers, got {v}")
-            if cfg.generator.get("kind") == "two_tier" and v % 2:
-                raise ConfigError(f"generator two_tier: K must be even, got {int(v)}")
     elif var == "d2":
         if cfg.generator is None or cfg.generator.get("kind") != "two_tier":
             raise ConfigError("a d2 sweep needs the two_tier generator")
@@ -362,46 +360,46 @@ def validate_config(cfg: ExperimentConfig) -> None:
                 f"truth length {len(cfg.truth)} != process count {len(cfg.processes)}"
             )
 
-    composite = False
-    if cfg.processes is not None:
-        composite = any(p.is_composite for p in cfg.processes)
-    elif cfg.generator is not None:
-        composite = cfg.generator.get("kind") == "equally_spaced_mixture"
-    if composite and cfg.statistic == "SPRT":
+    point_sets = tuple(materialize_processes(cfg, v) for v in cfg.sweep_values)
+    if cfg.statistic == "SPRT" and any(s.is_composite for specs in point_sets for s in specs):
         raise ConfigError("parameter-grid processes need the GLR or ALR statistic")
-    for pid, spec in enumerate(cfg.processes or (), start=1):
-        if spec.is_composite:
-            _validate_grid_decidable(spec, pid)
-            continue
-        try:
-            spec.table  # Wald's sizes need a positive divergence either way
-        except ValueError as exc:
-            raise ConfigError(f"process {pid}: its two models cannot be told apart ({exc})") from exc
+    checked: set[int] = set()  # a spec shared by many processes is checked once
+    for v, specs in zip(cfg.sweep_values, point_sets):
+        for pid, spec in enumerate(specs, start=1):
+            if id(spec) in checked:
+                continue
+            checked.add(id(spec))
+            where = f"sweep point {v}: process {pid}"
+            if spec.is_composite:
+                _validate_grid_decidable(spec, where)
+                continue
+            try:
+                spec.table  # Wald's sizes need a positive divergence either way
+            except ValueError as exc:
+                raise ConfigError(f"{where}: its two models cannot be told apart ({exc})") from exc
+    return point_sets
 
-    k = _known_process_count(cfg)
-    if k is not None and cfg.m > k:
-        raise ConfigError(f"m={cfg.m} exceeds the process count {k}")
 
-
-def _validate_grid_decidable(spec: ProcessSpec, pid: int) -> None:
-    """A truth point that can be drawn (positive weight; no weights means
-    uniform) and sits at zero divergence from the opposite region gives
-    its test no drift, so episodes would only end at the time cap."""
+def _validate_grid_decidable(spec: ProcessSpec, where: str) -> None:
+    """A truth point that can be drawn (positive weight) and sits at zero
+    divergence from the opposite region gives its test no drift, so
+    episodes would only end at the time cap."""
     grid = spec.grid
-    for region, weights, opposite, side in (
-        (Region.THETA0, spec.h0_weights, Region.THETA1, 1),
-        (Region.THETA1, spec.h1_weights, Region.THETA0, 0),
+    for abnormal, side, region, opposite in (
+        (False, 1, Region.THETA0, Region.THETA1),
+        (True, 0, Region.THETA1, Region.THETA0),
     ):
-        idxs = grid.indices(region)
-        for i, w in zip(idxs, weights or (1.0,) * len(idxs)):
+        for i, w in spec.truth_points(abnormal):
             if w > 0 and grid.nearest_kl[i][side] == 0:
                 raise ConfigError(
-                    f"process {pid}: grid point {i} ({grid.models[i]}) in {region.value} "
+                    f"{where}: grid point {i} ({grid.models[i]}) in {region.value} "
                     f"has zero divergence to {opposite.value}; its test can never decide"
                 )
 
 
 def _validate_generator(gen: dict, needs_k: bool) -> None:
+    """The generator's kind, keys and field types; what its processes
+    need is checked on the processes it builds."""
     if not isinstance(gen, dict) or "kind" not in gen:
         raise ConfigError("generator must be an object with a 'kind' key")
     kind = gen["kind"]
@@ -410,25 +408,9 @@ def _validate_generator(gen: dict, needs_k: bool) -> None:
     unknown = set(gen) - _GENERATOR_KEYS[kind]
     if unknown:
         raise ConfigError(f"generator {kind}: unknown keys {sorted(unknown)}")
-    fields = _generator_fields(gen)
-    if needs_k:
-        k = fields["K"]
-        if k is None or k < 1:
-            raise ConfigError(f"generator {kind}: K must be given and positive")
-        if kind == "two_tier" and k % 2:
-            raise ConfigError(f"generator two_tier: K must be even, got {k}")
-    if kind == "two_tier" and fields["ratio"] == 1.0:
-        raise ConfigError("generator two_tier: ratio must differ from 1")
-    if kind == "identical" and fields["rate0"] == fields["rate1"]:
-        raise ConfigError("generator identical: rate0 and rate1 must differ")
-    if kind == "equally_spaced_mixture":
-        ratios, weights = fields["ratios"], fields["weights"]
-        if len(ratios) != len(weights) or not ratios:
-            raise ConfigError("generator equally_spaced_mixture: ratios and weights must align")
-        if any(r <= 0 or r == 1.0 for r in ratios):
-            raise ConfigError("generator equally_spaced_mixture: ratios must be positive and != 1")
-        if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-9:
-            raise ConfigError("generator equally_spaced_mixture: weights must be a probability vector")
+    k = _generator_fields(gen)["K"]
+    if needs_k and (k is None or k < 1):
+        raise ConfigError(f"generator {kind}: K must be given and positive")
 
 
 # --- process-set generators --------------------------------------------
@@ -448,6 +430,13 @@ def _is_number(x, cast) -> bool:
     if not isinstance(x, numbers.Real) or isinstance(x, bool):
         return False
     return cast is float or isinstance(x, numbers.Integral) or float(x).is_integer()
+
+
+def _integer(value, name: str) -> int:
+    """An integral JSON number as an int, or a ConfigError naming the field."""
+    if not _is_number(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _generator_fields(gen: dict) -> dict:
@@ -494,7 +483,7 @@ def _gen_equally_spaced_mixture(f: dict, k: int) -> tuple[ProcessSpec, ...]:
 
 def _gen_two_tier(f: dict, k: int) -> tuple[ProcessSpec, ...]:
     if k % 2:
-        raise ConfigError(f"generator two_tier: K must be even, got {k}")
+        raise ConfigError(f"K must be even, got {k}")
     specs = []
     for i in range(k):
         r0 = f["low"] if i < k // 2 else f["high"]
@@ -548,30 +537,32 @@ def match_error_budget(
             f"no symmetric error budget in [{lo}, {hi}] reaches priority {target_priority}"
         )
     llo, lhi = math.log(lo), math.log(hi)
-    for _ in range(200):
-        mid = 0.5 * (llo + lhi)
+    mid = 0.5 * (llo + lhi)
+    # once the midpoint rounds onto an endpoint, every further step repeats it
+    while llo < mid < lhi:
         if priority(math.exp(mid)) < target_priority:
             llo = mid
         else:
             lhi = mid
-    return math.exp(0.5 * (llo + lhi))
+        mid = 0.5 * (llo + lhi)
+    return math.exp(mid)
 
 
 def materialize_processes(cfg: ExperimentConfig, sweep_value: float) -> tuple[ProcessSpec, ...]:
-    """Process set for one sweep point, overrides applied."""
+    """Process set for one sweep point, overrides applied. A set that
+    cannot be built, or that has fewer than m processes, is a
+    ConfigError naming the sweep point."""
     var = cfg.sweep_variable
-    gen = dict(cfg.generator) if cfg.generator is not None else None
-    if var == "d2" and gen is not None:
-        gen["d2"] = int(sweep_value)
-
-    if gen is not None:
-        fields = _generator_fields(gen)
-        k = int(sweep_value) if var == "K" else fields["K"]
-        specs = _GENERATORS[gen["kind"]](fields, k)
-    else:
-        specs = cfg.processes
-
+    where = f"sweep point {sweep_value}"
     try:
+        if cfg.generator is not None:
+            where += f": generator {cfg.generator['kind']}"
+            gen = dict(cfg.generator, d2=int(sweep_value)) if var == "d2" else cfg.generator
+            fields = _generator_fields(gen)
+            k = int(sweep_value) if var == "K" else fields["K"]
+            specs = _GENERATORS[gen["kind"]](fields, k)
+        else:
+            specs = cfg.processes
         if var == "c_e":
             e = 1.0 / float(sweep_value)
             specs = tuple(replace(s, alpha=e, beta=e) for s in specs)
@@ -585,10 +576,12 @@ def materialize_processes(cfg: ExperimentConfig, sweep_value: float) -> tuple[Pr
             else:
                 specs = tuple(replace(s, alpha=v, beta=v) for s in specs)
     except ValueError as exc:
-        raise ConfigError(f"sweep point {sweep_value}: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
 
     if cfg.m > len(specs):
-        raise ConfigError(f"m={cfg.m} exceeds the process count {len(specs)} at this sweep point")
+        raise ConfigError(
+            f"sweep point {sweep_value}: m={cfg.m} exceeds the process count K={len(specs)}"
+        )
     return specs
 
 
@@ -759,9 +752,10 @@ def run_experiment(
     """Execute the sweep: one batch per (sweep point, policy).
 
     Deterministic in the master seed; episodes share RNG substreams
-    across policies at a sweep point, so comparisons are paired. A
-    failing sweep point is reported in its summaries' error field while
-    the rest of the sweep proceeds.
+    across policies at a sweep point, so comparisons are paired. Every
+    sweep point's process set is built and checked before any batch
+    runs; a batch that fails while running is reported in its summary's
+    error field while the rest of the sweep proceeds.
     """
     validate_config(cfg)
     if episodes_override is not None:
@@ -769,24 +763,15 @@ def run_experiment(
     if seed_override is not None:
         cfg = replace(cfg, master_seed=int(seed_override))
     cfg = apply_scale(cfg, scale)
-    validate_config(cfg)
+    point_sets = validate_config(cfg)
     if cfg.episodes == 0:
         return []
 
     baseline = next((p for p in ("OL", "CL-no-explore") if p in cfg.policies), None)
 
     out: list[BatchSummary] = []
-    for sweep_idx, value in enumerate(cfg.sweep_values):
+    for sweep_idx, (value, specs) in enumerate(zip(cfg.sweep_values, point_sets)):
         point: list[BatchSummary] = []
-        try:
-            specs = materialize_processes(cfg, value)
-        except (ConfigError, ValueError) as exc:
-            for name in cfg.policies:
-                point.append(
-                    BatchSummary(sweep_value=value, policy=name, episodes=0, error=str(exc))
-                )
-            out.extend(point)
-            continue
         for name in cfg.policies:
             try:
                 point.append(_run_batch(cfg, sweep_idx, value, name, specs, cfg.episodes))

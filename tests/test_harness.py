@@ -9,7 +9,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from seqscan import harness
 from seqscan.cli import main
 from seqscan.composite import ParameterGrid, Region
 from seqscan.harness import (
@@ -21,6 +24,7 @@ from seqscan.harness import (
     emit_per_episode_csv,
     figure_config,
     initial_priority,
+    match_error_budget,
     materialize_processes,
     parse_config,
     run_experiment,
@@ -279,11 +283,19 @@ def test_rho_on_non_baseline_rows():
     assert by_policy["CL"].rho_se is not None and by_policy["CL"].rho_se >= 0
 
 
-def test_partial_failure_isolated():
-    # m exceeds K at the first sweep point only
-    cfg = tiny_config(policies=("CL",), m=2, sweep_values=(1.0, 3.0), episodes=5)
+def test_partial_failure_isolated(monkeypatch):
+    # the batch at the first sweep point (one process) fails while running
+    real = harness.run_episode
+
+    def run_episode(specs, *args, **kwargs):
+        if len(specs) == 1:
+            raise RuntimeError("episode failed")
+        return real(specs, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_episode", run_episode)
+    cfg = tiny_config(policies=("CL",), sweep_values=(1.0, 3.0), episodes=5)
     res = run_experiment(cfg)
-    assert res[0].error is not None and math.isnan(res[0].mean_cost)
+    assert res[0].error == "episode failed" and math.isnan(res[0].mean_cost)
     assert res[1].error is None and res[1].mean_cost >= 0
     buf = io.StringIO()
     emit_csv(res, buf)
@@ -525,13 +537,16 @@ def test_validate_rejects_twin_model_pairs():
     validate_config(_twin_config(Gaussian(0.0, 1.0), Gaussian(0.0, 2.0)))
 
 
+_TWIN = "process 1: its two models cannot be told apart"
+
+
 @pytest.mark.parametrize(
     "generator,pattern",
     [
-        ({"kind": "identical", "rate0": 12.0, "rate1": 12.0}, "rate0 and rate1 must differ"),
+        ({"kind": "identical", "rate0": 12.0, "rate1": 12.0}, _TWIN),
         ({"kind": "identical", "rate0": 10.0}, None),
-        ({"kind": "identical", "rate1": 10.0}, "rate0 and rate1 must differ"),
-        ({"kind": "two_tier", "ratio": 1.0}, "ratio must differ from 1"),
+        ({"kind": "identical", "rate1": 10.0}, _TWIN),
+        ({"kind": "two_tier", "ratio": 1.0}, _TWIN),
         ({"kind": "two_tier", "ratio": 0.8}, None),
     ],
 )
@@ -590,6 +605,112 @@ def test_cli_rejects_odd_two_tier_k_sweep(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_rejects_m_above_a_swept_k(tmp_path, capsys):
+    cfg = tiny_config(m=3, sweep_values=(2.0, 4.0), generator={"kind": "identical"}, episodes=1)
+    path = _write_config(tmp_path, cfg)
+    out = tmp_path / "m.csv"
+    assert main(["validate", str(path)]) == 2
+    assert "sweep point 2.0: m=3 exceeds the process count K=2" in capsys.readouterr().err
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "m=3 exceeds the process count K=2" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_unreachable_alpha_match_fails_validation(tmp_path, capsys):
+    cfg = replace(figure_config("fig5"), alpha_match={"index_ratio": 1e30}, episodes=1)
+    with pytest.raises(ConfigError, match="sweep point 0.1: no symmetric error budget"):
+        validate_config(cfg)
+    path = _write_config(tmp_path, cfg)
+    out = tmp_path / "match.csv"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert "no symmetric error budget" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _explicit_raw() -> dict:
+    spec = ProcessSpec(prior=0.5, cost_rate=1.0, alpha=1e-2, beta=1e-2,
+                       model_h0=Poisson(10.0), model_h1=Poisson(15.0))
+    cfg = tiny_config(generator=None, processes=(spec, spec), truth=(True, False),
+                      sweep_variable="c_e", sweep_values=(10.0,))
+    return json.loads(serialize_config(cfg))
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("episodes", 2.7, "episodes must be an integer"),
+        ("episodes", True, "episodes must be an integer"),
+        ("m", 1.9, "m must be an integer"),
+        ("master_seed", 3.5, "master_seed must be an integer"),
+        ("switch_delay", 2.7, "process 2: switch_delay must be an integer"),
+        ("truth", ["no", True], "truth must be a list of true or false"),
+    ],
+)
+def test_cli_rejects_non_integral_counts_and_non_boolean_truth(
+    tmp_path, capsys, field, value, message
+):
+    raw = _explicit_raw()
+    if field == "switch_delay":
+        raw["processes"][1][field] = value
+    else:
+        raw[field] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_integral_float_counts_pass():
+    raw = _explicit_raw()
+    raw.update(episodes=4.0, m=2.0, master_seed=3.0)
+    raw["processes"][1]["switch_delay"] = 1.0
+    cfg = parse_config(json.dumps(raw))
+    assert (cfg.episodes, cfg.m, cfg.master_seed) == (4, 2, 3)
+    assert cfg.processes[1].switch_delay == 1 and cfg.truth == (True, False)
+
+
+def _bisect_200_steps(template, target, lo=1e-15, hi=0.499):
+    """match_error_budget's bisection run for a fixed 200 steps."""
+    llo, lhi = math.log(lo), math.log(hi)
+    for _ in range(200):
+        mid = 0.5 * (llo + lhi)
+        if initial_priority(replace(template, alpha=math.exp(mid), beta=math.exp(mid))) < target:
+            llo = mid
+        else:
+            lhi = mid
+    return math.exp(0.5 * (llo + lhi))
+
+
+def test_match_error_budget_equals_200_steps_on_fig5():
+    cfg = figure_config("fig5")
+    first, second = cfg.processes
+    for v in cfg.sweep_values:
+        target = initial_priority(replace(first, alpha=v, beta=v)) / 2.0
+        assert match_error_budget(second, target) == _bisect_200_steps(second, target)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rate=st.floats(1.0, 50.0),
+    ratio=st.one_of(st.floats(0.3, 0.95), st.floats(1.05, 3.0)),
+    prior=st.floats(0.01, 0.99),
+    cost=st.floats(0.1, 10.0),
+    budget=st.floats(1e-12, 0.4),
+    scale=st.floats(0.5, 2.0),
+)
+def test_match_error_budget_equals_200_steps(rate, ratio, prior, cost, budget, scale):
+    template = ProcessSpec(prior=prior, cost_rate=cost, alpha=1e-2, beta=1e-2,
+                           model_h0=Poisson(rate), model_h1=Poisson(rate * ratio))
+    target = scale * initial_priority(replace(template, alpha=budget, beta=budget))
+    try:
+        found = match_error_budget(template, target)
+    except ConfigError:  # no budget in range reaches the target
+        return
+    assert found == _bisect_200_steps(template, target)
+
+
 def test_cli_rejects_twin_model_pair(tmp_path, capsys):
     path = _write_config(tmp_path, _twin_config(Poisson(10.0), Poisson(10.0)))
     out = tmp_path / "twin.csv"
@@ -601,26 +722,30 @@ def test_cli_rejects_twin_model_pair(tmp_path, capsys):
 
 
 # sha256 of the summary and per-episode CSVs of `seqscan figures NAME
-# --scale 100 --seed 0 --per-episode`; the byte contract for M=5 (fig2),
-# switching delays (fig3) and the c_e risk columns (fig4)
+# --scale SCALE --seed 0 --per-episode`; the byte contract for M=5 (fig2),
+# switching delays (fig3), the c_e risk columns (fig4) and the
+# alpha-matched error budgets (fig5)
 RECIPE_DIGESTS = {
-    "fig1": ("c865b9b7890621725193c55a90ce32321119b8d9a1a395d058f643703ff2986d",
+    "fig1": (100, "c865b9b7890621725193c55a90ce32321119b8d9a1a395d058f643703ff2986d",
              "2b9b72defb20dbb96fc4da80b4964fe048e63d6748730a57951c8c4993800e5a"),
-    "fig2": ("b446bb75bd3500342b6c4fc1fbaea3da3f927d6e2432b434479c5484c306df4a",
+    "fig2": (100, "b446bb75bd3500342b6c4fc1fbaea3da3f927d6e2432b434479c5484c306df4a",
              "3e52246732915a15c3f65ebd53e60722e44940038d1b76d2fb28101d74ea192b"),
-    "fig3": ("ec2f349b4bae3623ee22329a59e6ce56075b0b9d1a778509de7c1f80691cd48c",
+    "fig3": (100, "ec2f349b4bae3623ee22329a59e6ce56075b0b9d1a778509de7c1f80691cd48c",
              "54bd3298ec61c88519e3ac84ee4dd43334665654a790ec3d7f7da6b5f4dea4a6"),
-    "fig4": ("3c7befe3056ca16dd3809ceb3cd5bc34f0ec5ced5bb5d6c7ad171642ad413197",
+    "fig4": (100, "3c7befe3056ca16dd3809ceb3cd5bc34f0ec5ced5bb5d6c7ad171642ad413197",
              "63c425b5c882fa8c192079c237f5b866bc0bfd4db5532d9f39cfc731bcb1a80d"),
+    "fig5": (1000, "cbf5b71417633d60545ee537449aa512799fc9d6ada87e557f4219807d4a4537",
+             "dd8f0127ec0329c0d96f9c7d14c53eaf3fd31acd34736fce31e620662cafcd11"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(RECIPE_DIGESTS))
 def test_recipe_csv_digests_are_unchanged(name):
-    summaries = run_experiment(figure_config(name), scale=100, seed_override=0, per_episode=True)
+    scale, *expected = RECIPE_DIGESTS[name]
+    summaries = run_experiment(figure_config(name), scale=scale, seed_override=0, per_episode=True)
     digests = []
     for emit in (emit_csv, emit_per_episode_csv):
         buf = io.StringIO()
         emit(summaries, buf)
         digests.append(hashlib.sha256(buf.getvalue().encode()).hexdigest())
-    assert tuple(digests) == RECIPE_DIGESTS[name]
+    assert digests == expected
