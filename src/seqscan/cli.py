@@ -21,6 +21,7 @@ from seqscan.harness import (
     figure_config,
     parse_config,
     run_experiment,
+    validate_config,
 )
 
 SEED_ENV = "SEQSCAN_SEED"
@@ -121,7 +122,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg = _read_config(args.config)
             return _execute(cfg, args, default_stem=cfg.name)
         if args.command == "validate":
-            _read_config(args.config)
+            validate_config(_read_config(args.config))
             print("ok")
             return 0
         if args.command == "figures":
@@ -129,6 +130,7 @@ def main(argv: list[str] | None = None) -> int:
             return _execute(cfg, args, default_stem=args.figure)
         if args.command == "bound":
             cfg = _read_config(args.config)
+            validate_config(cfg)
             if cfg.processes is None or cfg.truth is None:
                 raise ConfigError("bound needs explicit processes and a truth vector")
             value = lower_bound_oracle(cfg.processes, cfg.truth, m=cfg.m)

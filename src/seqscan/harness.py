@@ -34,7 +34,6 @@ class ConfigError(ValueError):
 POLICY_NAMES = ("CL", "OL", "CL-no-explore")
 SWEEP_VARIABLES = ("K", "d2", "c_e", "alpha")
 STATISTIC_NAMES = ("SPRT", "GLR", "ALR")
-GENERATOR_KINDS = ("equally_spaced_mixture", "two_tier", "identical")
 FIGURE_NAMES = ("fig1", "fig2", "fig3", "fig4", "fig5")
 
 CSV_COLUMNS = (
@@ -75,10 +74,18 @@ class ExperimentConfig:
     m: int = 1
     zeta: float = 1.7
     statistic: str = "SPRT"
-    generator: dict | None = None
+    generator: dict | None = None  # every field of its kind, read with its type
     processes: tuple[ProcessSpec, ...] | None = None
     truth: tuple[bool, ...] | None = None
     alpha_match: dict | None = None
+
+    def __post_init__(self) -> None:
+        # the two nested objects are read here, once, so no later code reads them raw
+        if self.generator is not None:
+            object.__setattr__(self, "generator", _read_generator(self.generator))
+        if self.alpha_match is not None:
+            matched = _read_fields(self.alpha_match, _ALPHA_MATCH_FIELDS, "alpha_match")
+            object.__setattr__(self, "alpha_match", matched)
 
 
 @dataclass
@@ -102,33 +109,122 @@ class BatchSummary:
     episode_records: tuple[dict, ...] | None = None
 
 
+# --- typed config reads ------------------------------------------------
+
+_REQUIRED = object()
+
+# how an error names each type: one value, and a list of them
+_TYPE_NAMES = {
+    float: ("a number", "numbers"),
+    int: ("an integer", "integers"),
+    bool: ("true or false", "true or false"),
+    str: ("a string", "strings"),
+    dict: ("an object", "objects"),
+}
+
+
+def _is(x, kind) -> bool:
+    """x has the JSON type kind. A number is a JSON number, not a string
+    or a boolean, and an integral one for int."""
+    if kind is not float and kind is not int:
+        return isinstance(x, kind)
+    if not isinstance(x, numbers.Real) or isinstance(x, bool):
+        return False
+    return kind is float or isinstance(x, numbers.Integral) or float(x).is_integer()
+
+
+def _read(obj: dict, name: str, kind, default=_REQUIRED, owner: str = ""):
+    """obj[name] as kind: float, int, bool, str or dict, or a one-item list
+    such as [float] for a list of that type. An absent field gives the
+    default, and so does null when the default is None. A missing required
+    field or a value of the wrong type is a ConfigError naming the field
+    and its owner."""
+    where = f"{owner}: " if owner else ""
+    value = obj.get(name, default)
+    if value is _REQUIRED:
+        raise ConfigError(f"{where}missing field {name!r}")
+    if value is None and default is None:
+        return None
+    many = isinstance(kind, list)
+    item = kind[0] if many else kind
+    items = value if many else (value,)
+    if not (isinstance(items, (list, tuple)) and all(_is(x, item) for x in items)):
+        one, several = _TYPE_NAMES[item]
+        what = f"a list of {several}" if many else one
+        raise ConfigError(f"{where}{name} must be {what}, got {value!r}")
+    values = tuple(map(item, items))
+    return values if many else values[0]
+
+
+def _read_fields(obj: dict, fields: dict, owner: str = "") -> dict:
+    """Every field of a table of name: (type, default), each read once;
+    a key the table does not name is a ConfigError."""
+    unknown = set(obj) - fields.keys()
+    if unknown:
+        raise ConfigError(f"{owner + ': ' if owner else ''}unknown keys {sorted(unknown)}")
+    return {name: _read(obj, name, kind, default, owner) for name, (kind, default) in fields.items()}
+
+
+_CONFIG_FIELDS = {
+    "name": (str, _REQUIRED), "episodes": (int, _REQUIRED), "master_seed": (int, _REQUIRED),
+    "policies": ([str], _REQUIRED), "sweep": (dict, _REQUIRED), "m": (int, 1),
+    "zeta": (float, 1.7), "statistic": (str, "SPRT"), "generator": (dict, None),
+    "processes": ([dict], None), "truth": ([bool], None), "alpha_match": (dict, None),
+}
+_SWEEP_FIELDS = {"variable": (str, _REQUIRED), "values": ([float], _REQUIRED)}
+_ALPHA_MATCH_FIELDS = {"index_ratio": (float, _REQUIRED)}
+
+# each generator kind's fields
+_COMMON_FIELDS = {
+    "kind": (str, _REQUIRED), "K": (int, None),
+    "prior": (float, 0.5), "alpha": (float, 1e-3), "beta": (float, 1e-6),
+}
+_GENERATOR_FIELDS = {
+    "equally_spaced_mixture": dict(
+        _COMMON_FIELDS, low=(float, 10.0), high=(float, 20.0),
+        ratios=([float], (1.5, 1.2)), weights=([float], (0.5, 0.5)),
+    ),
+    "two_tier": dict(
+        _COMMON_FIELDS, low=(float, 10.0), high=(float, 20.0), ratio=(float, 1.5),
+        equal_cost=(bool, False), d1=(int, 0), d2=(int, 0),
+    ),
+    "identical": dict(_COMMON_FIELDS, rate0=(float, 10.0), rate1=(float, 15.0), cost=(float, 1.0)),
+}
+GENERATOR_KINDS = tuple(_GENERATOR_FIELDS)
+
+
+def _read_generator(gen: dict) -> dict:
+    """Every field of the generator's kind, read by its kind's table; an
+    absent field takes the table's default."""
+    kind = _read(gen, "kind", str, owner="generator")
+    if kind not in _GENERATOR_FIELDS:
+        raise ConfigError(f"unknown generator kind {kind!r}; choose from {GENERATOR_KINDS}")
+    return _read_fields(gen, _GENERATOR_FIELDS[kind], f"generator {kind}")
+
+
 # --- model / process (de)serialization ---------------------------------
+
+# each model family's class and its fields
+_MODELS = {
+    "poisson": (Poisson, {"rate": float}),
+    "gaussian": (Gaussian, {"mean": float, "stddev": float}),
+    "categorical": (Categorical, {"probs": [float]}),
+}
 
 
 def model_to_json(model: ObservationModel) -> dict:
-    if isinstance(model, Poisson):
-        return {"family": "poisson", "rate": model.rate}
-    if isinstance(model, Gaussian):
-        return {"family": "gaussian", "mean": model.mean, "stddev": model.stddev}
-    if isinstance(model, Categorical):
-        return {"family": "categorical", "probs": list(model.probs)}
+    for family, (cls, fields) in _MODELS.items():
+        if type(model) is cls:
+            return {"family": family} | {name: getattr(model, name) for name in fields}
     raise ConfigError(f"unknown model type {type(model).__name__}")
 
 
-def model_from_json(obj) -> ObservationModel:
-    if not isinstance(obj, dict) or "family" not in obj:
-        raise ConfigError(f"model must be an object with a 'family' key, got {obj!r}")
-    family = obj["family"]
-    try:
-        if family == "poisson":
-            return Poisson(rate=float(obj["rate"]))
-        if family == "gaussian":
-            return Gaussian(mean=float(obj["mean"]), stddev=float(obj["stddev"]))
-        if family == "categorical":
-            return Categorical(probs=tuple(float(p) for p in obj["probs"]))
-    except KeyError as exc:
-        raise ConfigError(f"model {family!r} is missing field {exc}") from exc
-    raise ConfigError(f"unknown model family {family!r}")
+def model_from_json(obj: dict) -> ObservationModel:
+    family = _read(obj, "family", str, owner="model")
+    if family not in _MODELS:
+        raise ConfigError(f"unknown model family {family!r}")
+    cls, fields = _MODELS[family]
+    return cls(**{name: _read(obj, name, kind, owner=family) for name, kind in fields.items()})
 
 
 def process_to_json(spec: ProcessSpec) -> dict:
@@ -154,110 +250,54 @@ def process_to_json(spec: ProcessSpec) -> dict:
     return out
 
 
-_PROCESS_KEYS = {
-    "prior", "cost_rate", "alpha", "beta", "switch_delay",
-    "model_h0", "model_h1", "grid", "h0_weights", "h1_weights",
+_PROCESS_FIELDS = {
+    "prior": (float, _REQUIRED), "cost_rate": (float, _REQUIRED), "alpha": (float, _REQUIRED),
+    "beta": (float, _REQUIRED), "switch_delay": (int, 0), "model_h0": (dict, None),
+    "model_h1": (dict, None), "grid": (dict, None), "h0_weights": ([float], None),
+    "h1_weights": ([float], None),
 }
 
 
 def process_from_json(obj: dict, pid: int) -> ProcessSpec:
     """Build one spec; errors carry the 1-based process id."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"process {pid}: expected an object, got {obj!r}")
-    unknown = set(obj) - _PROCESS_KEYS
-    if unknown:
-        raise ConfigError(f"process {pid}: unknown keys {sorted(unknown)}")
     try:
-        grid = None
-        if "grid" in obj:
-            gobj = obj["grid"]
-            regions = tuple(Region(r) for r in gobj["regions"])
-            grid = ParameterGrid(
-                models=tuple(model_from_json(m) for m in gobj["models"]),
-                regions=regions,
+        for name, value in obj.items():
+            if value is None:  # a field may be left out, but not given as null
+                raise ConfigError(f"{name} must not be null")
+        fields = _read_fields(obj, _PROCESS_FIELDS)
+        if fields["grid"] is not None:
+            grid = fields["grid"]
+            fields["grid"] = ParameterGrid(
+                models=tuple(map(model_from_json, _read(grid, "models", [dict], owner="grid"))),
+                regions=tuple(map(Region, _read(grid, "regions", [str], owner="grid"))),
             )
-        return ProcessSpec(
-            prior=float(obj["prior"]),
-            cost_rate=float(obj["cost_rate"]),
-            alpha=float(obj["alpha"]),
-            beta=float(obj["beta"]),
-            model_h0=model_from_json(obj["model_h0"]) if "model_h0" in obj else None,
-            model_h1=model_from_json(obj["model_h1"]) if "model_h1" in obj else None,
-            grid=grid,
-            h0_weights=tuple(obj["h0_weights"]) if "h0_weights" in obj else None,
-            h1_weights=tuple(obj["h1_weights"]) if "h1_weights" in obj else None,
-            switch_delay=_integer(obj.get("switch_delay", 0), "switch_delay"),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"process {pid}: missing field {exc}") from exc
-    except (ValueError, TypeError) as exc:
+        for name in ("model_h0", "model_h1"):
+            if fields[name] is not None:
+                fields[name] = model_from_json(fields[name])
+        return ProcessSpec(**fields)
+    except (ValueError, TypeError) as exc:  # TypeError: models of different families
         raise ConfigError(f"process {pid}: {exc}") from exc
 
 
 # --- config (de)serialization and validation ---------------------------
 
-_CONFIG_KEYS = {
-    "name", "episodes", "master_seed", "m", "zeta", "statistic",
-    "policies", "sweep", "generator", "processes", "truth", "alpha_match",
-}
-
-_GENERATOR_KEYS = {
-    "equally_spaced_mixture": {
-        "kind", "K", "low", "high", "ratios", "weights", "prior", "alpha", "beta",
-    },
-    "two_tier": {
-        "kind", "K", "low", "high", "ratio", "prior", "alpha", "beta",
-        "equal_cost", "d1", "d2",
-    },
-    "identical": {"kind", "K", "rate0", "rate1", "cost", "prior", "alpha", "beta"},
-}
-
 
 def parse_config(text: str) -> ExperimentConfig:
+    """Read a JSON config, each field once with its type; validate_config
+    checks the values and builds the process sets."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
-    unknown = set(raw) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys {sorted(unknown)}")
-    sweep = raw.get("sweep")
-    if not isinstance(sweep, dict) or set(sweep) != {"variable", "values"}:
-        raise ConfigError("sweep must be an object with keys 'variable' and 'values'")
-    processes = None
-    if raw.get("processes") is not None:
-        processes = tuple(
-            process_from_json(p, i + 1) for i, p in enumerate(raw["processes"])
+    fields = _read_fields(raw, _CONFIG_FIELDS)
+    sweep = _read_fields(fields.pop("sweep"), _SWEEP_FIELDS, "sweep")
+    if fields["processes"] is not None:
+        fields["processes"] = tuple(
+            process_from_json(p, pid) for pid, p in enumerate(fields["processes"], start=1)
         )
-    truth = raw.get("truth")
-    if truth is not None and not (
-        isinstance(truth, list) and all(isinstance(b, bool) for b in truth)
-    ):
-        raise ConfigError(f"truth must be a list of true or false, got {truth!r}")
-    try:
-        cfg = ExperimentConfig(
-            name=raw["name"],
-            episodes=_integer(raw["episodes"], "episodes"),
-            master_seed=_integer(raw["master_seed"], "master_seed"),
-            policies=tuple(raw["policies"]),
-            sweep_variable=sweep["variable"],
-            sweep_values=tuple(float(v) for v in sweep["values"]),
-            m=_integer(raw.get("m", 1), "m"),
-            zeta=float(raw.get("zeta", 1.7)),
-            statistic=raw.get("statistic", "SPRT"),
-            generator=raw.get("generator"),
-            processes=processes,
-            truth=tuple(truth) if truth is not None else None,
-            alpha_match=raw.get("alpha_match"),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"missing config field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    validate_config(cfg)
-    return cfg
+    return ExperimentConfig(**fields, sweep_variable=sweep["variable"], sweep_values=sweep["values"])
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -271,8 +311,9 @@ def serialize_config(cfg: ExperimentConfig) -> str:
         "policies": list(cfg.policies),
         "sweep": {"variable": cfg.sweep_variable, "values": list(cfg.sweep_values)},
     }
-    if cfg.generator is not None:
-        out["generator"] = cfg.generator
+    if cfg.generator is not None:  # the fields that differ from their defaults
+        fields = _GENERATOR_FIELDS[cfg.generator["kind"]]
+        out["generator"] = {k: v for k, v in cfg.generator.items() if v != fields[k][1]}
     if cfg.processes is not None:
         out["processes"] = [process_to_json(p) for p in cfg.processes]
     if cfg.truth is not None:
@@ -282,10 +323,8 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     return json.dumps(out, indent=2, sort_keys=True)
 
 
-def validate_config(cfg: ExperimentConfig) -> tuple[tuple[ProcessSpec, ...], ...]:
-    """Check the config's fields, then build the process set of every
-    sweep point as a run would and check each process in it; return the
-    sets in sweep order."""
+def _check_values(cfg: ExperimentConfig) -> None:
+    """The config's values, short of building its process sets."""
     if not isinstance(cfg.name, str) or not cfg.name:
         raise ConfigError("name must be a nonempty string")
     if cfg.episodes < 0:
@@ -312,23 +351,23 @@ def validate_config(cfg: ExperimentConfig) -> tuple[tuple[ProcessSpec, ...], ...
     if not cfg.sweep_values:
         raise ConfigError("sweep values must be nonempty")
 
-    if (cfg.generator is None) == (cfg.processes is None):
+    gen, var = cfg.generator, cfg.sweep_variable
+    if (gen is None) == (cfg.processes is None):
         raise ConfigError("give exactly one of 'generator' or 'processes'")
-    if cfg.generator is not None:
-        _validate_generator(cfg.generator, needs_k=cfg.sweep_variable != "K")
+    if gen is not None and var != "K" and (gen["K"] is None or gen["K"] < 1):
+        raise ConfigError(f"generator {gen['kind']}: K must be given and positive")
 
-    var = cfg.sweep_variable
     if var == "K":
-        if cfg.generator is None:
+        if gen is None:
             raise ConfigError("a K sweep needs a generator to rebuild the process set")
         for v in cfg.sweep_values:
-            if v != int(v) or v < 1:
+            if not (_is(v, int) and v >= 1):
                 raise ConfigError(f"K sweep values must be positive integers, got {v}")
     elif var == "d2":
-        if cfg.generator is None or cfg.generator.get("kind") != "two_tier":
+        if gen is None or gen["kind"] != "two_tier":
             raise ConfigError("a d2 sweep needs the two_tier generator")
         for v in cfg.sweep_values:
-            if v != int(v) or v < 0:
+            if not (_is(v, int) and v >= 0):
                 raise ConfigError(f"d2 sweep values must be nonnegative integers, got {v}")
     elif var == "c_e":
         # alpha = beta = 1/c_e must leave alpha + beta < 1
@@ -343,8 +382,6 @@ def validate_config(cfg: ExperimentConfig) -> tuple[tuple[ProcessSpec, ...], ...
     if cfg.alpha_match is not None:
         if var != "alpha":
             raise ConfigError("alpha_match only applies to an alpha sweep")
-        if set(cfg.alpha_match) != {"index_ratio"}:
-            raise ConfigError("alpha_match must have exactly the key 'index_ratio'")
         if not cfg.alpha_match["index_ratio"] > 0:
             raise ConfigError("alpha_match index_ratio must be positive")
         if cfg.processes is None or len(cfg.processes) != 2:
@@ -360,6 +397,12 @@ def validate_config(cfg: ExperimentConfig) -> tuple[tuple[ProcessSpec, ...], ...
                 f"truth length {len(cfg.truth)} != process count {len(cfg.processes)}"
             )
 
+
+def validate_config(cfg: ExperimentConfig) -> tuple[tuple[ProcessSpec, ...], ...]:
+    """Check the config's values, then build the process set of every
+    sweep point as a run would and check each process in it; return the
+    sets in sweep order."""
+    _check_values(cfg)
     point_sets = tuple(materialize_processes(cfg, v) for v in cfg.sweep_values)
     if cfg.statistic == "SPRT" and any(s.is_composite for specs in point_sets for s in specs):
         raise ConfigError("parameter-grid processes need the GLR or ALR statistic")
@@ -375,6 +418,8 @@ def validate_config(cfg: ExperimentConfig) -> tuple[tuple[ProcessSpec, ...], ...
                 continue
             try:
                 spec.table  # Wald's sizes need a positive divergence either way
+            except TypeError as exc:  # models of different families or category counts
+                raise ConfigError(f"{where}: {exc}") from exc
             except ValueError as exc:
                 raise ConfigError(f"{where}: its two models cannot be told apart ({exc})") from exc
     return point_sets
@@ -397,68 +442,7 @@ def _validate_grid_decidable(spec: ProcessSpec, where: str) -> None:
                 )
 
 
-def _validate_generator(gen: dict, needs_k: bool) -> None:
-    """The generator's kind, keys and field types; what its processes
-    need is checked on the processes it builds."""
-    if not isinstance(gen, dict) or "kind" not in gen:
-        raise ConfigError("generator must be an object with a 'kind' key")
-    kind = gen["kind"]
-    if kind not in GENERATOR_KINDS:
-        raise ConfigError(f"unknown generator kind {kind!r}; choose from {GENERATOR_KINDS}")
-    unknown = set(gen) - _GENERATOR_KEYS[kind]
-    if unknown:
-        raise ConfigError(f"generator {kind}: unknown keys {sorted(unknown)}")
-    k = _generator_fields(gen)["K"]
-    if needs_k and (k is None or k < 1):
-        raise ConfigError(f"generator {kind}: K must be given and positive")
-
-
 # --- process-set generators --------------------------------------------
-
-# each generator field's default and type; a tuple default marks a list
-_GENERATOR_FIELDS = {
-    "K": (None, int), "low": (10.0, float), "high": (20.0, float),
-    "ratios": ((1.5, 1.2), float), "weights": ((0.5, 0.5), float), "ratio": (1.5, float),
-    "prior": (0.5, float), "alpha": (1e-3, float), "beta": (1e-6, float),
-    "d1": (0, int), "d2": (0, int), "rate0": (10.0, float), "rate1": (15.0, float),
-    "cost": (1.0, float), "equal_cost": (False, bool),
-}
-
-
-def _is_number(x, cast) -> bool:
-    """x is a JSON number, and an integral one when cast is int."""
-    if not isinstance(x, numbers.Real) or isinstance(x, bool):
-        return False
-    return cast is float or isinstance(x, numbers.Integral) or float(x).is_integer()
-
-
-def _integer(value, name: str) -> int:
-    """An integral JSON number as an int, or a ConfigError naming the field."""
-    if not _is_number(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _generator_fields(gen: dict) -> dict:
-    """The fields of a generator's kind, defaults filled in, each read as
-    its type. A number field must hold a number (an integral one for an
-    int field), a list field a list of numbers and a flag a boolean, or
-    the ConfigError names the field; only K may be absent."""
-    kind, out = gen["kind"], {}
-    for name in _GENERATOR_KEYS[kind] & _GENERATOR_FIELDS.keys():
-        default, cast = _GENERATOR_FIELDS[name]
-        value = gen.get(name, default)
-        many = isinstance(default, tuple)
-        items = value if many else [value]
-        if cast is bool:
-            ok, what = isinstance(value, bool), "true or false"
-        else:
-            ok = isinstance(items, (list, tuple)) and all(_is_number(x, cast) for x in items)
-            what = "a list of numbers" if many else "an integer" if cast is int else "a number"
-        if not ok and not (value is None and default is None):
-            raise ConfigError(f"generator {kind}: {name} must be {what}, got {value!r}")
-        out[name] = value if value is None else tuple(map(cast, items)) if many else cast(value)
-    return out
 
 
 def _gen_equally_spaced_mixture(f: dict, k: int) -> tuple[ProcessSpec, ...]:
@@ -558,23 +542,22 @@ def materialize_processes(cfg: ExperimentConfig, sweep_value: float) -> tuple[Pr
         if cfg.generator is not None:
             where += f": generator {cfg.generator['kind']}"
             gen = dict(cfg.generator, d2=int(sweep_value)) if var == "d2" else cfg.generator
-            fields = _generator_fields(gen)
-            k = int(sweep_value) if var == "K" else fields["K"]
-            specs = _GENERATORS[gen["kind"]](fields, k)
+            k = int(sweep_value) if var == "K" else gen["K"]
+            specs = _GENERATORS[gen["kind"]](gen, k)
         else:
             specs = cfg.processes
         if var == "c_e":
-            e = 1.0 / float(sweep_value)
+            e = 1.0 / sweep_value
             specs = tuple(replace(s, alpha=e, beta=e) for s in specs)
         elif var == "alpha":
-            v = float(sweep_value)
+            e = sweep_value
             if cfg.alpha_match is not None:
-                first = replace(specs[0], alpha=v, beta=v)
-                target = initial_priority(first) / float(cfg.alpha_match["index_ratio"])
+                first = replace(specs[0], alpha=e, beta=e)
+                target = initial_priority(first) / cfg.alpha_match["index_ratio"]
                 e2 = match_error_budget(specs[1], target)
                 specs = (first, replace(specs[1], alpha=e2, beta=e2)) + specs[2:]
             else:
-                specs = tuple(replace(s, alpha=v, beta=v) for s in specs)
+                specs = tuple(replace(s, alpha=e, beta=e) for s in specs)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -603,7 +586,7 @@ def _scaled_k(cfg: ExperimentConfig, k: float, scale: int) -> int:
     """K over the scale, floored at max(2, m), rounded up to even for
     two_tier."""
     w = max(2, cfg.m, round(k / scale))
-    if cfg.generator is not None and cfg.generator.get("kind") == "two_tier" and w % 2:
+    if cfg.generator is not None and cfg.generator["kind"] == "two_tier" and w % 2:
         w += 1
     return w
 
@@ -629,8 +612,8 @@ def apply_scale(cfg: ExperimentConfig, scale: int) -> ExperimentConfig:
     if scale == 1:
         return cfg
     gen = cfg.generator
-    if gen is not None and cfg.sweep_variable != "K" and gen.get("K") is not None:
-        gen = dict(gen, K=_scaled_k(cfg, int(gen["K"]), scale))
+    if gen is not None and cfg.sweep_variable != "K" and gen["K"] is not None:
+        gen = dict(gen, K=_scaled_k(cfg, gen["K"], scale))
     return replace(
         cfg,
         episodes=max(1, cfg.episodes // scale) if cfg.episodes else 0,
@@ -719,7 +702,7 @@ def _run_batch(
     )
 
     if cfg.sweep_variable == "c_e":
-        c_e = float(sweep_value)
+        c_e = sweep_value
         # a rate with no episode behind it (NaN) adds nothing; the other counts
         err = 0.0
         for error_rate in (summary.fa_rate, summary.md_rate):
@@ -753,11 +736,16 @@ def run_experiment(
 
     Deterministic in the master seed; episodes share RNG substreams
     across policies at a sweep point, so comparisons are paired. Every
-    sweep point's process set is built and checked before any batch
+    sweep point's process set is built once and checked before any batch
     runs; a batch that fails while running is reported in its summary's
     error field while the rest of the sweep proceeds.
     """
-    validate_config(cfg)
+    # the config as given must pass too: scaling K can hide a fault in its
+    # process sets (an odd two_tier K), while overrides change none
+    if scale > 1:
+        validate_config(cfg)
+    else:
+        _check_values(cfg)
     if episodes_override is not None:
         cfg = replace(cfg, episodes=int(episodes_override))
     if seed_override is not None:

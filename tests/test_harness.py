@@ -576,8 +576,11 @@ def test_validate_rejects_twin_generators(generator, pattern):
     ],
 )
 def test_cli_rejects_wrong_typed_generator_field(tmp_path, capsys, generator, field):
-    cfg = tiny_config(generator=generator, sweep_variable="c_e", sweep_values=(10.0,))
-    path = _write_config(tmp_path, cfg)
+    # a config object reads its generator when built, so the bad field goes in the JSON
+    raw = json.loads(serialize_config(tiny_config(sweep_variable="c_e", sweep_values=(10.0,))))
+    raw["generator"] = generator
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
     assert main(["validate", str(path)]) == 2
     err = capsys.readouterr().err
     assert f"generator {generator['kind']}: {field} must be" in err
@@ -600,9 +603,12 @@ def test_cli_rejects_odd_two_tier_k_sweep(tmp_path, capsys):
     out = tmp_path / "odd.csv"
     assert main(["validate", str(path)]) == 2
     assert "generator two_tier: K must be even, got 3" in capsys.readouterr().err
-    assert main(["run", str(path), "--out", str(out)]) == 2
-    assert "K must be even" in capsys.readouterr().err
-    assert not out.exists()
+    # scaling rounds K up to even, so at --scale 10 only the unscaled build sees K=3
+    for scale in ("1", "10"):
+        assert main(["run", str(path), "--scale", scale, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "K must be even, got 3" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 def test_cli_rejects_m_above_a_swept_k(tmp_path, capsys):
@@ -749,3 +755,143 @@ def test_recipe_csv_digests_are_unchanged(name):
         emit(summaries, buf)
         digests.append(hashlib.sha256(buf.getvalue().encode()).hexdigest())
     assert digests == expected
+
+
+# --- typed reads and one build per sweep point ----------------------------
+
+
+def _categorical_raw() -> dict:
+    return json.loads(serialize_config(_twin_config(Categorical((0.5, 0.5)),
+                                                    Categorical((0.2, 0.8)))))
+
+
+def _gaussian_raw() -> dict:
+    return json.loads(serialize_config(_twin_config(Gaussian(0.0, 1.0), Gaussian(1.0, 1.0))))
+
+
+def _grid_raw() -> dict:
+    regions = (Region.THETA0, Region.THETA1, Region.THETA1)
+    return json.loads(serialize_config(_grid_config((10.0, 12.0, 15.0), regions)))
+
+
+def _fig5_raw() -> dict:
+    return json.loads(serialize_config(replace(figure_config("fig5"), episodes=1)))
+
+
+def _set(path, value):
+    """A mutation that puts value at the key path of a raw config."""
+    def mutate(raw):
+        obj = raw
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "base,mutate,field",
+    [
+        # each of these raised a TypeError or was read one character at a time
+        (_fig5_raw, _set(("alpha_match",), 5), "alpha_match"),
+        (_fig5_raw, _set(("alpha_match",), {"index_ratio": "2"}), "index_ratio"),
+        (_fig5_raw, _set(("policies",), [["CL"]]), "policies"),
+        (_fig5_raw, _set(("policies",), "CL"), "policies"),
+        (_fig5_raw, _set(("sweep", "values"), "0.1"), "values"),
+        (_grid_raw, _set(("processes", 1, "grid", "regions"), "theta0"), "regions"),
+        (_categorical_raw, _set(("processes", 1, "model_h0", "probs"), "0.5"), "probs"),
+        # and each of these numbers given as a string or a boolean was accepted
+        (_fig5_raw, _set(("zeta",), "1.5"), "zeta"),
+        (_fig5_raw, _set(("sweep", "values", 1), "0.01"), "values"),
+        (_fig5_raw, _set(("processes", 0, "prior"), "0.5"), "process 1: prior"),
+        (_fig5_raw, _set(("processes", 1, "cost_rate"), True), "process 2: cost_rate"),
+        (_fig5_raw, _set(("processes", 0, "model_h1", "rate"), "10"), "poisson: rate"),
+        (_gaussian_raw, _set(("processes", 1, "model_h0", "stddev"), "1"), "gaussian: stddev"),
+        (_grid_raw, _set(("processes", 1, "h1_weights"), [0.5, "0.5"]), "h1_weights"),
+        (_fig5_raw, _set(("alpha_match", "index_ratio"), True), "index_ratio"),
+    ],
+)
+def test_cli_names_a_wrong_typed_field_without_traceback(tmp_path, capsys, base, mutate, field):
+    raw = base()
+    mutate(raw)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{field} must be a" in err and "Traceback" not in err
+
+
+def test_cli_rejects_a_model_pair_without_a_divergence(tmp_path, capsys):
+    # two families, or two category counts, raised a TypeError in validation
+    for h0, h1 in ((Categorical((1.0,)), Categorical((0.2, 0.8))),
+                   (Poisson(10.0), Gaussian(10.0, 1.0))):
+        path = _write_config(tmp_path, _twin_config(h0, h1))
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "sweep point 10.0: process 2: " in err and "Traceback" not in err
+
+
+@pytest.fixture
+def build_count(monkeypatch):
+    """The sweep values harness.materialize_processes is called with."""
+    calls = []
+    real = harness.materialize_processes
+
+    def counted(cfg, sweep_value):
+        calls.append(sweep_value)
+        return real(cfg, sweep_value)
+
+    monkeypatch.setattr(harness, "materialize_processes", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig5"])
+@pytest.mark.parametrize(
+    "flags,builds",
+    [([], 1), (["--seed", "3", "--episodes", "1"], 1), (["--scale", "10"], 2)],
+)
+def test_cli_run_builds_each_sweep_point_once(tmp_path, build_count, name, flags, builds):
+    # the config as given is built at every point, plus its scaled points when scaled
+    cfg = replace(figure_config(name), episodes=1)
+    path = _write_config(tmp_path, cfg)
+    assert main(["run", str(path), "--out", str(tmp_path / "out.csv")] + flags) == 0
+    assert set(build_count) >= set(cfg.sweep_values)
+    assert len(build_count) <= builds * len(cfg.sweep_values)
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig5"])
+def test_cli_validate_builds_every_sweep_point(tmp_path, capsys, build_count, name):
+    cfg = figure_config(name)
+    assert main(["validate", str(_write_config(tmp_path, cfg))]) == 0
+    assert build_count == list(cfg.sweep_values)
+
+
+# sha256 of the JSON of every sweep point's process set, as the code before
+# the typed reads built them from the same configs
+PROCESS_SET_DIGESTS = {
+    "fig1": "9143f139f1cd5b716f659243de9ca9d21ff11b63b905fa5558d61cd387767607",
+    "fig2": "4c084e0fc0bddebba0a0791253da1273fdecfa40d50ff9e2902831ad5ecaa261",
+    "fig3": "6da1ec9524ce427cfc89719fb228fb7e8cbde066328ab2beb8e7310b9b909cab",
+    "fig4": "43283bfcfc23bf8d1938920f800e013c963ac3cc98782ede3678f9229a7b92f9",
+    "fig5": "e3cfee6c3768b8a932eff4dbbb30245c86062f9e191d7acb45d15101087bde76",
+    "grid_glr": "9143f139f1cd5b716f659243de9ca9d21ff11b63b905fa5558d61cd387767607",
+    "pair_explore": "e3cfee6c3768b8a932eff4dbbb30245c86062f9e191d7acb45d15101087bde76",
+    "wide_k": "026dca2cc579f975c15f48baf7ebc0e330a6a01840788ab1434ffd009b7c57ef",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROCESS_SET_DIGESTS))
+def test_benchmark_configs_parse_to_the_same_process_sets(monkeypatch, name):
+    # the five recipes as serialized, and every config perfbench runs
+    if name in harness.FIGURE_NAMES:
+        text = serialize_config(figure_config(name))
+    else:
+        monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+        from workloads import WORKLOADS, load_reference
+
+        raw = WORKLOADS[name].build(harness)
+        assert raw == load_reference(name)["config"]  # perfbench refuses to run otherwise
+        text = json.dumps(raw)
+    cfg = parse_config(text)
+    sets = [[harness.process_to_json(s) for s in materialize_processes(cfg, v)]
+            for v in cfg.sweep_values]
+    assert hashlib.sha256(json.dumps(sets).encode()).hexdigest() == PROCESS_SET_DIGESTS[name]
