@@ -4,10 +4,10 @@ Each process under test carries cumulative log-likelihoods for every
 grid point. Those sums are sufficient for everything this module
 serves: the generalized statistic (re-maximized over all data), the
 adaptive statistic (plug-in estimate from the previous step), the
-restricted maximum-likelihood estimates per region, the estimated
-belief, and the estimated expected sample size. ``ingest`` is the one
-place that scans the sums; it keeps their maxima in the state, and the
-statistics read those fields.
+restricted maximum-likelihood estimates per region and the estimated
+belief. ``ingest`` is the one place that scans the sums; it keeps their
+maxima in the state, and the statistics read those fields. The expected
+sample size depends only on the estimate's point (``size_terms``).
 """
 
 from __future__ import annotations
@@ -89,12 +89,10 @@ class CompositeState:
     """Running sufficient statistics for one process."""
 
     cum_ll: Sequence[float]     # cumulative log-likelihood per grid point
-    n_obs: int
     mle: int                    # argmax of cum_ll, ties to lowest index
     max0: float                 # max of cum_ll over Theta0
     max1: float                 # max of cum_ll over Theta1
     alr_numerator: float        # sum of log f(y_r | estimate before y_r)
-    prior: float
     estimated_belief: float
 
 
@@ -126,12 +124,10 @@ def init_state(grid: ParameterGrid, prior: float) -> CompositeState:
         raise ValueError(f"prior must be a probability, got {prior}")
     return CompositeState(
         cum_ll=[0.0] * len(grid),
-        n_obs=0,
         mle=0,
         max0=0.0,
         max1=0.0,
         alr_numerator=0.0,
-        prior=prior,
         estimated_belief=prior,
     )
 
@@ -154,29 +150,26 @@ def ingest(state: CompositeState, grid: ParameterGrid, y: float) -> CompositeSta
     state.alr_numerator += inc[state.mle]
     cum = [c + d for c, d in zip(state.cum_ll, inc)]
     state.cum_ll = cum
-    state.n_obs += 1
     state.mle = cum.index(max(cum))  # first maximum: ties to the lowest index
     state.max0 = max([cum[i] for i in grid.theta0])
     state.max1 = max([cum[i] for i in grid.theta1])
     return state
 
 
+def _log_ratio(numerator: float, restricted: float) -> float:
+    """numerator - restricted, with 0.0 where both are -inf."""
+    return 0.0 if math.isinf(numerator) and math.isinf(restricted) else numerator - restricted
+
+
 def glr_statistic(state: CompositeState, declare: int) -> float:
     """Unrestricted maximum minus the maximum over the region being
     rejected (declare=1 rejects Theta0 and vice versa)."""
-    full = state.cum_ll[state.mle]
-    restricted = state.max0 if declare == 1 else state.max1
-    if math.isinf(full) and math.isinf(restricted):
-        return 0.0
-    return full - restricted
+    return _log_ratio(state.cum_ll[state.mle], state.max0 if declare == 1 else state.max1)
 
 
 def alr_statistic(state: CompositeState, declare: int) -> float:
     """Adaptive numerator minus the maximum over the rejected region."""
-    restricted = state.max0 if declare == 1 else state.max1
-    if math.isinf(state.alr_numerator) and math.isinf(restricted):
-        return 0.0
-    return state.alr_numerator - restricted
+    return _log_ratio(state.alr_numerator, state.max0 if declare == 1 else state.max1)
 
 
 def check_stop_composite(
@@ -189,40 +182,33 @@ def check_stop_composite(
     stat = glr_statistic if which is StatisticKind.GLR else alr_statistic
     excess1 = stat(state, 1) - b.b1
     excess0 = stat(state, 0) - b.b0
-    if excess1 >= 0 and excess0 >= 0:
-        return Verdict.DECLARE_ABNORMAL if excess1 >= excess0 else Verdict.DECLARE_NORMAL
-    if excess1 >= 0:
+    if excess1 >= 0 and excess1 >= excess0:
         return Verdict.DECLARE_ABNORMAL
-    if excess0 >= 0:
-        return Verdict.DECLARE_NORMAL
-    return Verdict.CONTINUE
+    return Verdict.DECLARE_NORMAL if excess0 >= 0 else Verdict.CONTINUE
 
 
-def estimated_belief_update(state: CompositeState) -> float:
+def estimated_belief_update(state: CompositeState, log_odds: float | None) -> float:
     """Posterior-odds belief against the two restricted maximum-likelihood
-    models. All past observations enter through the regional maxima, so
-    the cost is O(1), not O(n)."""
-    if state.prior in (0.0, 1.0):
-        state.estimated_belief = state.prior
-        return state.prior
+    models, from the prior's ``prior_log_odds`` (None keeps the prior).
+    All past observations enter through the regional maxima, so the cost
+    is O(1), not O(n)."""
     l1, l0 = state.max1, state.max0
-    if math.isinf(l1) and math.isinf(l0):
+    if log_odds is None or (math.isinf(l1) and math.isinf(l0)):
         return state.estimated_belief
-    logit = math.log(state.prior / (1.0 - state.prior)) + l1 - l0
-    state.estimated_belief = _sigmoid(logit)
+    state.estimated_belief = _sigmoid(log_odds + l1 - l0)
     return state.estimated_belief
 
 
-def estimated_expected_sample_size(
-    state: CompositeState, grid: ParameterGrid, b: CompositeBoundaries
-) -> float:
-    """Boundary over the divergence from the current estimate to the
-    opposing region. An estimate inside the indifference region counts
+def size_terms(grid: ParameterGrid, b: CompositeBoundaries) -> tuple[tuple[float, float], ...]:
+    """Per grid point, the boundary and the floored divergence whose
+    quotient is the expected sample size while that point is the
+    estimate: the boundary of the point's region over the divergence to
+    the opposing region. A point inside the indifference region counts
     as belonging to the nearer (smaller-divergence) region."""
-    region = grid.regions[state.mle]
-    d_to_t0, d_to_t1 = grid.nearest_kl[state.mle]
-    if region is Region.INDIFFERENCE:
-        region = Region.THETA0 if d_to_t0 <= d_to_t1 else Region.THETA1
-    if region is Region.THETA0:
-        return b.b0 / max(d_to_t1, _MIN_KL)
-    return b.b1 / max(d_to_t0, _MIN_KL)
+    terms = []
+    for region, (d_to_t0, d_to_t1) in zip(grid.regions, grid.nearest_kl):
+        if region is Region.INDIFFERENCE:
+            region = Region.THETA0 if d_to_t0 <= d_to_t1 else Region.THETA1
+        normal = region is Region.THETA0
+        terms.append((b.b0, max(d_to_t1, _MIN_KL)) if normal else (b.b1, max(d_to_t0, _MIN_KL)))
+    return tuple(terms)

@@ -25,15 +25,16 @@ import numpy as np
 
 from seqscan.belief import _sigmoid, expected_detection_time, index, posterior, prior_log_odds
 from seqscan.composite import (
+    CompositeBoundaries,
     ParameterGrid,
     StatisticKind,
     check_stop_composite,
     composite_boundaries,
     estimated_belief_update,
-    estimated_expected_sample_size,
     glr_statistic,
     ingest,
     init_state,
+    size_terms,
 )
 from seqscan.models import Gaussian, ObservationModel, finite_kl, log_density, sample_many
 from seqscan.policy import PolicyState, exploration_schedule, next_exploration_instant, select_cl
@@ -101,8 +102,8 @@ class ProcessSpec:
                 points = len(self.grid.theta0 if region == "h0" else self.grid.theta1)
                 if len(w) != points:
                     raise ValueError(f"{region}_weights needs one weight per point ({points}), got {len(w)}")
-                if any(x < 0 for x in w) or abs(sum(w) - 1.0) > 1e-9:
-                    raise ValueError(f"{region}_weights must be a probability vector")
+                if not (all(math.isfinite(x) and x >= 0 for x in w) and abs(sum(w) - 1.0) <= 1e-9):
+                    raise ValueError(f"{region}_weights must be finite, nonnegative and sum to 1, got {w}")
 
     @property
     def is_composite(self) -> bool:
@@ -118,9 +119,17 @@ class ProcessSpec:
         return tuple(zip(idxs, weights))
 
     @cached_property
-    def table(self) -> _PairTable:
-        """A model-pair spec's fixed numbers, built on first use and kept
-        for the spec's lifetime, so every episode of a batch shares them."""
+    def table(self) -> _PairTable | _GridTable:
+        """The spec's fixed numbers, built on first use and kept for the
+        spec's lifetime, so every episode of a batch shares them."""
+        if self.is_composite:
+            bounds = composite_boundaries(self.alpha, self.beta)
+            terms = size_terms(self.grid, bounds)
+            e_n_h0, e_n_h1 = (
+                sum(w * terms[i][0] / terms[i][1] for i, w in self.truth_points(abnormal))
+                for abnormal in (False, True)
+            )
+            return _GridTable(prior_log_odds(self.prior), bounds, tuple(b / d for b, d in terms), e_n_h0, e_n_h1)
         h0, h1 = self.model_h0, self.model_h1
         kl10 = finite_kl(h1, h0)
         return _PairTable(
@@ -142,6 +151,17 @@ class _PairTable:
     e_n_h1: float
     kl10: float  # finite_kl(model_h1, model_h0)
     increments: dict | None  # LLR increment by observation, filled on first sight; None for Gaussians
+
+
+@dataclass(frozen=True)
+class _GridTable:
+    """What a grid spec fixes for every episode."""
+
+    log_odds: float | None  # prior_log_odds(prior)
+    bounds: CompositeBoundaries
+    sizes: tuple[float, ...]  # expected sample size b / d while each point is the estimate
+    e_n_h0: float  # each region's truth mixture of those sizes, summed as w * b / d
+    e_n_h1: float
 
 
 @dataclass(frozen=True)
@@ -299,26 +319,25 @@ class _GridRuntime:
     def __init__(self, pid: int, spec: ProcessSpec, statistic: StatisticKind):
         self.pid = pid
         self.spec = spec
+        self.table = spec.table
         self.statistic = statistic
         self.cstate = init_state(spec.grid, spec.prior)
-        self.cbounds = composite_boundaries(spec.alpha, spec.beta)
 
     def posterior(self) -> float:
         return self.cstate.estimated_belief
 
     def priority(self) -> float:
-        expected = estimated_expected_sample_size(self.cstate, self.spec.grid, self.cbounds)
-        return index(self.cstate.estimated_belief, self.spec.cost_rate, expected)
+        return index(self.cstate.estimated_belief, self.spec.cost_rate, self.table.sizes[self.cstate.mle])
 
     def advance(self, stream: _Stream, n_max: int, floor: tuple[float, int] | None):
         """As ``_PairRuntime.advance``: fold each observation in, refresh
         the belief and test for a verdict."""
-        state, grid, bounds = self.cstate, self.spec.grid, self.cbounds
+        state, grid, table = self.cstate, self.spec.grid, self.table
         steps = 0
         while True:
             ingest(state, grid, stream.next())
-            estimated_belief_update(state)
-            verdict = check_stop_composite(state, bounds, self.statistic)
+            estimated_belief_update(state, table.log_odds)
+            verdict = check_stop_composite(state, table.bounds, self.statistic)
             steps += 1
             if verdict.decided:
                 return steps, verdict, 0.0
@@ -340,23 +359,11 @@ def apply_switching_delay(
     return sum(specs[pid - 1].switch_delay for pid in new if pid not in previous)
 
 
-def a_priori_expected_size(spec: ProcessSpec) -> float:
-    """Prior-weighted expected sample size, before any data. For grids
-    the conditional sizes average boundary-over-divergence across the
-    configured truth mixture of each region."""
-    if not spec.is_composite:
-        return expected_detection_time(spec.prior, spec.table.e_n_h0, spec.table.e_n_h1)
-    grid = spec.grid
-    b = composite_boundaries(spec.alpha, spec.beta)
-    e1 = sum(w * b.b1 / max(grid.nearest_kl[i][0], 1e-12) for i, w in spec.truth_points(True))
-    e0 = sum(w * b.b0 / max(grid.nearest_kl[i][1], 1e-12) for i, w in spec.truth_points(False))
-    return spec.prior * e1 + (1.0 - spec.prior) * e0
-
-
 def initial_priority(spec: ProcessSpec) -> float:
     """Pre-data priority: prior times cost rate over the prior-weighted
     expected sample size. Open loop ranks by it for the whole episode."""
-    return index(spec.prior, spec.cost_rate, a_priori_expected_size(spec))
+    t = spec.table
+    return index(spec.prior, spec.cost_rate, expected_detection_time(spec.prior, t.e_n_h0, t.e_n_h1))
 
 
 def _draw_truth_model(spec: ProcessSpec, abnormal: bool, meta_rng: np.random.Generator):

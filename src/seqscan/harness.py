@@ -17,6 +17,7 @@ import numpy as np
 
 from seqscan.composite import ParameterGrid, Region, StatisticKind
 from seqscan.engine import (
+    TIME_CAP,
     PolicyConfig,
     PolicyKind,
     ProcessSpec,
@@ -354,15 +355,18 @@ def _check_values(cfg: ExperimentConfig) -> None:
     gen, var = cfg.generator, cfg.sweep_variable
     if (gen is None) == (cfg.processes is None):
         raise ConfigError("give exactly one of 'generator' or 'processes'")
-    if gen is not None and var != "K" and (gen["K"] is None or gen["K"] < 1):
-        raise ConfigError(f"generator {gen['kind']}: K must be given and positive")
+    # every process takes an observation and a time unit gives at most m,
+    # so more than m * TIME_CAP processes cannot finish under the time cap
+    k_max = cfg.m * TIME_CAP
+    if gen is not None and var != "K" and (gen["K"] is None or not 1 <= gen["K"] <= k_max):
+        raise ConfigError(f"generator {gen['kind']}: K must be in [1, m * TIME_CAP = {k_max}], got {gen['K']}")
 
     if var == "K":
         if gen is None:
             raise ConfigError("a K sweep needs a generator to rebuild the process set")
         for v in cfg.sweep_values:
-            if not (_is(v, int) and v >= 1):
-                raise ConfigError(f"K sweep values must be positive integers, got {v}")
+            if not (_is(v, int) and 1 <= v <= k_max):
+                raise ConfigError(f"K sweep values must be integers in [1, m * TIME_CAP = {k_max}], got {v}")
     elif var == "d2":
         if gen is None or gen["kind"] != "two_tier":
             raise ConfigError("a d2 sweep needs the two_tier generator")

@@ -228,11 +228,11 @@ def test_c8_oracle_equivalences():
     ys = [int(v) for v in np.random.default_rng(88).poisson(11, size=60)]
     for n, y in enumerate(ys, start=1):
         ingest(state, grid, y)
-        estimated_belief_update(state)
+        estimated_belief_update(state, prior_log_odds(0.37))
         fresh = init_state(grid, prior=0.37)
         for past in ys[:n]:
             ingest(fresh, grid, past)
-        estimated_belief_update(fresh)
+        estimated_belief_update(fresh, prior_log_odds(0.37))
         worst_grid = max(worst_grid, abs(state.estimated_belief - fresh.estimated_belief))
     ok_grid = worst_grid <= 1e-10
 

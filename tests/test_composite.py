@@ -1,6 +1,6 @@
 """Grid-test tests: statistic formulas against hand sums, stop-rule tie
 handling, belief shortcut vs brute-force recomputation, estimate
-consistency, and the frozen sample-size quotients."""
+consistency, and the frozen per-point sample-size quotients."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqscan.belief import prior_log_odds
 from seqscan.composite import (
     CompositeBoundaries,
     ParameterGrid,
@@ -20,13 +21,18 @@ from seqscan.composite import (
     check_stop_composite,
     composite_boundaries,
     estimated_belief_update,
-    estimated_expected_sample_size,
     glr_statistic,
     ingest,
     init_state,
+    size_terms,
 )
 from seqscan.models import Categorical, Gaussian, Poisson, finite_kl, log_density, sample
 from seqscan.sprt import Verdict, update_llr
+
+
+def point_sizes(grid, b):
+    """The expected sample size while each point is the estimate."""
+    return [bound / d for bound, d in size_terms(grid, b)]
 
 
 @pytest.fixture
@@ -68,9 +74,9 @@ def test_boundaries_from_budgets():
 
 def test_ingest_tracks_mle_and_counts(binary_grid):
     s = init_state(binary_grid, prior=0.5)
-    assert s.mle == 0 and s.n_obs == 0
+    assert s.mle == 0 and s.cum_ll == [0.0, 0.0]
     s = ingest(s, binary_grid, 16)
-    assert s.n_obs == 1
+    assert s.cum_ll == [log_density(m, 16) for m in binary_grid.models]
     assert s.mle == 1  # 16 sits closer in likelihood to rate 15
 
 
@@ -157,7 +163,6 @@ def test_check_stop_composite_rules(binary_grid):
         s.max1 = max(cum[i] for i in binary_grid.indices(Region.THETA1))
 
     set_sums(0.0, 0.0)
-    s.n_obs = 1
     assert check_stop_composite(s, b) is Verdict.CONTINUE
 
     # abnormal side at its boundary exactly
@@ -182,7 +187,7 @@ def test_check_stop_composite_rules(binary_grid):
 def test_estimated_belief_frozen_value(binary_grid):
     s = init_state(binary_grid, prior=0.5)
     s = ingest(s, binary_grid, 12)
-    belief = estimated_belief_update(s)
+    belief = estimated_belief_update(s, prior_log_odds(0.5))
     # posterior odds e^{-5} 1.5^{12} against the flat prior
     assert belief == pytest.approx(0.4664458315935051, abs=1e-10)
     assert s.estimated_belief == belief
@@ -193,7 +198,7 @@ def test_estimated_belief_degenerate_priors(binary_grid):
         s = init_state(binary_grid, prior=prior)
         for y in (12, 18, 9):
             s = ingest(s, binary_grid, y)
-            assert estimated_belief_update(s) == prior
+            assert estimated_belief_update(s, prior_log_odds(prior)) == prior
 
 
 def test_estimated_belief_identical_restricted_models():
@@ -204,7 +209,7 @@ def test_estimated_belief_identical_restricted_models():
     s = init_state(twin, prior=0.5)
     for y in (9, 13, 10):
         s = ingest(s, twin, y)
-        assert estimated_belief_update(s) == pytest.approx(0.5, abs=1e-15)
+        assert estimated_belief_update(s, prior_log_odds(0.5)) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_estimated_belief_matches_brute_force(mixture_grid):
@@ -220,7 +225,7 @@ def test_estimated_belief_matches_brute_force(mixture_grid):
             y = sample(true, rng)
             obs.append(y)
             s = ingest(s, mixture_grid, y)
-            got = estimated_belief_update(s)
+            got = estimated_belief_update(s, prior_log_odds(prior))
 
             lls = [sum(log_density(m, o) for o in obs) for m in mixture_grid.models]
             l0 = max(lls[i] for i in mixture_grid.indices(Region.THETA0))
@@ -231,32 +236,18 @@ def test_estimated_belief_matches_brute_force(mixture_grid):
 
 
 def test_estimated_sample_size_frozen_values(binary_grid):
-    b = composite_boundaries(1e-3, 1e-6)
-    s = init_state(binary_grid, prior=0.5)
-    for _ in range(3):
-        s = ingest(s, binary_grid, 15)
-    assert s.mle == 1
-    # log(1/1e-3) / KL(Poi 15 || Poi 10)
-    assert estimated_expected_sample_size(s, binary_grid, b) == pytest.approx(
-        6.384384968155497, abs=1e-9
-    )
-    for _ in range(12):
-        s = ingest(s, binary_grid, 9)
-    assert s.mle == 0
-    # log(1/1e-6) / KL(Poi 10 || Poi 15)
-    assert estimated_expected_sample_size(s, binary_grid, b) == pytest.approx(
-        14.614191947002627, abs=1e-9
-    )
+    sizes = point_sizes(binary_grid, composite_boundaries(1e-3, 1e-6))
+    # while the estimate is the normal point: log(1/1e-6) / KL(Poi 10 || Poi 15)
+    assert sizes[0] == pytest.approx(14.614191947002627, abs=1e-9)
+    # while it is the abnormal point: log(1/1e-3) / KL(Poi 15 || Poi 10)
+    assert sizes[1] == pytest.approx(6.384384968155497, abs=1e-9)
 
 
 def test_estimated_sample_size_scales_with_boundary(binary_grid):
-    s = init_state(binary_grid, prior=0.5)
-    s = ingest(s, binary_grid, 15)
     b = CompositeBoundaries(b0=5.0, b1=7.0)
     double = CompositeBoundaries(b0=10.0, b1=14.0)
-    assert estimated_expected_sample_size(s, binary_grid, double) == pytest.approx(
-        2 * estimated_expected_sample_size(s, binary_grid, b), rel=1e-12
-    )
+    expect = [2 * x for x in point_sizes(binary_grid, b)]
+    assert point_sizes(binary_grid, double) == pytest.approx(expect, rel=1e-12)
 
 
 def test_estimated_sample_size_indifference_uses_nearer_region():
@@ -265,16 +256,19 @@ def test_estimated_sample_size_indifference_uses_nearer_region():
         regions=(Region.THETA0, Region.INDIFFERENCE, Region.THETA1),
     )
     b = CompositeBoundaries(b0=5.0, b1=7.0)
-    s = init_state(grid, prior=0.5)
-    s.cum_ll = np.array([0.0, 1.0, 0.0])  # pin the estimate at the middle point
-    s.mle = 1
-    s.n_obs = 1
     # rate 11 sits nearer rate 10, so it is treated as normal-side:
     # boundary b0 over the divergence to the abnormal region
     from seqscan.models import kl_divergence
 
     expect = b.b0 / kl_divergence(Poisson(11.0), Poisson(15.0))
-    assert estimated_expected_sample_size(s, grid, b) == pytest.approx(expect, rel=1e-12)
+    assert point_sizes(grid, b)[1] == pytest.approx(expect, rel=1e-12)
+    # a point equally far from both regions takes the normal side
+    even = ParameterGrid(
+        models=(Gaussian(0.0, 1.0), Gaussian(1.0, 1.0), Gaussian(2.0, 1.0)),
+        regions=(Region.THETA0, Region.INDIFFERENCE, Region.THETA1),
+    )
+    assert even.nearest_kl[1] == (0.5, 0.5)
+    assert size_terms(even, b)[1] == (b.b0, 0.5)
 
 
 def test_singleton_regions_match_simple_sum_llr(binary_grid):
@@ -427,8 +421,8 @@ def test_grid_fold_equals_direct_recomputation(case):
                 assert alr_statistic(s, declare) == oracle.alr(declare)
             for which in StatisticKind:
                 assert check_stop_composite(s, b, which) == oracle.verdict(b, which)
-            assert estimated_belief_update(s) == expected_belief
-            assert estimated_expected_sample_size(s, grid, b) == oracle.expected_size(b)
+            assert estimated_belief_update(s, prior_log_odds(prior)) == expected_belief
+            assert point_sizes(grid, b)[s.mle] == oracle.expected_size(b)
     model = grid.models[0]
     if isinstance(model, Gaussian):
         assert grid.increments is None

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from seqscan.composite import ParameterGrid, Region, StatisticKind
+from seqscan.belief import index
+from seqscan.composite import ParameterGrid, Region, StatisticKind, composite_boundaries
 from seqscan.engine import (
     PolicyConfig,
     PolicyKind,
@@ -23,7 +24,7 @@ from seqscan.engine import (
     lower_bound_oracle,
     run_episode,
 )
-from seqscan.models import Categorical, Gaussian, Poisson, finite_kl
+from seqscan.models import KL_SATURATION, Categorical, Gaussian, Poisson, finite_kl
 from seqscan.policy import PolicyState
 from seqscan.sprt import wald_boundaries
 
@@ -332,6 +333,72 @@ def test_spec_table_shared_across_episodes_equals_fresh_copies():
             fresh = [replace(shared) for _ in range(3)]
             assert got == run_episode(fresh, policy, np.random.SeedSequence(seed))
     assert len(shared.table.increments) > 5
+
+
+def _former_point_size(spec, point):
+    """The expected size of a grid estimate as it was derived on every
+    priority call: boundary over the floored divergence from the
+    estimate to the opposing region, indifference to the nearer one."""
+    grid, b = spec.grid, composite_boundaries(spec.alpha, spec.beta)
+    region = grid.regions[point]
+    d_to_t0, d_to_t1 = grid.nearest_kl[point]
+    if region is Region.INDIFFERENCE:
+        region = Region.THETA0 if d_to_t0 <= d_to_t1 else Region.THETA1
+    if region is Region.THETA0:
+        return b.b0 / max(d_to_t1, 1.0 / KL_SATURATION)
+    return b.b1 / max(d_to_t0, 1.0 / KL_SATURATION)
+
+
+def _former_initial_priority(spec):
+    """The pre-data priority of a grid spec as it was derived per call."""
+    grid, b = spec.grid, composite_boundaries(spec.alpha, spec.beta)
+    e1 = sum(w * b.b1 / max(grid.nearest_kl[i][0], 1e-12) for i, w in spec.truth_points(True))
+    e0 = sum(w * b.b0 / max(grid.nearest_kl[i][1], 1e-12) for i, w in spec.truth_points(False))
+    return index(spec.prior, spec.cost_rate, spec.prior * e1 + (1.0 - spec.prior) * e0)
+
+
+def test_grid_table_equals_the_per_call_formulas():
+    # non-dyadic truth weights, where w * b / d and w * (b / d) can part
+    # by an ulp, and an indifference point; == throughout
+    t0, t1, mid = Region.THETA0, Region.THETA1, Region.INDIFFERENCE
+    thirds = (1 / 3, 1 / 3, 1 / 3)
+    specs = [
+        grid_spec(weights=(0.3, 0.7)),
+        grid_spec(rates=((10.0,), (11.0, 13.0, 17.0)), weights=thirds, alpha=1e-3, beta=1e-5),
+        replace(grid_spec(rates=((7.0, 9.0), (12.0, 15.0)), weights=(0.7, 0.3)), h0_weights=(0.3, 0.7)),
+        ProcessSpec(
+            prior=0.5, cost_rate=2.0, alpha=0.05, beta=1e-4,
+            grid=ParameterGrid(tuple(Poisson(r) for r in (11.0, 10.0, 12.5, 16.0, 9.0)), (mid, t0, mid, t1, t0)),
+            h0_weights=(0.3, 0.7),
+        ),
+        # a point equally far from both regions takes the normal side
+        ProcessSpec(
+            prior=0.9, cost_rate=1.0, alpha=1e-3, beta=1e-3,
+            grid=ParameterGrid(tuple(Gaussian(x, 1.0) for x in (1.0, 0.0, 2.0)), (mid, t0, t1)),
+        ),
+    ]
+    for spec in specs:
+        for prior in (spec.prior, 0.3, 0.7, 0.0, 1.0):
+            at = replace(spec, prior=prior)
+            assert at.table.sizes == tuple(_former_point_size(at, i) for i in range(len(at.grid)))
+            assert initial_priority(at) == _former_initial_priority(at)
+
+
+def test_grid_boundaries_are_built_once_per_spec(monkeypatch):
+    from seqscan import engine
+
+    calls = []
+
+    def counted(alpha, beta):
+        calls.append((alpha, beta))
+        return composite_boundaries(alpha, beta)
+
+    monkeypatch.setattr(engine, "composite_boundaries", counted)
+    one, other = grid_spec(), grid_spec(alpha=1e-3)
+    for kind in PolicyKind:
+        for seed in range(3):
+            run_episode([one, other, one, one], PolicyConfig(kind=kind, m=2), np.random.SeedSequence(seed))
+    assert calls == [(1e-2, 1e-2), (1e-3, 1e-2)]
 
 
 def _untraced_equals_traced(specs, policy, seed, time_cap):

@@ -1,10 +1,14 @@
 """Differential test: the engine against a step-by-step reference replay
-of model-pair episodes.
+of episodes over model pairs and parameter grids.
 
 The reference keeps the plain form of every step: both log-densities
 through ``log_density``, the increment added to the sum before the
 boundaries are checked, the posterior recomputed from the prior on every
-use, a plain set of active ids, a full sort of that set on every
+use; for a grid process, one row of log-densities per observation added
+to per-point sums, the estimate and the regional maxima found by a scan
+of those sums, and the boundaries, the prior log-odds and the expected
+size of the current estimate recomputed from the spec on every use; a
+plain set of active ids, a full sort of that set on every
 closed-loop instant that is not an exploration instant, the first M
 active ids of one full sort by pre-data priority for open loop,
 exploration instants ceil(zeta^l) from its own set rather than the
@@ -25,6 +29,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from seqscan.composite import ParameterGrid, Region, StatisticKind
 from seqscan.engine import (
     EpisodeResult,
     PolicyConfig,
@@ -45,8 +50,60 @@ def _sigmoid(x: float) -> float:
     return e / (1.0 + e)
 
 
+def _nearest(spec, point: int, region: Region) -> float:
+    """Smallest divergence from a grid point to a region's points."""
+    models, regions = spec.grid.models, spec.grid.regions
+    return min(finite_kl(models[point], m) for m, r in zip(models, regions) if r is region)
+
+
+def _grid_size(spec, point: int) -> float:
+    """Expected sample size while ``point`` is the estimate: the boundary
+    over the floored divergence to the opposing region, an indifference
+    point taking the side of the nearer region."""
+    b0, b1 = math.log(1.0 / spec.beta), math.log(1.0 / spec.alpha)
+    d0, d1 = _nearest(spec, point, Region.THETA0), _nearest(spec, point, Region.THETA1)
+    region = spec.grid.regions[point]
+    if region is Region.INDIFFERENCE:
+        region = Region.THETA0 if d0 <= d1 else Region.THETA1
+    return b0 / max(d1, 1e-12) if region is Region.THETA0 else b1 / max(d0, 1e-12)
+
+
+def _truth_mixture(spec, abnormal: bool) -> list[tuple[int, float]]:
+    region = Region.THETA1 if abnormal else Region.THETA0
+    points = [i for i, r in enumerate(spec.grid.regions) if r is region]
+    weights = (spec.h1_weights if abnormal else spec.h0_weights) or [1.0 / len(points)] * len(points)
+    return list(zip(points, weights))
+
+
+def _conditional_sizes(spec) -> tuple[float, float]:
+    """The expected sizes under H0 and H1 that a priority averages by the
+    belief: Wald's for a model pair; for a grid, before any data, boundary over the floored divergence to the
+    opposing region, averaged over each region's truth mixture."""
+    if not spec.is_composite:
+        return expected_sample_sizes(
+            spec.alpha, spec.beta,
+            finite_kl(spec.model_h0, spec.model_h1), finite_kl(spec.model_h1, spec.model_h0),
+        )
+    b0, b1 = math.log(1.0 / spec.beta), math.log(1.0 / spec.alpha)
+    e0 = sum(w * b0 / max(_nearest(spec, i, Region.THETA1), 1e-12) for i, w in _truth_mixture(spec, False))
+    e1 = sum(w * b1 / max(_nearest(spec, i, Region.THETA0), 1e-12) for i, w in _truth_mixture(spec, True))
+    return e0, e1
+
+
+def _truth_model(spec, abnormal: bool, meta_rng):
+    if not spec.is_composite:
+        return spec.model_h1 if abnormal else spec.model_h0
+    points = _truth_mixture(spec, abnormal)
+    u, acc = meta_rng.random(), 0.0
+    for i, w in points:
+        acc += w
+        if u < acc:
+            return spec.grid.models[i]
+    return spec.grid.models[points[-1][0]]
+
+
 def reference_episode(specs, policy: PolicyConfig, seed: np.random.SeedSequence) -> EpisodeResult:
-    """Model-pair episode replayed one observation at a time, traced."""
+    """Episode replayed one observation at a time, traced."""
     k = len(specs)
     children = [
         np.random.SeedSequence(entropy=seed.entropy, spawn_key=tuple(seed.spawn_key) + (i,))
@@ -55,27 +112,74 @@ def reference_episode(specs, policy: PolicyConfig, seed: np.random.SeedSequence)
     meta_rng = np.random.default_rng(children[0])
     obs_rngs = [np.random.default_rng(c) for c in children[1:]]
     truth = tuple(bool(meta_rng.random() < s.prior) for s in specs)
-    truth_models = tuple(s.model_h1 if a else s.model_h0 for s, a in zip(specs, truth))
+    truth_models = tuple(_truth_model(s, a, meta_rng) for s, a in zip(specs, truth))
 
-    bounds = [wald_boundaries(s.alpha, s.beta) for s in specs]
-    sizes = [
-        expected_sample_sizes(
-            s.alpha, s.beta, finite_kl(s.model_h0, s.model_h1), finite_kl(s.model_h1, s.model_h0)
-        )
-        for s in specs
-    ]
     sum_llr = [0.0] * k
+    # grid processes: per-point sums, estimate, adaptive numerator, belief
+    cum = [[0.0] * len(s.grid) if s.is_composite else None for s in specs]
+    mle = [0] * k
+    alr = [0.0] * k
+    grid_belief = [s.prior for s in specs]
 
     def belief(i: int) -> float:
+        if specs[i].is_composite:
+            return grid_belief[i]
         prior = specs[i].prior
         if prior == 0.0 or prior == 1.0:
             return prior
         return _sigmoid(math.log(prior / (1.0 - prior)) + sum_llr[i])
 
     def priority(i: int) -> float:
-        e0, e1 = sizes[i]
+        if specs[i].is_composite:
+            return belief(i) * specs[i].cost_rate / _grid_size(specs[i], mle[i])
+        e0, e1 = _conditional_sizes(specs[i])
         expected = belief(i) * e1 + (1.0 - belief(i)) * e0
         return belief(i) * specs[i].cost_rate / expected
+
+    def regional_max(i: int, region: Region) -> float:
+        return max(c for c, r in zip(cum[i], specs[i].grid.regions) if r is region)
+
+    def grid_stat(i: int, declare: int, adaptive: bool = False) -> float:
+        """GLR (or ALR) statistic for rejecting Theta0 (declare=1) or Theta1."""
+        top = alr[i] if adaptive else max(cum[i])
+        rejected = regional_max(i, Region.THETA0 if declare == 1 else Region.THETA1)
+        if math.isinf(top) and math.isinf(rejected):
+            return 0.0
+        return top - rejected
+
+    def observe(i: int, y) -> bool | None:
+        """Fold y into process i; True or False on a declaration (abnormal
+        or normal), None while it continues."""
+        spec = specs[i]
+        if not spec.is_composite:
+            inc = log_density(spec.model_h1, y) - log_density(spec.model_h0, y)
+            assert math.isfinite(inc)
+            sum_llr[i] += inc
+            b = wald_boundaries(spec.alpha, spec.beta)
+            if sum_llr[i] >= b.upper_b or sum_llr[i] <= b.lower_a:
+                return sum_llr[i] >= b.upper_b
+            return None
+        row = [log_density(m, y) for m in spec.grid.models]
+        alr[i] += row[mle[i]]
+        cum[i] = [c + d for c, d in zip(cum[i], row)]
+        mle[i] = cum[i].index(max(cum[i]))
+        l1, l0 = regional_max(i, Region.THETA1), regional_max(i, Region.THETA0)
+        prior = spec.prior
+        if prior in (0.0, 1.0):
+            grid_belief[i] = prior
+        elif not (math.isinf(l1) and math.isinf(l0)):
+            grid_belief[i] = _sigmoid(math.log(prior / (1.0 - prior)) + l1 - l0)
+        adaptive = policy.statistic is StatisticKind.ALR
+        excess1 = grid_stat(i, 1, adaptive) - math.log(1.0 / spec.alpha)
+        excess0 = grid_stat(i, 0, adaptive) - math.log(1.0 / spec.beta)
+        if excess1 >= 0 and excess0 >= 0:
+            return excess1 >= excess0
+        if excess1 >= 0 or excess0 >= 0:
+            return excess1 >= 0
+        return None
+
+    def stat(i: int) -> float:
+        return grid_stat(i, 1) if specs[i].is_composite else sum_llr[i]
 
     indices = [priority(i) for i in range(k)]
     active = set(range(1, k + 1))
@@ -110,6 +214,7 @@ def reference_episode(specs, policy: PolicyConfig, seed: np.random.SeedSequence)
 
     order = None  # open loop: every id by decreasing prior * cost / a-priori size
     if policy.kind is PolicyKind.OL:
+        sizes = [_conditional_sizes(s) for s in specs]
         a_priori = [s.prior * e1 + (1.0 - s.prior) * e0 for s, (e0, e1) in zip(specs, sizes)]
         ratio = [s.prior * s.cost_rate / e for s, e in zip(specs, a_priori)]
         order = sorted(range(1, k + 1), key=lambda pid: (-ratio[pid - 1], pid))
@@ -141,11 +246,9 @@ def reference_episode(specs, policy: PolicyConfig, seed: np.random.SeedSequence)
             y = sample(truth_models[i], obs_rngs[i])
             observations.append(y)
             samples[i] += 1
-            inc = log_density(specs[i].model_h1, y) - log_density(specs[i].model_h0, y)
-            assert math.isfinite(inc)
-            sum_llr[i] += inc
-            if sum_llr[i] >= bounds[i].upper_b or sum_llr[i] <= bounds[i].lower_a:
-                declared[i] = sum_llr[i] >= bounds[i].upper_b
+            verdict = observe(i, y)
+            if verdict is not None:
+                declared[i] = verdict
                 stop_times[i] = t
                 active.discard(pid)
                 indices[i] = 0.0
@@ -160,7 +263,7 @@ def reference_episode(specs, policy: PolicyConfig, seed: np.random.SeedSequence)
                 observations=tuple(observations),
                 beliefs=tuple(belief(i) for i in range(k)),
                 indices=tuple(indices),
-                stats=tuple(sum_llr),
+                stats=tuple(stat(i) for i in range(k)),
             )
         )
 
@@ -218,10 +321,82 @@ def pair_specs(draw, min_budget=1e-3, near=False):
     )
 
 
+@st.composite
+def grids(draw, positive=False):
+    """A grid of 2-5 distinct points with both regions nonempty and,
+    at times, indifference points, in a shuffled order so the pre-data
+    estimate (point 0) may sit in any region. Categorical points give
+    category 2 no mass under Theta0 and category 0 none under Theta1,
+    so per-point sums reach -inf, unless ``positive``: an adaptive
+    numerator that reaches -inf never recovers, so the ALR test could
+    not decide."""
+    n0, n1 = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    n_indiff = draw(st.integers(0, 5 - n0 - n1))
+    regions = [Region.THETA0] * n0 + [Region.THETA1] * n1 + [Region.INDIFFERENCE] * n_indiff
+    # each region's points sit on its own stretch of a shift scale, and
+    # distinct shifts give distinct models
+    spans = {Region.THETA0: (0.0, 0.2), Region.INDIFFERENCE: (0.3, 0.5), Region.THETA1: (0.7, 1.0)}
+    shifts = [draw(st.floats(*spans[r])) for r in regions]
+    assume(len(set(shifts)) == len(shifts))
+    family = draw(st.sampled_from(["poisson", "gaussian", "categorical"]))
+    if family == "poisson":
+        r0 = draw(st.floats(2.0, 12.0))
+        models = [Poisson(r0 * (1.0 + x)) for x in shifts]
+    elif family == "gaussian":
+        sd, mean0 = draw(st.floats(0.5, 2.0)), draw(st.floats(-3.0, 3.0))
+        models = [Gaussian(mean0 + 2.0 * x * sd, sd) for x in shifts]
+    else:
+        models = []
+        for x, region in zip(shifts, regions):
+            first, last = 0.6 * (1.0 - x), 0.6 * x
+            if positive:
+                first, last = first + 0.1, last + 0.1
+            elif region is Region.THETA0:
+                last = 0.0
+            elif region is Region.THETA1:
+                first = 0.0
+            models.append(Categorical((first, 1.0 - first - last, last)))
+    order = draw(st.permutations(range(len(regions))))
+    return ParameterGrid(tuple(models[i] for i in order), tuple(regions[i] for i in order))
+
+
+def _weights(n: int):
+    return st.one_of(
+        st.none(),
+        st.lists(st.integers(0, 4), min_size=n, max_size=n)
+        .filter(any)
+        .map(lambda w: tuple(x / sum(w) for x in w)),
+    )
+
+
+@st.composite
+def grid_specs(draw, positive=False):
+    grid = draw(grids(positive))
+    budget = st.floats(1e-3, 0.2)
+    # the absorbing priors 0 and 1 in about one spec of five
+    edge = draw(st.sampled_from(range(10))) < 2
+    return ProcessSpec(
+        prior=draw(st.sampled_from([0.0, 1.0]) if edge else st.floats(0.05, 0.95)),
+        cost_rate=draw(st.floats(0.1, 5.0)),
+        alpha=draw(budget),
+        beta=draw(budget),
+        grid=grid,
+        h0_weights=draw(_weights(len(grid.theta0))),
+        h1_weights=draw(_weights(len(grid.theta1))),
+        switch_delay=draw(st.integers(0, 2)),
+    )
+
+
 POLICIES = {
-    "CL": lambda m: PolicyConfig(kind=PolicyKind.CL, m=m, zeta=1.3),
-    "OL": lambda m: PolicyConfig(kind=PolicyKind.OL, m=m),
-    "CL-no-explore": lambda m: PolicyConfig(kind=PolicyKind.CL, m=m, zeta=math.inf),
+    "CL": lambda m, statistic=StatisticKind.GLR: PolicyConfig(
+        kind=PolicyKind.CL, m=m, zeta=1.3, statistic=statistic
+    ),
+    "OL": lambda m, statistic=StatisticKind.GLR: PolicyConfig(
+        kind=PolicyKind.OL, m=m, statistic=statistic
+    ),
+    "CL-no-explore": lambda m, statistic=StatisticKind.GLR: PolicyConfig(
+        kind=PolicyKind.CL, m=m, zeta=math.inf, statistic=statistic
+    ),
 }
 
 
@@ -280,6 +455,51 @@ def test_two_process_single_probe_stretches_match_reference_replay(specs, zeta, 
     # next exploration instant or a crossing of the other process's index
     config = PolicyConfig(kind=PolicyKind.CL, m=1, zeta=zeta)
     expected = reference_episode(specs, config, np.random.SeedSequence(seed))
+    plain = run_episode(specs, config, np.random.SeedSequence(seed))
+    expected.trace = None
+    assert plain == expected
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    statistic=st.sampled_from(list(StatisticKind)),
+    policy=st.sampled_from(sorted(POLICIES)),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_grid_engine_matches_reference_replay(statistic, policy, seed, data):
+    # grid processes, mixed at times with model pairs, under GLR or ALR
+    positive = statistic is StatisticKind.ALR
+    kinds = st.one_of(grid_specs(positive), grid_specs(positive), pair_specs())
+    specs = data.draw(st.lists(kinds, min_size=1, max_size=5), label="specs")
+    config = POLICIES[policy](data.draw(st.integers(1, len(specs)), label="m"), statistic)
+    expected = reference_episode(specs, config, np.random.SeedSequence(seed))
+    traced = run_episode(specs, config, np.random.SeedSequence(seed), record_trace=True)
+    assert traced.trace == expected.trace
+    assert traced == expected
+    plain = run_episode(specs, config, np.random.SeedSequence(seed))
+    assert plain.trace is None
+    expected.trace = None
+    assert plain == expected
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    spec=grid_specs(),
+    k=st.integers(2, 12),
+    policy=st.sampled_from(sorted(POLICIES)),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_identical_grid_processes_match_reference_replay(spec, k, policy, seed, data):
+    # one grid spec shared by every process: equal pre-data indices and
+    # long runs of ties, as for identical model pairs
+    specs = [spec] * k
+    config = POLICIES[policy](data.draw(st.integers(1, min(5, k)), label="m"))
+    expected = reference_episode(specs, config, np.random.SeedSequence(seed))
+    traced = run_episode(specs, config, np.random.SeedSequence(seed), record_trace=True)
+    assert traced.trace == expected.trace
+    assert traced == expected
     plain = run_episode(specs, config, np.random.SeedSequence(seed))
     expected.trace = None
     assert plain == expected

@@ -160,6 +160,58 @@ def test_parse_rejects_grid_truth_weights_of_wrong_length():
     assert parse_config(json.dumps(raw)).processes[1].h1_weights == (0.25, 0.75)
 
 
+def test_nan_truth_weights_are_rejected(tmp_path, capsys):
+    # json.loads reads NaN, and a NaN weight fails neither "x < 0" nor
+    # "|sum - 1| > tol": the truth would always be drawn at the last point
+    regions = (Region.THETA0, Region.THETA1, Region.THETA1)
+    raw = json.loads(serialize_config(_grid_config((10.0, 12.0, 15.0), regions)))
+    for weights in ([math.nan, 1.0], [0.5, math.inf]):
+        raw["processes"][1]["h1_weights"] = weights
+        text = json.dumps(raw)
+        assert "NaN" in text or "Infinity" in text
+        with pytest.raises(ConfigError, match="process 2: h1_weights must be finite"):
+            parse_config(text)
+        path = tmp_path / "weights.json"
+        path.write_text(text)
+        for command in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "w.csv")]):
+            assert main(command) == 2
+            err = capsys.readouterr().err
+            assert "h1_weights must be finite" in err and "Traceback" not in err
+    assert not (tmp_path / "w.csv").exists()
+
+
+def _wide_k_config(k: float) -> ExperimentConfig:
+    return tiny_config(m=5, sweep_values=(k,), policies=("CL", "OL", "CL-no-explore"),
+                       generator={"kind": "identical"})
+
+
+def test_k_beyond_the_time_cap_is_a_config_error(monkeypatch):
+    # each process takes at least one observation and a time unit gives at
+    # most m, so K > m * TIME_CAP cannot finish; it is rejected before any
+    # process set is built (a small cap keeps the set at the bound small)
+    monkeypatch.setattr("seqscan.harness.TIME_CAP", 4)
+    for k in (1e18, 1e300, 21.0):
+        with pytest.raises(ConfigError, match=r"K sweep values must be integers in \[1, m \* TIME_CAP = 20\]"):
+            validate_config(_wide_k_config(k))
+    assert len(validate_config(_wide_k_config(20.0))[0]) == 20
+    # a generator's own K, under another sweep variable, has the same bound
+    cfg = tiny_config(m=5, generator={"kind": "identical", "K": 21},
+                      sweep_variable="c_e", sweep_values=(100.0,))
+    with pytest.raises(ConfigError, match=r"generator identical: K must be in \[1, m \* TIME_CAP = 20\], got 21"):
+        validate_config(cfg)
+    assert len(validate_config(replace(cfg, generator={"kind": "identical", "K": 20}))[0]) == 20
+
+
+def test_cli_rejects_k_beyond_the_time_cap(tmp_path, capsys):
+    for k in (1e18, 1e300):
+        path = _write_config(tmp_path, _wide_k_config(k))
+        for command in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "k.csv")]):
+            assert main(command) == 2
+            err = capsys.readouterr().err
+            assert "K sweep values must be integers" in err and "Traceback" not in err
+    assert not (tmp_path / "k.csv").exists()
+
+
 def test_parse_names_unknown_region():
     regions = (Region.THETA0, Region.THETA1)
     raw = json.loads(serialize_config(_grid_config((10.0, 15.0), regions)))

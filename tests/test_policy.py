@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqscan.belief import index
-from seqscan.engine import ProcessSpec, a_priori_expected_size, initial_priority
+from seqscan.belief import expected_detection_time, index
+from seqscan.engine import ProcessSpec, initial_priority
 from seqscan.models import Poisson
 from seqscan.policy import (
     PolicyState,
@@ -296,11 +296,12 @@ def test_ol_order_examples():
     assert pre_data_order([0.5, 0.5], [2.0, 2.0], [4.0, 4.0]) == (1, 2)
     with pytest.raises(ValueError):
         pre_data_order([0.5], [1.0], [0.0])
-    # initial_priority is that index over a spec's a-priori expected size
+    # initial_priority is that index over a spec's prior-weighted expected size
     specs = [
         ProcessSpec(prior=0.5, cost_rate=c, alpha=1e-2, beta=1e-2,
                     model_h0=Poisson(10.0), model_h1=Poisson(15.0))
         for c in (1.0, 3.0, 2.0)
     ]
     for spec in specs:
-        assert initial_priority(spec) == index(0.5, spec.cost_rate, a_priori_expected_size(spec))
+        expected = expected_detection_time(0.5, spec.table.e_n_h0, spec.table.e_n_h1)
+        assert initial_priority(spec) == index(0.5, spec.cost_rate, expected)
