@@ -5,9 +5,12 @@ grid point. Those sums are sufficient for everything this module
 serves: the generalized statistic (re-maximized over all data), the
 adaptive statistic (plug-in estimate from the previous step), the
 restricted maximum-likelihood estimates per region and the estimated
-belief. ``ingest`` is the one place that scans the sums; it keeps their
-maxima in the state, and the statistics read those fields. The expected
-sample size depends only on the estimate's point (``size_terms``).
+belief. ``ingest`` scans the sums and keeps their maxima in the state,
+and the statistics read those fields. The engine's grid loop does per
+observation what the step functions ``ingest``, ``estimated_belief_update``
+and ``check_stop_composite`` do, on local variables; the step functions
+are the reference it is tested against. The expected sample size
+depends only on the estimate's point (``size_terms``).
 """
 
 from __future__ import annotations
@@ -83,6 +86,18 @@ class ParameterGrid:
     def indices(self, region: Region) -> tuple[int, ...]:
         return tuple(i for i, r in enumerate(self.regions) if r is region)
 
+    def row(self, y: float) -> list[float]:
+        """The log-density of ``y`` under every point, from ``increments``
+        when the grid has one; a ``y`` that ``log_density`` rejects raises
+        before any caching."""
+        table = self.increments
+        inc = None if table is None else table.get(y)
+        if inc is None:
+            inc = [log_density(m, y) for m in self.models]
+            if table is not None:
+                table[y] = inc
+        return inc
+
 
 @dataclass
 class CompositeState:
@@ -137,16 +152,9 @@ def ingest(state: CompositeState, grid: ParameterGrid, y: float) -> CompositeSta
     estimate and the two regional maxima. The adaptive numerator uses
     the estimate held before this observation.
 
-    The row of log-densities comes from the grid's table when it has
-    one; a ``y`` that ``log_density`` rejects raises before any caching.
     Log-densities are never +inf or NaN, so the sums stay NaN-free and a
     plain ``max`` finds the estimate."""
-    table = grid.increments
-    inc = None if table is None else table.get(y)
-    if inc is None:
-        inc = [log_density(m, y) for m in grid.models]
-        if table is not None:
-            table[y] = inc
+    inc = grid.row(y)
     state.alr_numerator += inc[state.mle]
     cum = [c + d for c, d in zip(state.cum_ll, inc)]
     state.cum_ll = cum

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -28,11 +29,9 @@ from seqscan.composite import (
     CompositeBoundaries,
     ParameterGrid,
     StatisticKind,
-    check_stop_composite,
+    _log_ratio,
     composite_boundaries,
-    estimated_belief_update,
     glr_statistic,
-    ingest,
     init_state,
     size_terms,
 )
@@ -90,8 +89,8 @@ class ProcessSpec:
             raise ValueError(f"cost rate must be finite and nonnegative, got {self.cost_rate}")
         if not (0 < self.alpha < 1 and 0 < self.beta < 1 and self.alpha + self.beta < 1):
             raise ValueError(f"need alpha, beta in (0,1) with alpha+beta < 1, got ({self.alpha}, {self.beta})")
-        if self.switch_delay < 0:
-            raise ValueError(f"switch delay must be nonnegative, got {self.switch_delay}")
+        if not 0 <= self.switch_delay < TIME_CAP:  # entering would overrun the time cap
+            raise ValueError(f"switch delay must be in [0, TIME_CAP = {TIME_CAP}), got {self.switch_delay}")
         simple = self.model_h0 is not None and self.model_h1 is not None
         if simple == (self.grid is not None):
             raise ValueError("give either both named models or a parameter grid, not both")
@@ -219,12 +218,6 @@ class _Stream:
         self.chunk = min(2 * self.chunk, _MAX_CHUNK)
         return self.buf
 
-    def next(self) -> float:
-        if self.pos == len(self.buf):
-            self.refill()
-        self.pos += 1
-        return self.buf[self.pos - 1]
-
     @property
     def last(self) -> float:
         """The observation taken most recently."""
@@ -268,19 +261,16 @@ class _PairRuntime:
             self.table.increments[y] = inc
         return inc
 
-    def advance(self, stream: _Stream, n_max: int, floor: tuple[float, int] | None):
+    def advance(self, stream: _Stream, n_max: int, floor: float):
         """Take observations until a boundary is hit, n_max are taken or
-        the key (index, -pid) falls below floor; return the steps taken,
-        the verdict and the index after the last step (0.0 once
-        declared)."""
+        the index falls below floor (``PolicyState.floor_except``); return
+        the steps taken, the verdict and the index after the last step
+        (0.0 once declared)."""
         llr, table = self.llr, self.table
         lower, upper = table.bounds.lower_a, table.bounds.upper_b
         prior, log_odds, cost = self.spec.prior, table.log_odds, self.spec.cost_rate
         e_n_h0, e_n_h1 = table.e_n_h0, table.e_n_h1
         lookup = table.increments.get if table.increments is not None else {}.get
-        floor_value, floor_neg_pid = floor if floor is not None else (-math.inf, 0)
-        # a key of equal index is below the floor when its id is larger
-        tie_below = -self.pid < floor_neg_pid
         buf, pos = stream.buf, stream.pos
         steps = 0
         while True:
@@ -301,7 +291,7 @@ class _PairRuntime:
                 verdict, value = Verdict.DECLARE_NORMAL, 0.0
                 break
             value = _pair_index(prior, log_odds, llr, cost, e_n_h0, e_n_h1)
-            if steps == n_max or value < floor_value or (tie_below and value == floor_value):
+            if steps == n_max or value < floor:
                 verdict = Verdict.CONTINUE
                 break
         stream.pos = pos
@@ -329,21 +319,51 @@ class _GridRuntime:
     def priority(self) -> float:
         return index(self.cstate.estimated_belief, self.spec.cost_rate, self.table.sizes[self.cstate.mle])
 
-    def advance(self, stream: _Stream, n_max: int, floor: tuple[float, int] | None):
-        """As ``_PairRuntime.advance``: fold each observation in, refresh
-        the belief and test for a verdict."""
+    def advance(self, stream: _Stream, n_max: int, floor: float):
+        """As ``_PairRuntime.advance``. Each step is ``ingest``,
+        ``estimated_belief_update`` and ``check_stop_composite`` in the
+        same float operations and order, on locals written back to the
+        state once per stretch."""
         state, grid, table = self.cstate, self.spec.grid, self.table
+        theta0, theta1, row = grid.theta0, grid.theta1, grid.row
+        lookup = grid.increments.get if grid.increments is not None else {}.get
+        sizes, log_odds, cost = table.sizes, table.log_odds, self.spec.cost_rate
+        b0, b1, glr = table.bounds.b0, table.bounds.b1, self.statistic is StatisticKind.GLR
+        cum, mle, alr, belief = state.cum_ll, state.mle, state.alr_numerator, state.estimated_belief
+        buf, pos = stream.buf, stream.pos
         steps = 0
         while True:
-            ingest(state, grid, stream.next())
-            estimated_belief_update(state, table.log_odds)
-            verdict = check_stop_composite(state, table.bounds, self.statistic)
+            if pos == len(buf):
+                buf = stream.refill()
+                pos = 0
+            y = buf[pos]
+            pos += 1
+            inc = lookup(y) or row(y)  # a row is a nonempty list
+            alr += inc[mle]
+            cum = list(map(add, cum, inc))
+            top = max(cum)
+            mle = cum.index(top)
+            at = cum.__getitem__
+            max0, max1 = max(map(at, theta0)), max(map(at, theta1))
+            if log_odds is not None and not (math.isinf(max1) and math.isinf(max0)):
+                belief = _sigmoid(log_odds + max1 - max0)
             steps += 1
-            if verdict.decided:
-                return steps, verdict, 0.0
-            value = self.priority()
-            if steps == n_max or (floor is not None and (value, -self.pid) < floor):
-                return steps, verdict, value
+            excess1 = _log_ratio(top if glr else alr, max0) - b1
+            excess0 = _log_ratio(top if glr else alr, max1) - b0
+            if excess1 >= 0 and excess1 >= excess0:
+                verdict, value = Verdict.DECLARE_ABNORMAL, 0.0
+                break
+            if excess0 >= 0:
+                verdict, value = Verdict.DECLARE_NORMAL, 0.0
+                break
+            value = belief * cost / sizes[mle]
+            if steps == n_max or value < floor:
+                verdict = Verdict.CONTINUE
+                break
+        stream.pos = pos
+        state.cum_ll, state.mle, state.max0, state.max1 = cum, mle, max0, max1
+        state.alr_numerator, state.estimated_belief = alr, belief
+        return steps, verdict, value
 
     def stat_snapshot(self) -> float:
         return glr_statistic(self.cstate, 1)
@@ -458,11 +478,11 @@ def run_episode(
                 f"episode exceeded {time_cap} time units with {len(pstate.active)} processes undecided"
             )
 
-        n_max, floor = 1, None
+        n_max, floor = 1, -math.inf
         if len(sel) == 1 and trace is None:
             n_max = min(time_cap - t + 1, next_exploration_instant(sched, t + 1) - t)
             if cl:
-                floor = pstate.best_key_except(sel[0])
+                floor = pstate.floor_except(sel[0])
         for pid in sel:
             i = pid - 1
             steps, verdict, value = runtimes[i].advance(streams[i], n_max, floor)

@@ -564,6 +564,8 @@ def materialize_processes(cfg: ExperimentConfig, sweep_value: float) -> tuple[Pr
                 specs = tuple(replace(s, alpha=e, beta=e) for s in specs)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    except MemoryError as exc:
+        raise ConfigError(f"{where}: the process set is too large to allocate") from exc
 
     if cfg.m > len(specs):
         raise ConfigError(

@@ -93,13 +93,14 @@ class PolicyState:
         """The m active ids of largest index, ties to the lowest id."""
         return tuple([-neg_pid for _, neg_pid in self._ranking[-1 : -m - 1 : -1]])
 
-    def best_key_except(self, pid: int) -> tuple[float, int] | None:
-        """The largest key of an active id other than pid, or None."""
-        ranking = self._ranking
-        for key in ranking[-1:-3:-1]:
-            if key[1] != -pid:
-                return key
-        return None
+    def floor_except(self, pid: int) -> float:
+        """The index below which pid's key (index, -pid) falls under the
+        largest key of another active id: that key's index, or the next
+        float up when pid, the larger id, loses the tie; -inf if none."""
+        for value, neg_pid in self._ranking[-1:-3:-1]:
+            if neg_pid != -pid:
+                return math.nextafter(value, math.inf) if -pid < neg_pid else value
+        return -math.inf
 
     def rerank(self, pid: int, value: float) -> None:
         """Give an active id a new index and move its key."""

@@ -322,20 +322,23 @@ def pair_specs(draw, min_budget=1e-3, near=False):
 
 
 @st.composite
-def grids(draw, positive=False):
+def grids(draw, positive=False, near=False):
     """A grid of 2-5 distinct points with both regions nonempty and,
     at times, indifference points, in a shuffled order so the pre-data
     estimate (point 0) may sit in any region. Categorical points give
     category 2 no mass under Theta0 and category 0 none under Theta1,
     so per-point sums reach -inf, unless ``positive``: an adaptive
     numerator that reaches -inf never recovers, so the ALR test could
-    not decide."""
+    not decide. ``near`` regions take hundreds of observations to tell
+    apart."""
     n0, n1 = draw(st.integers(1, 2)), draw(st.integers(1, 2))
     n_indiff = draw(st.integers(0, 5 - n0 - n1))
     regions = [Region.THETA0] * n0 + [Region.THETA1] * n1 + [Region.INDIFFERENCE] * n_indiff
     # each region's points sit on its own stretch of a shift scale, and
     # distinct shifts give distinct models
     spans = {Region.THETA0: (0.0, 0.2), Region.INDIFFERENCE: (0.3, 0.5), Region.THETA1: (0.7, 1.0)}
+    if near:
+        spans = {Region.THETA0: (0.0, 0.05), Region.INDIFFERENCE: (0.08, 0.12), Region.THETA1: (0.15, 0.3)}
     shifts = [draw(st.floats(*spans[r])) for r in regions]
     assume(len(set(shifts)) == len(shifts))
     family = draw(st.sampled_from(["poisson", "gaussian", "categorical"]))
@@ -370,9 +373,9 @@ def _weights(n: int):
 
 
 @st.composite
-def grid_specs(draw, positive=False):
-    grid = draw(grids(positive))
-    budget = st.floats(1e-3, 0.2)
+def grid_specs(draw, positive=False, near=False):
+    grid = draw(grids(positive, near))
+    budget = st.floats(1e-4, 1e-2) if near else st.floats(1e-3, 0.2)
     # the absorbing priors 0 and 1 in about one spec of five
     edge = draw(st.sampled_from(range(10))) < 2
     return ProcessSpec(
@@ -479,6 +482,28 @@ def test_grid_engine_matches_reference_replay(statistic, policy, seed, data):
     assert traced == expected
     plain = run_episode(specs, config, np.random.SeedSequence(seed))
     assert plain.trace is None
+    expected.trace = None
+    assert plain == expected
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    statistic=st.sampled_from(list(StatisticKind)),
+    zeta=st.sampled_from([1.005, math.inf]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_two_grid_process_single_probe_stretches_match_reference_replay(statistic, zeta, seed, data):
+    # the grid form of the model-pair stretch test: untraced stretches of
+    # hundreds of steps across buffer refills, ending at a declaration, an
+    # exploration instant or a crossing of the other index; one spec used
+    # twice (equal pre-data indices) or prior 0 (index 0 throughout) makes
+    # that crossing an exact tie
+    spec = grid_specs(statistic is StatisticKind.ALR, near=True)
+    specs = data.draw(st.one_of(st.lists(spec, min_size=2, max_size=2), spec.map(lambda s: [s, s])), label="specs")
+    config = PolicyConfig(kind=PolicyKind.CL, m=1, zeta=zeta, statistic=statistic)
+    expected = reference_episode(specs, config, np.random.SeedSequence(seed))
+    plain = run_episode(specs, config, np.random.SeedSequence(seed))
     expected.trace = None
     assert plain == expected
 

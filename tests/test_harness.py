@@ -32,7 +32,7 @@ from seqscan.harness import (
     serialize_config,
     validate_config,
 )
-from seqscan.engine import ProcessSpec
+from seqscan.engine import TIME_CAP, ProcessSpec
 from seqscan.models import Categorical, Gaussian, Poisson
 
 
@@ -210,6 +210,48 @@ def test_cli_rejects_k_beyond_the_time_cap(tmp_path, capsys):
             err = capsys.readouterr().err
             assert "K sweep values must be integers" in err and "Traceback" not in err
     assert not (tmp_path / "k.csv").exists()
+
+
+def _cli_rejects(tmp_path, capsys, raw: dict, message: str) -> None:
+    """validate and run both exit 2 with message on stderr, no traceback
+    and no CSV."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    for command in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "out.csv")]):
+        assert main(command) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_switch_delay_of_the_time_cap_is_a_config_error(tmp_path, capsys):
+    # a process entered once with a delay of TIME_CAP or more overruns the
+    # cap, so its episode could only fail
+    raw = {"name": "x", "episodes": 2, "master_seed": 0, "policies": ["CL"],
+           "sweep": {"variable": "d2", "values": [1e18]}, "generator": {"kind": "two_tier", "K": 4}}
+    _cli_rejects(tmp_path, capsys, raw, "sweep point 1e+18: generator two_tier: switch delay must be in [0, TIME_CAP")
+    # the generator's own d1, and an explicit process, meet the same rule
+    raw["sweep"] = {"variable": "c_e", "values": [100]}
+    for d1 in (TIME_CAP, TIME_CAP - 1):
+        raw["generator"]["d1"] = d1
+        cfg = parse_config(json.dumps(raw))
+        if d1 == TIME_CAP:
+            with pytest.raises(ConfigError, match=r"generator two_tier: switch delay must be in \[0, TIME_CAP"):
+                validate_config(cfg)
+        else:
+            assert {s.switch_delay for s in validate_config(cfg)[0]} == {d1, 0}
+    raw = json.loads(serialize_config(_grid_config((10.0, 15.0), (Region.THETA0, Region.THETA1))))
+    raw["processes"][0]["switch_delay"] = TIME_CAP
+    with pytest.raises(ConfigError, match=r"process 1: switch delay must be in \[0, TIME_CAP"):
+        parse_config(json.dumps(raw))
+
+
+def test_process_set_too_large_to_allocate_is_a_config_error(tmp_path, capsys):
+    # m * TIME_CAP does not bound K when m is huge; a tuple of 1e18 specs
+    # asks for 8e18 bytes, which fails at once without touching memory
+    raw = {"name": "x", "episodes": 1, "master_seed": 0, "policies": ["CL"], "m": 1e18,
+           "sweep": {"variable": "K", "values": [1e18]}, "generator": {"kind": "identical"}}
+    _cli_rejects(tmp_path, capsys, raw, "sweep point 1e+18: generator identical: the process set is too large")
 
 
 def test_parse_names_unknown_region():

@@ -105,16 +105,31 @@ def test_next_exploration_instant_is_first_member_at_or_after(zeta, queries):
         next_exploration_instant(sched, 0)
 
 
-def test_best_key_except_skips_only_the_given_id():
+def test_floor_except_skips_only_the_given_id():
     s = ranked(idx(3, 5, 5, 1))
-    assert s.best_key_except(2) == (5.0, -3)
-    assert s.best_key_except(3) == (5.0, -2)
-    assert s.best_key_except(4) == (5.0, -2)
+    assert s.floor_except(2) == 5.0
+    assert s.floor_except(3) == math.nextafter(5.0, math.inf)  # id 3 loses the tie to id 2
+    assert s.floor_except(4) == math.nextafter(5.0, math.inf)
     s.declare(2)
     s.declare(3)
     s.declare(4)
-    assert s.best_key_except(1) is None
-    assert s.best_key_except(2) == (3.0, -1)
+    assert s.floor_except(1) == -math.inf
+    assert s.floor_except(2) == math.nextafter(3.0, math.inf)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(st.sampled_from([0.0, 5e-324, 0.25, 0.5, 1.0, 3.0]), min_size=2, max_size=6),
+    data=st.data(),
+)
+def test_floor_except_matches_the_key_order(values, data):
+    # an index falls below the floor exactly when its key falls below the
+    # best other key, ties on the index going to the lower id
+    s = ranked(idx(*values))
+    pid = data.draw(st.integers(1, len(values)), label="pid")
+    best = max((v, -q) for q, v in enumerate(values, start=1) if q != pid)
+    for value in values + [math.nextafter(v, -math.inf) for v in values]:
+        assert (value < s.floor_except(pid)) == ((value, -pid) < best)
 
 
 def test_round_robin_wrapped_successors():
