@@ -8,9 +8,10 @@ add up to exactly M times the final clock. Observations come from one
 substream per process, which makes paired policy comparisons see the
 same data and keeps replays bit-identical; each substream is drawn in
 chunks. Only a probed process's index moves, so a lone probe keeps its
-selection until an event (a declaration, an exploration instant, the
-probed index falling below the best other one) and runs there in one
-call, with the same result as one decision per observation.
+selection until an event (a declaration, an exploration instant that
+picks another id, the probed index falling below the best other one) and
+runs there in one call, with the same result as one decision per
+observation.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from seqscan.composite import (
     size_terms,
 )
 from seqscan.models import Gaussian, ObservationModel, finite_kl, log_density, sample_many
-from seqscan.policy import PolicyState, exploration_schedule, next_exploration_instant, select_cl
+from seqscan.policy import PolicyState, exploration_schedule, next_exploration_instant, round_robin_pick, select_cl
 from seqscan.sprt import SprtBoundaries, Verdict, expected_sample_sizes, update_llr, wald_boundaries
 
 TIME_CAP = 10_000_000
@@ -234,6 +235,33 @@ def _pair_index(
     return p * cost / (p * e_n_h1 + (1.0 - p) * e_n_h0)
 
 
+def _pair_threshold(
+    prior: float, log_odds: float | None, cost: float, e_n_h0: float, e_n_h1: float, floor: float
+) -> float:
+    """Inverse of ``_pair_index``: an LLR at and above which the computed
+    index stays at or above floor; +inf where none is certified, -inf for
+    no floor. The true index rises with p and p with the LLR, so the LLR
+    of floor raised by twice a rounding margin is closed-form; padded, it
+    must reach floor raised by the margin in one exact evaluation. The
+    margin grows with the size ratio: fl(1 - p) carries p's absolute
+    error into (1 - p) * e_n_h0."""
+    if floor == -math.inf:
+        return floor
+    if log_odds is None or not (cost > 0 and floor > 0):
+        return math.inf
+    margin = 64 * 2.0**-52 * (2.0 + e_n_h0 / e_n_h1 + e_n_h1 / e_n_h0)
+    aim = floor * (1.0 + 2.0 * margin)
+    denom = cost - aim * (e_n_h1 - e_n_h0)
+    p = aim * e_n_h0 / denom if denom > 0 else 0.0
+    if not 0.0 < p < 1.0:
+        return math.inf
+    llr = math.log(p / (1.0 - p)) - log_odds
+    llr += 1e-7 * (1.0 + abs(llr))
+    if _pair_index(prior, log_odds, llr, cost, e_n_h0, e_n_h1) >= floor * (1.0 + margin):
+        return llr
+    return math.inf
+
+
 class _PairRuntime:
     """Per-episode state of a model-pair process: one float LLR sum is
     both the SPRT statistic and, added to the prior log-odds, the
@@ -265,11 +293,13 @@ class _PairRuntime:
         """Take observations until a boundary is hit, n_max are taken or
         the index falls below floor (``PolicyState.floor_except``); return
         the steps taken, the verdict and the index after the last step
-        (0.0 once declared)."""
+        (0.0 once declared). Past its first step, a stretch computes the
+        index only below its LLR threshold and at its last step."""
         llr, table = self.llr, self.table
         lower, upper = table.bounds.lower_a, table.bounds.upper_b
         prior, log_odds, cost = self.spec.prior, table.log_odds, self.spec.cost_rate
         e_n_h0, e_n_h1 = table.e_n_h0, table.e_n_h1
+        t_safe = floor if floor == -math.inf else math.inf
         lookup = table.increments.get if table.increments is not None else {}.get
         buf, pos = stream.buf, stream.pos
         steps = 0
@@ -290,10 +320,13 @@ class _PairRuntime:
             if llr <= lower:
                 verdict, value = Verdict.DECLARE_NORMAL, 0.0
                 break
-            value = _pair_index(prior, log_odds, llr, cost, e_n_h0, e_n_h1)
-            if steps == n_max or value < floor:
-                verdict = Verdict.CONTINUE
-                break
+            if llr < t_safe or steps == n_max:
+                value = _pair_index(prior, log_odds, llr, cost, e_n_h0, e_n_h1)
+                if steps == n_max or value < floor:
+                    verdict = Verdict.CONTINUE
+                    break
+                if steps == 1:
+                    t_safe = _pair_threshold(prior, log_odds, cost, e_n_h0, e_n_h1, floor)
         stream.pos = pos
         self.llr = llr
         return steps, verdict, value
@@ -461,10 +494,11 @@ def run_episode(
     # Each pass is one decision: select, charge the entering delays and
     # one sampling unit, then advance every selected process. A lone
     # untraced probe runs on, one sampling unit per observation, until
-    # its selection could change: at its declaration, at the next
-    # exploration instant or the time cap, or (closed loop) when its key
-    # falls below the best key of the other active ids, whose indices
-    # are frozen meanwhile.
+    # its selection could change: at its declaration, at an exploration
+    # instant whose round-robin pick (read off the cursor and the active
+    # ids) is another id, at the time cap, or (closed loop) when its key
+    # falls below the best key of the other active ids, all of which are
+    # frozen meanwhile.
     while pstate.active:
         instant = t + 1
         sel = select_cl(pstate, instant, sched)
@@ -478,14 +512,22 @@ def run_episode(
                 f"episode exceeded {time_cap} time units with {len(pstate.active)} processes undecided"
             )
 
-        n_max, floor = 1, -math.inf
+        n_max, floor, nxt = 1, -math.inf, math.inf
         if len(sel) == 1 and trace is None:
-            n_max = min(time_cap - t + 1, next_exploration_instant(sched, t + 1) - t)
+            nxt = next_exploration_instant(sched, t + 1)
+            n_max = min(time_cap + 1, nxt) - t
             if cl:
                 floor = pstate.floor_except(sel[0])
         for pid in sel:
             i = pid - 1
             steps, verdict, value = runtimes[i].advance(streams[i], n_max, floor)
+            while t + steps == nxt <= time_cap and verdict is Verdict.CONTINUE and round_robin_pick(pstate) == pid:
+                # the stretch reached an exploration instant that picks pid,
+                # as every later one does once no other id is active
+                pstate.rr_cursor = pid
+                nxt = next_exploration_instant(sched, nxt + 1) if len(pstate.active) > 1 else math.inf
+                more, verdict, value = runtimes[i].advance(streams[i], min(time_cap + 1, nxt) - t - steps, floor)
+                steps += more
             t += steps - 1
             idle_slots += (policy.m - 1) * (steps - 1)
             samples[i] += steps

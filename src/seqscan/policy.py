@@ -35,24 +35,20 @@ def exploration_schedule(zeta: float) -> ExplorationSchedule:
     return ExplorationSchedule(zeta=zeta)
 
 
-def _extend_to(sched: ExplorationSchedule, n: int) -> None:
-    """Materialize the instants up to the first one at or after n."""
+def next_exploration_instant(sched: ExplorationSchedule, n: int) -> int | float:
+    """The first exploration instant at or after n, materializing the
+    instants up to it; inf for zeta = inf."""
     if n < 1:
         raise ValueError(f"time index must be >= 1, got {n}")
-    while not math.isinf(sched.zeta) and (not sched._instants or sched._instants[-1] < n):
-        v = math.ceil(sched.zeta**sched._next_exponent)
-        sched._next_exponent += 1
-        # ceil(zeta^l) never decreases, so a repeat can only equal the last
-        if not sched._instants or v > sched._instants[-1]:
-            sched._instants.append(v)
-
-
-def next_exploration_instant(sched: ExplorationSchedule, n: int) -> int | float:
-    """The first exploration instant at or after n; inf for zeta = inf."""
-    _extend_to(sched, n)
     if math.isinf(sched.zeta):
         return math.inf
     instants = sched._instants
+    while not instants or instants[-1] < n:
+        v = math.ceil(sched.zeta**sched._next_exponent)
+        sched._next_exponent += 1
+        # ceil(zeta^l) never decreases, so a repeat can only equal the last
+        if not instants or v > instants[-1]:
+            instants.append(v)
     return instants[bisect_left(instants, n)]
 
 
@@ -127,25 +123,28 @@ def _check_finite(pid: int, value: float) -> None:
         raise ValueError(f"index of process {pid} must be finite, got {value}")
 
 
-def _wrapped_successor(prev: int, k: int, eligible, skip=()) -> int | None:
+def round_robin_pick(state: PolicyState, prev: int | None = None, skip=()) -> int | None:
+    """The first active id not in skip among ((prev + u) mod K) + 1,
+    u = 0..K-1, with prev the cursor by default; None if there is none.
+    The cursor does not move."""
+    k, active = state.k, state._key  # the active ids
+    prev = state.rr_cursor if prev is None else prev
     for u in range(k):
         cand = ((prev + u) % k) + 1
-        if cand in eligible and cand not in skip:
+        if cand in active and cand not in skip:
             return cand
     return None
 
 
 def round_robin_next_multi(state: PolicyState, k: int, m: int) -> tuple[int, ...]:
-    """Sequential wrapped successors, skipping declared ids and ids
+    """Sequential round-robin picks over the state's k ids, skipping ids
     already chosen this instant; short when fewer than m are active."""
     chosen: list[int] = []
-    prev = state.rr_cursor
     for _ in range(m):
-        pick = _wrapped_successor(prev, k, state.active, chosen)
+        pick = round_robin_pick(state, chosen[-1] if chosen else None, chosen)
         if pick is None:
             break
         chosen.append(pick)
-        prev = pick
     if chosen:
         state.rr_cursor = chosen[-1]
     return tuple(chosen)

@@ -425,9 +425,11 @@ def test_time_cap_fires_at_the_same_instant_traced_or_not():
     slow = simple_spec(alpha=1e-3, beta=1e-3, r0=10.0, r1=11.0, delay=1)
     fast = simple_spec(alpha=0.05, beta=0.05, r0=10.0, r1=20.0, delay=2)
     finished = set()
-    for name in POLICIES:
+    # CL at zeta 1.005 explores at every instant up to about 200, so an
+    # untraced stretch runs through exploration instants into the cap
+    for make in (*POLICIES.values(), lambda m, statistic: PolicyConfig(PolicyKind.CL, m, 1.005, statistic)):
         for m in (1, 2):
-            policy = POLICIES[name](m, StatisticKind.GLR)
+            policy = make(m, StatisticKind.GLR)
             for cap in range(1, 61):
                 finished.add(_untraced_equals_traced([fast, slow], policy, 23, cap))
                 if m == 1:

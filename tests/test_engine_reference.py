@@ -23,6 +23,7 @@ probe's observations in stretches up to its next event, and their
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -36,6 +37,8 @@ from seqscan.engine import (
     PolicyKind,
     ProcessSpec,
     TraceStep,
+    _pair_index,
+    _pair_threshold,
     apply_switching_delay,
     run_episode,
 )
@@ -286,7 +289,7 @@ def reference_episode(specs, policy: PolicyConfig, seed: np.random.SeedSequence)
 @st.composite
 def model_pairs(draw, near=False):
     # near pairs take hundreds of observations to tell apart
-    family = draw(st.sampled_from(["poisson", "gaussian", "categorical"]))
+    family = draw(st.sampled_from(["poisson", "gaussian", "categorical", "saturated"]))
     if family == "poisson":
         r0 = draw(st.floats(1.0, 12.0))
         return Poisson(r0), Poisson(r0 * draw(st.floats(1.05, 1.3) if near else st.floats(1.3, 2.5)))
@@ -295,6 +298,16 @@ def model_pairs(draw, near=False):
         mean0 = draw(st.floats(-3.0, 3.0))
         shift = draw(st.floats(0.15, 0.6) if near else st.floats(0.6, 2.0))
         return Gaussian(mean0, sd), Gaussian(mean0 + shift * sd, sd)
+    if family == "saturated":
+        # category 2 has no mass under one model and 1e-12 under the other:
+        # the divergence into the first saturates at KL_SATURATION, so one
+        # Wald size is about 1e-11 of the other, and the category that
+        # would make an increment infinite is all but never drawn
+        a, b = draw(st.floats(0.2, 0.8)), draw(st.floats(0.2, 0.8))
+        assume(abs(a - b) > (0.05 if near else 0.2))
+        none = Categorical((a, 1.0 - a, 0.0))
+        rare = Categorical((b * (1.0 - 1e-12), (1.0 - b) * (1.0 - 1e-12), 1e-12))
+        return (none, rare) if draw(st.booleans()) else (rare, none)
     w = draw(st.lists(st.floats(1.0, 10.0), min_size=3, max_size=3))
     p0 = tuple(x / sum(w) for x in w)
     p1 = p0[1:] + p0[:1]
@@ -310,9 +323,12 @@ def model_pairs(draw, near=False):
 def pair_specs(draw, min_budget=1e-3, near=False):
     h0, h1 = draw(model_pairs(near))
     budget = st.floats(min_budget, 0.2)
+    # the absorbing priors, priors a hair from them and cost 0 (index 0
+    # throughout) in about one spec of five each
+    edge, free = draw(st.sampled_from(range(10))) < 2, draw(st.sampled_from(range(10))) < 2
     return ProcessSpec(
-        prior=draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.05, 0.95))),
-        cost_rate=draw(st.floats(0.1, 5.0)),
+        prior=draw(st.sampled_from([0.0, 1.0, 1e-6, 1.0 - 1e-6]) if edge else st.floats(0.05, 0.95)),
+        cost_rate=0.0 if free else draw(st.floats(0.1, 5.0)),
         alpha=draw(budget),
         beta=draw(budget),
         model_h0=h0,
@@ -461,6 +477,101 @@ def test_two_process_single_probe_stretches_match_reference_replay(specs, zeta, 
     plain = run_episode(specs, config, np.random.SeedSequence(seed))
     expected.trace = None
     assert plain == expected
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    fast=pair_specs(),
+    slow=pair_specs(min_budget=1e-4, near=True),
+    slow_first=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lone_process_through_exploration_instants_matches_reference_replay(fast, slow, slow_first, seed):
+    # K=2, M=1, zeta=1.005: exploration instants alternate the two ids
+    # until the fast spec declares; from then on the slow one is the only
+    # active id, every exploration instant picks it, and an untraced run
+    # takes it to its declaration across many of them
+    specs = [slow, fast] if slow_first else [fast, slow]
+    config = PolicyConfig(kind=PolicyKind.CL, m=1, zeta=1.005)
+    expected = reference_episode(specs, config, np.random.SeedSequence(seed))
+    plain = run_episode(specs, config, np.random.SeedSequence(seed))
+    expected.trace = None
+    assert plain == expected
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    spec=pair_specs(min_budget=1e-4, near=True),
+    zeta=st.sampled_from([1.005, math.inf]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_identical_pair_single_probe_stretches_match_reference_replay(spec, zeta, seed):
+    # one spec used twice at K=2, M=1: equal pre-data indices, so a
+    # stretch's floor is an index the probed spec itself takes (id 1
+    # wins the tie) or the next float above it (id 2 loses it)
+    config = PolicyConfig(kind=PolicyKind.CL, m=1, zeta=zeta)
+    expected = reference_episode([spec, spec], config, np.random.SeedSequence(seed))
+    plain = run_episode([spec, spec], config, np.random.SeedSequence(seed))
+    expected.trace = None
+    assert plain == expected
+
+
+def _index_at(spec, llr: float) -> float:
+    t = spec.table
+    return _pair_index(spec.prior, t.log_odds, llr, spec.cost_rate, t.e_n_h0, t.e_n_h1)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    spec=pair_specs(),
+    other=pair_specs(),
+    kind=st.sampled_from(["own", "other", "tie", "unreachable", "zero", "-inf"]),
+    at=st.floats(-40.0, 40.0),
+    data=st.data(),
+)
+def test_pair_threshold_keeps_the_index_at_or_above_its_floor(spec, other, kind, at, data):
+    # floors the engine meets: the index of another spec or of the probed
+    # spec itself, the next float above one (a lost tie), 0 (the best
+    # other index of a prior-0 or cost-0 spec), -inf (no other active id),
+    # and floors above every index the spec can take
+    t = spec.table
+    floor = {
+        "own": lambda: _index_at(spec, at),
+        "other": lambda: _index_at(other, at),
+        "tie": lambda: math.nextafter(_index_at(other, at), math.inf),
+        "unreachable": lambda: spec.cost_rate / t.e_n_h1 * data.draw(st.floats(1.0 + 1e-9, 10.0), label="over"),
+        "zero": lambda: 0.0,
+        "-inf": lambda: -math.inf,
+    }[kind]()
+    t_safe = _pair_threshold(spec.prior, t.log_odds, spec.cost_rate, t.e_n_h0, t.e_n_h1, floor)
+    if floor == -math.inf:
+        assert t_safe == -math.inf
+        return
+    if t.log_odds is None or spec.cost_rate == 0 or floor <= 0 or kind == "unreachable":
+        assert t_safe == math.inf
+        return
+    assert not math.isnan(t_safe) and t_safe > -math.inf
+    if t_safe == math.inf:  # not certified: the engine computes every step
+        return
+    llrs = [t_safe]
+    for _ in range(1000):
+        llrs.append(math.nextafter(llrs[-1], math.inf))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="points"))
+    llrs += [t_safe + (max(t_safe, t.bounds.upper_b) - t_safe) * rng.random() for _ in range(1000)]
+    for llr in llrs:
+        assert _index_at(spec, llr) >= floor, llr
+
+
+def test_pair_threshold_is_certified_for_a_reachable_floor():
+    # a fig5-like Poisson pair at floors its own index takes: the
+    # threshold sits just above the LLR where the index meets the floor
+    spec = ProcessSpec(
+        prior=0.3, cost_rate=1.0, alpha=1e-3, beta=1e-3, model_h0=Poisson(10.0), model_h1=Poisson(11.0)
+    )
+    t = spec.table
+    for at in (-5.0, 0.0, 5.0):
+        t_safe = _pair_threshold(spec.prior, t.log_odds, spec.cost_rate, t.e_n_h0, t.e_n_h1, _index_at(spec, at))
+        assert at < t_safe < at + 1e-5
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -19,6 +19,7 @@ from seqscan.policy import (
     exploration_schedule,
     next_exploration_instant,
     round_robin_next_multi,
+    round_robin_pick,
     select_cl,
 )
 
@@ -145,6 +146,29 @@ def test_round_robin_wrapped_successors():
     s = ranked(idx(0, 0, 0), active=set(), rr_cursor=1)
     assert round_robin_next_multi(s, 3, 1) == ()
     assert s.rr_cursor == 1
+
+
+def test_round_robin_pick_wraps_past_declared_ids_without_moving_the_cursor():
+    s = ranked(idx(0, 0, 0, 0, 0), active={1, 2}, rr_cursor=4)  # 5 declared: wraps to 1
+    assert round_robin_pick(s) == 1
+    assert s.rr_cursor == 4
+    assert round_robin_pick(s, 1) == 2
+    assert round_robin_pick(s, 1, skip=(2,)) == 1  # all the way round
+    s = ranked(idx(0, 0, 0, 0, 0), active={4}, rr_cursor=4)
+    assert round_robin_pick(s) == 4
+    s = ranked(idx(0, 0, 0), active=set(), rr_cursor=2)
+    assert round_robin_pick(s) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(1, 12), data=st.data())
+def test_round_robin_pick_is_the_next_single_rotation(k, data):
+    active = data.draw(st.sets(st.integers(1, k)), label="active")
+    cursor = data.draw(st.integers(1, k), label="cursor")
+    s = ranked(idx(*[0] * k), active=active, rr_cursor=cursor)
+    pick = round_robin_pick(s)
+    assert s.rr_cursor == cursor
+    assert round_robin_next_multi(s, k, 1) == (() if pick is None else (pick,))
 
 
 def test_round_robin_first_instant_starts_at_one():
