@@ -37,7 +37,7 @@ from seqscan.composite import (
     size_terms,
 )
 from seqscan.models import Gaussian, ObservationModel, finite_kl, log_density, sample_many
-from seqscan.policy import PolicyState, exploration_schedule, next_exploration_instant, round_robin_pick, select_cl
+from seqscan.policy import PolicyState, exploration_instants, rotation
 from seqscan.sprt import SprtBoundaries, Verdict, expected_sample_sizes, update_llr, wald_boundaries
 
 TIME_CAP = 10_000_000
@@ -267,8 +267,7 @@ class _PairRuntime:
     both the SPRT statistic and, added to the prior log-odds, the
     posterior. Everything else is the spec's table."""
 
-    def __init__(self, pid: int, spec: ProcessSpec):
-        self.pid = pid
+    def __init__(self, spec: ProcessSpec):
         self.spec = spec
         self.table = spec.table
         self.llr = 0.0
@@ -339,8 +338,7 @@ class _GridRuntime:
     """Per-episode state of a grid process: per-point cumulative
     log-likelihoods, the GLR or ALR test and the estimated belief."""
 
-    def __init__(self, pid: int, spec: ProcessSpec, statistic: StatisticKind):
-        self.pid = pid
+    def __init__(self, spec: ProcessSpec, statistic: StatisticKind):
         self.spec = spec
         self.table = spec.table
         self.statistic = statistic
@@ -468,10 +466,7 @@ def run_episode(
         _draw_truth_model(spec, truth[i], meta_rng) for i, spec in enumerate(specs)
     )
 
-    runtimes = [
-        _GridRuntime(pid, spec, policy.statistic) if spec.is_composite else _PairRuntime(pid, spec)
-        for pid, spec in enumerate(specs, start=1)
-    ]
+    runtimes = [_GridRuntime(spec, policy.statistic) if spec.is_composite else _PairRuntime(spec) for spec in specs]
     streams = [_Stream(model, r) for model, r in zip(truth_models, obs_rngs)]
     indices = [rt.priority() for rt in runtimes]  # 0.0 once declared
 
@@ -479,8 +474,9 @@ def run_episode(
     # explores, so it probes the first M undeclared ids of that order,
     # each to its declaration
     cl = policy.kind is PolicyKind.CL
-    pstate = PolicyState.fresh(indices if cl else [initial_priority(s) for s in specs], policy.m)
-    sched = exploration_schedule(policy.zeta if cl else math.inf)
+    pstate = PolicyState.fresh(indices if cl else [initial_priority(s) for s in specs])
+    instants = exploration_instants(policy.zeta if cl else math.inf)
+    explore = next(instants, math.inf)  # the first exploration instant not yet passed
 
     declared = [False] * k
     stop_times = [0] * k
@@ -501,7 +497,13 @@ def run_episode(
     # frozen meanwhile.
     while pstate.active:
         instant = t + 1
-        sel = select_cl(pstate, instant, sched)
+        while explore < instant:
+            explore = next(instants, math.inf)
+        if explore == instant:
+            sel = rotation(pstate, policy.m)
+            pstate.rr_cursor = sel[-1]
+        else:
+            sel = pstate.top(policy.m)
 
         delta = apply_switching_delay(prev_sel, sel, specs)
         t += delta + 1
@@ -514,18 +516,21 @@ def run_episode(
 
         n_max, floor, nxt = 1, -math.inf, math.inf
         if len(sel) == 1 and trace is None:
-            nxt = next_exploration_instant(sched, t + 1)
+            while explore <= t:
+                explore = next(instants, math.inf)
+            nxt = explore
             n_max = min(time_cap + 1, nxt) - t
             if cl:
                 floor = pstate.floor_except(sel[0])
         for pid in sel:
             i = pid - 1
             steps, verdict, value = runtimes[i].advance(streams[i], n_max, floor)
-            while t + steps == nxt <= time_cap and verdict is Verdict.CONTINUE and round_robin_pick(pstate) == pid:
+            while t + steps == nxt <= time_cap and verdict is Verdict.CONTINUE and rotation(pstate, 1) == (pid,):
                 # the stretch reached an exploration instant that picks pid,
                 # as every later one does once no other id is active
                 pstate.rr_cursor = pid
-                nxt = next_exploration_instant(sched, nxt + 1) if len(pstate.active) > 1 else math.inf
+                explore = next(instants, math.inf)
+                nxt = explore if len(pstate.active) > 1 else math.inf
                 more, verdict, value = runtimes[i].advance(streams[i], min(time_cap + 1, nxt) - t - steps, floor)
                 steps += more
             t += steps - 1

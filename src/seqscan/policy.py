@@ -1,10 +1,12 @@
-"""Probe selection: the top-M ids of an index ranking, with exponentially
-sparse round-robin exploration. Closed loop reranks a probed id after
-each observation; open loop ranks once by the pre-data priorities and
-never explores, so the same selection walks its fixed order.
+"""Probe selection: the top-M ids of an index ranking (``PolicyState.top``),
+except at the exponentially sparse exploration instants ceil(zeta^l)
+(``exploration_instants``), which take the next M ids of a round-robin
+``rotation``. Closed loop reranks a probed id after each observation;
+open loop ranks once by the pre-data priorities and never explores, so
+the same selection walks its fixed order.
 
 Process ids are 1-based throughout this module; the round-robin
-arithmetic r = ((prev + u) mod K) + 1 is taken verbatim from the
+arithmetic r = ((cursor + u) mod K) + 1 is taken verbatim from the
 selection rule it implements.
 """
 
@@ -12,73 +14,62 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 
-@dataclass
-class ExplorationSchedule:
-    """Instants ceil(zeta^l), duplicates removed, materialized lazily as
-    one ascending list. zeta = inf is the documented sentinel for "never
-    explore"."""
-
-    zeta: float
-    _next_exponent: int = 1
-    _instants: list[int] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not self.zeta > 1.0:
-            raise ValueError(f"zeta must exceed 1, got {self.zeta}")
+def exploration_instants(zeta: float) -> Iterator[int]:
+    """The instants ceil(zeta^l), l = 1, 2, ..., ascending with repeats
+    dropped; none for zeta = inf, the sentinel for "never explore"."""
+    if not zeta > 1.0:
+        raise ValueError(f"zeta must exceed 1, got {zeta}")
+    return iter(()) if math.isinf(zeta) else _ceil_powers(zeta)
 
 
-def exploration_schedule(zeta: float) -> ExplorationSchedule:
-    return ExplorationSchedule(zeta=zeta)
-
-
-def next_exploration_instant(sched: ExplorationSchedule, n: int) -> int | float:
-    """The first exploration instant at or after n, materializing the
-    instants up to it; inf for zeta = inf."""
-    if n < 1:
-        raise ValueError(f"time index must be >= 1, got {n}")
-    if math.isinf(sched.zeta):
-        return math.inf
-    instants = sched._instants
-    while not instants or instants[-1] < n:
-        v = math.ceil(sched.zeta**sched._next_exponent)
-        sched._next_exponent += 1
-        # ceil(zeta^l) never decreases, so a repeat can only equal the last
-        if not instants or v > instants[-1]:
-            instants.append(v)
-    return instants[bisect_left(instants, n)]
+def _ceil_powers(zeta: float) -> Iterator[int]:
+    log_zeta = math.log(zeta)
+    exponent, last = 1, 1
+    while True:
+        v = math.ceil(zeta**exponent)
+        if v > last:
+            yield v
+            last = v
+            exponent += 1
+        else:
+            # a repeat: zeta^l stays below last until l = log(last) / log(zeta),
+            # so jump to just short of that past the repeats a zeta near 1
+            # makes. Short by a relative 1e-12, zeta^l stays far more than a
+            # rounding error below last, so stepping on from there finds the
+            # same first l with ceil(zeta^l) > last as stepping from l = 1
+            exponent = max(exponent + 1, int(math.log(last) / log_zeta * (1.0 - 1e-12)) - 1)
 
 
 @dataclass
 class PolicyState:
-    """Active (undeclared) ids ranked by index, the last round-robin
-    pick, and the probe budget. Only a probed id gets a new index, so the
-    ranking is a sorted list that each update changes by one key, found
-    by bisection, instead of a scan of every active id. The keys
-    (index, -id) are unique and ascend, so the best ids, ties to the
-    lowest id, sit at the end, where moving a key shifts few others. The
-    cursor starts at K so the first exploration instant selects process
-    1, and the first M-probe rotation selects 1..M."""
+    """Active (undeclared) ids ranked by index, and the last round-robin
+    pick. Only a probed id gets a new index, so the ranking is a sorted
+    list that each update changes by one key, found by bisection,
+    instead of a scan of every active id. The keys (index, -id) are
+    unique and ascend, so the best ids, ties to the lowest id, sit at the
+    end, where moving a key shifts few others. The cursor starts at K so
+    the first exploration instant selects process 1, and the first
+    M-probe rotation selects 1..M."""
 
     k: int
     rr_cursor: int
-    m: int
     _key: dict[int, tuple[float, int]]  # id -> its key in the ranking
     _ranking: list[tuple[float, int]]
 
     @classmethod
-    def fresh(cls, indices: Sequence[float], m: int = 1) -> "PolicyState":
+    def fresh(cls, indices: Sequence[float]) -> "PolicyState":
         """All K = len(indices) ids active, ranked by their indices."""
         k = len(indices)
-        if k < 1 or m < 1:
-            raise ValueError(f"need K >= 1 and M >= 1, got K={k}, M={m}")
+        if k < 1:
+            raise ValueError(f"need K >= 1, got K={k}")
         for pid, value in enumerate(indices, start=1):
             _check_finite(pid, value)
         key = {pid: (value, -pid) for pid, value in enumerate(indices, start=1)}
-        return cls(k=k, rr_cursor=k, m=m, _key=key, _ranking=sorted(key.values()))
+        return cls(k=k, rr_cursor=k, _key=key, _ranking=sorted(key.values()))
 
     @property
     def active(self):
@@ -123,39 +114,15 @@ def _check_finite(pid: int, value: float) -> None:
         raise ValueError(f"index of process {pid} must be finite, got {value}")
 
 
-def round_robin_pick(state: PolicyState, prev: int | None = None, skip=()) -> int | None:
-    """The first active id not in skip among ((prev + u) mod K) + 1,
-    u = 0..K-1, with prev the cursor by default; None if there is none.
-    The cursor does not move."""
-    k, active = state.k, state._key  # the active ids
-    prev = state.rr_cursor if prev is None else prev
+def rotation(state: PolicyState, m: int) -> tuple[int, ...]:
+    """The first m active ids among ((cursor + u) mod K) + 1, u = 0..K-1;
+    short when fewer than m are active. The cursor does not move."""
+    k, active, cursor = state.k, state._key, state.rr_cursor  # the active ids
+    picks = []
     for u in range(k):
-        cand = ((prev + u) % k) + 1
-        if cand in active and cand not in skip:
-            return cand
-    return None
-
-
-def round_robin_next_multi(state: PolicyState, k: int, m: int) -> tuple[int, ...]:
-    """Sequential round-robin picks over the state's k ids, skipping ids
-    already chosen this instant; short when fewer than m are active."""
-    chosen: list[int] = []
-    for _ in range(m):
-        pick = round_robin_pick(state, chosen[-1] if chosen else None, chosen)
-        if pick is None:
-            break
-        chosen.append(pick)
-    if chosen:
-        state.rr_cursor = chosen[-1]
-    return tuple(chosen)
-
-
-def select_cl(state: PolicyState, n: int, sched: ExplorationSchedule) -> tuple[int, ...]:
-    """Selection for one instant: the top-index processes of the ranking,
-    or a round-robin rotation on exploration instants. Ties of the index
-    go to the lowest id. Empty active set returns the empty tuple
-    (episode complete), never a fault; both picks come out short when
-    fewer than M ids are active."""
-    if next_exploration_instant(sched, n) == n:
-        return round_robin_next_multi(state, state.k, state.m)
-    return state.top(state.m)
+        pid = (cursor + u) % k + 1
+        if pid in active:
+            picks.append(pid)
+            if len(picks) == m:
+                break
+    return tuple(picks)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqscan.belief import prior_log_odds
+from seqscan.belief import index, prior_log_odds
 from seqscan.composite import (
     CompositeBoundaries,
     ParameterGrid,
@@ -26,6 +26,7 @@ from seqscan.composite import (
     init_state,
     size_terms,
 )
+from seqscan.engine import ProcessSpec, _GridRuntime, _Stream
 from seqscan.models import Categorical, Gaussian, Poisson, finite_kl, log_density, sample
 from seqscan.sprt import Verdict, update_llr
 
@@ -403,10 +404,16 @@ def _grid_and_data(draw):
 def test_grid_fold_equals_direct_recomputation(case):
     grid, ys, prior = case
     b = composite_boundaries(1e-3, 1e-5)
+    spec = ProcessSpec(prior=prior, cost_rate=2.0, alpha=1e-3, beta=1e-5, grid=grid)
     # the second fold over the same grid object reads the rows the first
     # one put in its table
     for data in (ys, ys[::-1]):
         s, oracle = init_state(grid, prior), _Oracle(grid, prior)
+        # the engine's grid loop, one observation per call, as a third side
+        runtimes = [_GridRuntime(spec, which) for which in StatisticKind]
+        streams = [_Stream(grid.models[0], None) for _ in runtimes]
+        for stream in streams:
+            stream.buf = list(data)
         for y in data:
             ingest(s, grid, y)
             oracle.ingest(y)
@@ -423,6 +430,16 @@ def test_grid_fold_equals_direct_recomputation(case):
                 assert check_stop_composite(s, b, which) == oracle.verdict(b, which)
             assert estimated_belief_update(s, prior_log_odds(prior)) == expected_belief
             assert point_sizes(grid, b)[s.mle] == oracle.expected_size(b)
+            for rt, stream in zip(runtimes, streams):
+                steps, verdict, value = rt.advance(stream, 1, -math.inf)
+                c = rt.cstate
+                assert steps == 1
+                assert (list(c.cum_ll), c.mle, c.max0, c.max1, c.alr_numerator, c.estimated_belief) == (
+                    list(s.cum_ll), s.mle, s.max0, s.max1, s.alr_numerator, s.estimated_belief
+                )
+                assert verdict == check_stop_composite(s, b, rt.statistic)
+                direct = index(s.estimated_belief, spec.cost_rate, point_sizes(grid, b)[s.mle])
+                assert value == (0.0 if verdict.decided else direct)
     model = grid.models[0]
     if isinstance(model, Gaussian):
         assert grid.increments is None

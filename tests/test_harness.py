@@ -554,6 +554,18 @@ def test_cli_run_per_episode(tmp_path):
     assert len(episodes.read_text().splitlines()) == 5
 
 
+def test_cli_run_finishes_for_zeta_just_above_one(tmp_path):
+    # ceil(zeta^l) is 2 for about 6.9e11 exponents at this zeta
+    raw = {"name": "z", "episodes": 1, "master_seed": 0, "policies": ["CL"],
+           "sweep": {"variable": "K", "values": [3]}, "zeta": 1.000000000001,
+           "generator": {"kind": "identical"}}
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "z.csv"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 2
+
+
 def test_cli_figures_tiny(tmp_path):
     out = tmp_path / "fig1.csv"
     assert main(["figures", "fig1", "--episodes", "2", "--scale", "8",

@@ -1,10 +1,13 @@
-"""Selection tests: exploration schedule membership, round-robin
-rotation with declared processes skipped, closed-loop argmax selection
-from the incrementally updated ranking, and the open-loop pre-data order."""
+"""Selection tests: the exploration instants against a step-by-step scan
+of ceil(zeta^l), the round-robin rotation against a brute-force one with
+declared processes skipped, closed-loop argmax selection from the
+incrementally updated ranking, and the open-loop pre-data order."""
 
 from __future__ import annotations
 
 import math
+import time
+from itertools import takewhile
 
 import numpy as np
 import pytest
@@ -14,24 +17,17 @@ from hypothesis import strategies as st
 from seqscan.belief import expected_detection_time, index
 from seqscan.engine import ProcessSpec, initial_priority
 from seqscan.models import Poisson
-from seqscan.policy import (
-    PolicyState,
-    exploration_schedule,
-    next_exploration_instant,
-    round_robin_next_multi,
-    round_robin_pick,
-    select_cl,
-)
+from seqscan.policy import PolicyState, exploration_instants, rotation
 
 
 def idx(*values, inactive=()):
     return [0.0 if i + 1 in inactive else float(v) for i, v in enumerate(values)]
 
 
-def ranked(values, m=1, active=None, rr_cursor=None):
+def ranked(values, active=None, rr_cursor=None):
     """A policy state over len(values) ids ranked by values; ids outside
     ``active`` are declared, and ``rr_cursor`` overrides the fresh cursor."""
-    s = PolicyState.fresh(values, m=m)
+    s = PolicyState.fresh(values)
     for pid in range(1, len(values) + 1):
         if active is not None and pid not in active:
             s.declare(pid)
@@ -40,49 +36,66 @@ def ranked(values, m=1, active=None, rr_cursor=None):
     return s
 
 
-def explores(sched, n):
-    return next_exploration_instant(sched, n) == n
+def instants_up_to(zeta, limit):
+    return list(takewhile(lambda n: n <= limit, exploration_instants(zeta)))
 
 
 def ceil_powers(zeta, limit):
-    """The instants ceil(zeta^l) up to limit, computed without the schedule."""
-    instants, exponent = set(), 1
+    """The instants ceil(zeta^l) up to limit, one exponent at a time."""
+    instants, exponent = [0], 1
     while not math.isinf(zeta) and math.ceil(zeta**exponent) <= limit:
-        instants.add(math.ceil(zeta**exponent))
+        if math.ceil(zeta**exponent) > instants[-1]:
+            instants.append(math.ceil(zeta**exponent))
         exponent += 1
-    return instants
+    return instants[1:]
+
+
+def brute_rotation(k, active, cursor, m):
+    """The first m active ids in the order cursor + 1, ..., K, 1, ..., cursor."""
+    return tuple(sorted(active, key=lambda pid: (pid - cursor - 1) % k)[:m])
+
+
+def select(state, n, explores, m):
+    """Closed-loop selection at instant n as ``run_episode`` reads it: the
+    rotation, which then moves the cursor, on an exploration instant, the
+    top m otherwise."""
+    if n in explores:
+        picks = rotation(state, m)
+        if picks:
+            state.rr_cursor = picks[-1]
+        return picks
+    return state.top(m)
 
 
 def test_schedule_head_for_default_zeta():
-    sched = exploration_schedule(1.7)
-    members = [n for n in range(1, 26) if explores(sched, n)]
-    assert members == [2, 3, 5, 9, 15, 25]
+    assert instants_up_to(1.7, 25) == [2, 3, 5, 9, 15, 25]
 
 
 def test_schedule_sentinel_never_explores():
-    sched = exploration_schedule(math.inf)
-    assert not any(explores(sched, n) for n in range(1, 2000))
+    assert list(exploration_instants(math.inf)) == []
 
 
 def test_schedule_near_one_is_dense_early():
-    sched = exploration_schedule(1.005)
     # consecutive integers until the geometric gaps exceed 1
-    assert all(explores(sched, n) for n in range(2, 100))
+    assert instants_up_to(1.005, 99) == list(range(2, 100))
 
 
 def test_schedule_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        exploration_schedule(1.0)
-    with pytest.raises(ValueError):
-        exploration_schedule(0.5)
-    with pytest.raises(ValueError):
-        next_exploration_instant(exploration_schedule(1.7), 0)
+    for zeta in (1.0, 0.5, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            exploration_instants(zeta)
 
 
 def test_schedule_large_n_stays_cheap():
-    sched = exploration_schedule(1.01)
-    assert next_exploration_instant(sched, 1_000_000) >= 1_000_000
-    assert len(sched._instants) < 3000
+    assert len(instants_up_to(1.01, 1_000_000)) < 3000
+
+
+def test_instants_just_above_one_skip_the_repeats():
+    # about 6.9e11 exponents have ceil(zeta^l) = 2; the generator jumps them
+    start = time.perf_counter()
+    instants = exploration_instants(1 + 1e-12)
+    assert [next(instants) for _ in range(6)] == [2, 3, 4, 5, 6, 7]
+    assert time.perf_counter() - start < 0.5
 
 
 @settings(max_examples=200, deadline=None)
@@ -91,19 +104,26 @@ def test_schedule_large_n_stays_cheap():
     queries=st.lists(st.integers(1, 20_000), min_size=1, max_size=8),
 )
 def test_next_exploration_instant_is_first_member_at_or_after(zeta, queries):
-    # queries in any order on one schedule, against a scan of ceil(zeta^l)
-    sched = exploration_schedule(zeta)
+    # the engine walks the instants forward to the first at or after an
+    # ascending sequence of queries; against a scan of ceil(zeta^l)
     members = ceil_powers(zeta, 50_000)  # past the member after any query
-    for n in queries:
-        got = next_exploration_instant(sched, n)
-        if math.isinf(zeta):
-            assert got == math.inf
-            continue
-        assert got == min(j for j in members if j >= n)
-        assert explores(sched, n) == (n in members)
-        assert explores(sched, got)
-    with pytest.raises(ValueError):
-        next_exploration_instant(sched, 0)
+    instants = exploration_instants(zeta)
+    explore = next(instants, math.inf)
+    for n in sorted(queries):
+        while explore < n:
+            explore = next(instants, math.inf)
+        assert explore == min((j for j in members if j >= n), default=math.inf)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    zeta=st.one_of(
+        st.sampled_from([1.0001, 1.005, 1.3, 1.7, 2.0, math.inf]),
+        st.floats(1.001, 3.0, exclude_min=True),
+    )
+)
+def test_instants_match_a_scan_of_every_exponent(zeta):
+    assert instants_up_to(zeta, 20_000) == ceil_powers(zeta, 20_000)
 
 
 def test_floor_except_skips_only_the_given_id():
@@ -135,97 +155,91 @@ def test_floor_except_matches_the_key_order(values, data):
 
 def test_round_robin_wrapped_successors():
     s = ranked(idx(0, 0, 0), active={1, 2, 3}, rr_cursor=1)
-    assert round_robin_next_multi(s, 3, 1) == (2,)
+    assert rotation(s, 1) == (2,)
 
     s = ranked(idx(0, 0, 0), active={1, 3}, rr_cursor=1)  # process 2 declared
-    assert round_robin_next_multi(s, 3, 1) == (3,)
+    assert rotation(s, 1) == (3,)
 
     s = ranked(idx(0, 0, 0), active={1}, rr_cursor=1)  # wraps all the way around
-    assert round_robin_next_multi(s, 3, 1) == (1,)
+    assert rotation(s, 1) == (1,)
 
     s = ranked(idx(0, 0, 0), active=set(), rr_cursor=1)
-    assert round_robin_next_multi(s, 3, 1) == ()
+    assert select(s, 1, {1}, 1) == ()
     assert s.rr_cursor == 1
 
 
 def test_round_robin_pick_wraps_past_declared_ids_without_moving_the_cursor():
     s = ranked(idx(0, 0, 0, 0, 0), active={1, 2}, rr_cursor=4)  # 5 declared: wraps to 1
-    assert round_robin_pick(s) == 1
-    assert s.rr_cursor == 4
-    assert round_robin_pick(s, 1) == 2
-    assert round_robin_pick(s, 1, skip=(2,)) == 1  # all the way round
-    s = ranked(idx(0, 0, 0, 0, 0), active={4}, rr_cursor=4)
-    assert round_robin_pick(s) == 4
+    assert rotation(s, 1) == (1,)
+    assert rotation(s, 5) == (1, 2)
+    s.rr_cursor = 1
+    assert rotation(s, 5) == (2, 1)  # all the way round
+
     s = ranked(idx(0, 0, 0), active=set(), rr_cursor=2)
-    assert round_robin_pick(s) is None
+    assert rotation(s, 1) == ()
+    assert s.rr_cursor == 2
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(k=st.integers(1, 12), data=st.data())
 def test_round_robin_pick_is_the_next_single_rotation(k, data):
+    # the pick is rotation(state, 1); any m takes the brute-force order's first m
     active = data.draw(st.sets(st.integers(1, k)), label="active")
     cursor = data.draw(st.integers(1, k), label="cursor")
+    m = data.draw(st.integers(1, k), label="m")
     s = ranked(idx(*[0] * k), active=active, rr_cursor=cursor)
-    pick = round_robin_pick(s)
+    assert rotation(s, m) == brute_rotation(k, active, cursor, m)
     assert s.rr_cursor == cursor
-    assert round_robin_next_multi(s, k, 1) == (() if pick is None else (pick,))
 
 
 def test_round_robin_first_instant_starts_at_one():
     s = PolicyState.fresh(idx(0, 0, 0, 0, 0))
-    assert round_robin_next_multi(s, 5, 1) == (1,)
-    assert round_robin_next_multi(s, 5, 1) == (2,)
+    assert select(s, 2, {2, 3}, 1) == (1,)
+    assert select(s, 3, {2, 3}, 1) == (2,)
+    assert rotation(PolicyState.fresh(idx(0, 0, 0, 0, 0, 0)), 3) == (1, 2, 3)
 
 
 def test_round_robin_multi_examples():
-    s = ranked(idx(0, 0, 0, 0), m=2, active={1, 2, 3, 4}, rr_cursor=4)
-    assert round_robin_next_multi(s, 4, 2) == (1, 2)
+    s = ranked(idx(0, 0, 0, 0), active={1, 2, 3, 4}, rr_cursor=4)
+    assert select(s, 1, {1}, 2) == (1, 2)
     assert s.rr_cursor == 2
 
-    s = ranked(idx(0, 0, 0, 0), m=2, active={3}, rr_cursor=4)
-    assert round_robin_next_multi(s, 4, 2) == (3,)
+    s = ranked(idx(0, 0, 0, 0), active={3}, rr_cursor=4)
+    assert rotation(s, 2) == (3,)
 
-    s = ranked(idx(0, 0, 0, 0), m=4, active={1, 2, 3, 4}, rr_cursor=4)
-    assert round_robin_next_multi(s, 4, 4) == (1, 2, 3, 4)
-
-    s = PolicyState.fresh(idx(0, 0, 0, 0, 0, 0), m=3)
-    assert round_robin_next_multi(s, 6, 3) == (1, 2, 3)
+    s = ranked(idx(0, 0, 0, 0), active={1, 2, 3, 4}, rr_cursor=4)
+    assert rotation(s, 4) == (1, 2, 3, 4)
 
 
 def test_select_cl_argmax_and_ties():
-    sched = exploration_schedule(math.inf)
-    s = ranked(idx(0.3, 0.1, 0.7))
-    assert select_cl(s, n=1, sched=sched) == (3,)
-
-    s = ranked(idx(0.3, 0.1, 0.7), m=2)
-    assert select_cl(s, n=1, sched=sched) == (3, 1)
-
-    s = ranked(idx(0.1, 0.5, 0.2, 0.5))
-    assert select_cl(s, n=1, sched=sched) == (2,)
+    assert ranked(idx(0.3, 0.1, 0.7)).top(1) == (3,)
+    assert ranked(idx(0.3, 0.1, 0.7)).top(2) == (3, 1)
+    assert ranked(idx(0.1, 0.5, 0.2, 0.5)).top(1) == (2,)
 
 
 def test_select_cl_exploration_instant_rotates():
-    sched = exploration_schedule(1.7)
+    explores = set(instants_up_to(1.7, 10))
     s = ranked(idx(0.3, 0.1, 0.7))
-    assert select_cl(s, n=2, sched=sched) == (1,)
-    assert select_cl(s, n=3, sched=sched) == (2,)
+    assert select(s, 2, explores, 1) == (1,)
+    assert select(s, 3, explores, 1) == (2,)
     # non-exploration instant in between goes back to the argmax
-    assert select_cl(s, n=4, sched=sched) == (3,)
+    assert select(s, 4, explores, 1) == (3,)
 
 
 def test_select_cl_empty_and_small_active_sets():
-    sched = exploration_schedule(math.inf)
-    s = ranked(idx(0.3, 0.1, 0.7), m=2, active=set())
-    assert select_cl(s, n=5, sched=sched) == ()
+    s = ranked(idx(0.3, 0.1, 0.7), active=set())
+    assert s.top(2) == ()
+    assert rotation(s, 2) == ()
 
-    s = ranked(idx(0.3, 0.1, 0.7), m=2, active={2})
-    assert select_cl(s, n=5, sched=sched) == (2,)
+    s = ranked(idx(0.3, 0.1, 0.7), active={2})
+    assert s.top(2) == (2,)
+    assert rotation(s, 2) == (2,)
 
 
 def test_declared_processes_are_never_selected():
     rng = np.random.default_rng(29)
-    sched = exploration_schedule(1.7)
-    s = PolicyState.fresh(idx(*([0] * 6)), m=2)
+    explores = set(instants_up_to(1.7, 300))
+    s = PolicyState.fresh(idx(*([0] * 6)))
     declared = set()
     for n in range(1, 300):
         if not s.active:
@@ -233,7 +247,7 @@ def test_declared_processes_are_never_selected():
         values = idx(*rng.uniform(0.0, 1.0, size=6), inactive=declared)
         for pid in s.active:
             s.rerank(pid, values[pid - 1])
-        picks = select_cl(s, n=n, sched=sched)
+        picks = select(s, n, explores, 2)
         assert declared.isdisjoint(picks)
         assert len(picks) == min(2, len(s.active))
         if rng.random() < 0.05:
@@ -244,13 +258,12 @@ def test_declared_processes_are_never_selected():
 
 def test_selection_is_argmax_consistent_off_exploration():
     rng = np.random.default_rng(37)
-    sched = exploration_schedule(math.inf)
     for _ in range(100):
         k = int(rng.integers(2, 8))
         m = int(rng.integers(1, k + 1))
         values = idx(*rng.uniform(0.0, 1.0, size=k))
-        s = ranked(values, m=m)
-        picks = select_cl(s, n=7, sched=sched)
+        s = ranked(values)
+        picks = s.top(m)
         unpicked = s.active - set(picks)
         if unpicked:
             assert min(values[p - 1] for p in picks) >= max(values[q - 1] for q in unpicked)
@@ -259,18 +272,15 @@ def test_selection_is_argmax_consistent_off_exploration():
 def test_exploration_visits_are_fair():
     # with no declarations, rotation spreads exploration instants evenly:
     # every process gets at least floor(instants/K) - 1 visits
-    sched = exploration_schedule(1.7)
+    explores = set(instants_up_to(1.7, 3000))
     k = 5
     s = ranked(idx(*([0.5] * k)))
     visits = {pid: 0 for pid in range(1, k + 1)}
-    instants = 0
-    for n in range(1, 3000):
-        if explores(sched, n):
-            instants += 1
-            (pick,) = select_cl(s, n=n, sched=sched)
-            visits[pick] += 1
-    assert instants > 0
-    floor_share = instants // k
+    for n in sorted(explores):
+        (pick,) = select(s, n, explores, 1)
+        visits[pick] += 1
+    assert explores
+    floor_share = len(explores) // k
     assert all(v >= floor_share - 1 for v in visits.values())
 
 
@@ -287,10 +297,9 @@ def test_ranking_matches_full_sort_under_updates(initial, data):
     # rerank or declaration the ranking's first m ids are a full sort's
     k = len(initial)
     m = data.draw(st.integers(1, k), label="m")
-    s = PolicyState.fresh(initial, m=m)
+    s = PolicyState.fresh(initial)
     indices = list(initial)
     active = set(range(1, k + 1))
-    sched = exploration_schedule(math.inf)
     steps = data.draw(
         st.lists(st.tuples(st.booleans(), st.integers(1, k), VALUES), max_size=40), label="steps"
     )
@@ -308,7 +317,6 @@ def test_ranking_matches_full_sort_under_updates(initial, data):
         expected = sorted(active, key=lambda q: (-indices[q - 1], q))
         assert set(s.active) == active
         assert s.top(m) == tuple(expected[:m])
-        assert select_cl(s, n=1, sched=sched) == tuple(expected[:m])
     if active:
         pid = min(active)
         before = s.top(k)
