@@ -1,16 +1,14 @@
 """Sequential tests with unknown parameters over a finite grid.
 
 Each process under test carries cumulative log-likelihoods for every
-grid point. Those sums are sufficient for everything this module
-serves: the generalized statistic (re-maximized over all data), the
-adaptive statistic (plug-in estimate from the previous step), the
-restricted maximum-likelihood estimates per region and the estimated
-belief. ``ingest`` scans the sums and keeps their maxima in the state,
-and the statistics read those fields. The engine's grid loop does per
-observation what the step functions ``ingest``, ``estimated_belief_update``
-and ``check_stop_composite`` do, on local variables; the step functions
-are the reference it is tested against. The expected sample size
-depends only on the estimate's point (``size_terms``).
+grid point (``CompositeState``). Those sums are sufficient for
+everything a grid test needs: the generalized statistic (re-maximized
+over all data), the adaptive statistic (plug-in estimate from the
+previous step), the restricted maximum-likelihood estimates per region
+and the estimated belief. The engine's grid path
+(``seqscan.engine._GridPath``) folds each observation into a state and
+computes the statistics from it; this module holds the grid, the state,
+the boundaries and the per-point expected sample sizes (``size_terms``).
 """
 
 from __future__ import annotations
@@ -20,9 +18,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
-from seqscan.belief import _sigmoid
 from seqscan.models import KL_SATURATION, Gaussian, ObservationModel, finite_kl, log_density
-from seqscan.sprt import Verdict
 
 # floor for divergences in sample-size denominators; identical models
 # across regions would otherwise divide by zero
@@ -147,64 +143,9 @@ def init_state(grid: ParameterGrid, prior: float) -> CompositeState:
     )
 
 
-def ingest(state: CompositeState, grid: ParameterGrid, y: float) -> CompositeState:
-    """Fold one observation into every per-point sum and refresh the
-    estimate and the two regional maxima. The adaptive numerator uses
-    the estimate held before this observation.
-
-    Log-densities are never +inf or NaN, so the sums stay NaN-free and a
-    plain ``max`` finds the estimate."""
-    inc = grid.row(y)
-    state.alr_numerator += inc[state.mle]
-    cum = [c + d for c, d in zip(state.cum_ll, inc)]
-    state.cum_ll = cum
-    state.mle = cum.index(max(cum))  # first maximum: ties to the lowest index
-    state.max0 = max([cum[i] for i in grid.theta0])
-    state.max1 = max([cum[i] for i in grid.theta1])
-    return state
-
-
 def _log_ratio(numerator: float, restricted: float) -> float:
     """numerator - restricted, with 0.0 where both are -inf."""
     return 0.0 if math.isinf(numerator) and math.isinf(restricted) else numerator - restricted
-
-
-def glr_statistic(state: CompositeState, declare: int) -> float:
-    """Unrestricted maximum minus the maximum over the region being
-    rejected (declare=1 rejects Theta0 and vice versa)."""
-    return _log_ratio(state.cum_ll[state.mle], state.max0 if declare == 1 else state.max1)
-
-
-def alr_statistic(state: CompositeState, declare: int) -> float:
-    """Adaptive numerator minus the maximum over the rejected region."""
-    return _log_ratio(state.alr_numerator, state.max0 if declare == 1 else state.max1)
-
-
-def check_stop_composite(
-    state: CompositeState,
-    b: CompositeBoundaries,
-    which: StatisticKind = StatisticKind.GLR,
-) -> Verdict:
-    """One-sided crossings; when both sides cross at once the larger
-    boundary excess wins and an exact tie declares abnormal."""
-    stat = glr_statistic if which is StatisticKind.GLR else alr_statistic
-    excess1 = stat(state, 1) - b.b1
-    excess0 = stat(state, 0) - b.b0
-    if excess1 >= 0 and excess1 >= excess0:
-        return Verdict.DECLARE_ABNORMAL
-    return Verdict.DECLARE_NORMAL if excess0 >= 0 else Verdict.CONTINUE
-
-
-def estimated_belief_update(state: CompositeState, log_odds: float | None) -> float:
-    """Posterior-odds belief against the two restricted maximum-likelihood
-    models, from the prior's ``prior_log_odds`` (None keeps the prior).
-    All past observations enter through the regional maxima, so the cost
-    is O(1), not O(n)."""
-    l1, l0 = state.max1, state.max0
-    if log_odds is None or (math.isinf(l1) and math.isinf(l0)):
-        return state.estimated_belief
-    state.estimated_belief = _sigmoid(log_odds + l1 - l0)
-    return state.estimated_belief
 
 
 def size_terms(grid: ParameterGrid, b: CompositeBoundaries) -> tuple[tuple[float, float], ...]:

@@ -5,21 +5,27 @@ Time is discrete. Each probe block consumes the entering switching
 delays plus one sampling unit; every sampling unit offers M probe
 slots, so over an episode the probe counts, delay units and idle slots
 add up to exactly M times the final clock. Observations come from one
-substream per process, which makes paired policy comparisons see the
-same data and keeps replays bit-identical; each substream is drawn in
-chunks. Only a probed process's index moves, so a lone probe keeps its
-selection until an event (a declaration, an exploration instant that
-picks another id, the probed index falling below the best other one) and
-runs there in one call, with the same result as one decision per
+substream per process, drawn in chunks, and an episode's seed fixes one
+path per process (``EpisodePaths``): its statistic after each
+observation, its verdict and its samples to declaration, whatever the
+policy. Every policy run on the seed reads the same paths, each from its
+own step positions, so paired comparisons see the same data, a path is
+folded once, and replays stay bit-identical. Only a probed process's
+index moves, so a lone probe keeps its selection until an event (a
+declaration, an exploration instant that picks another id, the probed
+index falling below the best other one) and runs there in one call, a
+scan of the stored steps, with the same result as one decision per
 observation.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import accumulate
 from operator import add
 from typing import Sequence
 
@@ -32,7 +38,6 @@ from seqscan.composite import (
     StatisticKind,
     _log_ratio,
     composite_boundaries,
-    glr_statistic,
     init_state,
     size_terms,
 )
@@ -219,11 +224,6 @@ class _Stream:
         self.chunk = min(2 * self.chunk, _MAX_CHUNK)
         return self.buf
 
-    @property
-    def last(self) -> float:
-        """The observation taken most recently."""
-        return self.buf[self.pos - 1]
-
 
 def _pair_index(
     prior: float, log_odds: float | None, llr: float, cost: float, e_n_h0: float, e_n_h1: float
@@ -262,22 +262,48 @@ def _pair_threshold(
     return math.inf
 
 
-class _PairRuntime:
-    """Per-episode state of a model-pair process: one float LLR sum is
-    both the SPRT statistic and, added to the prior log-odds, the
-    posterior. Everything else is the spec's table."""
+class _Path:
+    """One process's observation path in an episode: a number per step
+    (``series``, step 0 before any observation), folded from the
+    process's stream in chunks only as far as some reader asks, and never
+    past the declaration (``end``, with its ``verdict``) or a reader's
+    time cap. When tracing, the observations are kept too. Every policy
+    run on the episode's seed reads the same path, each from its own
+    step position. Each kind's ``fold(ys)`` appends the steps of ys in
+    order, stopping at the declaration, and returns how many it took."""
 
-    def __init__(self, spec: ProcessSpec):
+    __slots__ = ("spec", "table", "stream", "series", "observations", "end", "verdict")
+
+    def __init__(self, spec: ProcessSpec, stream: _Stream, first: float, trace: bool):
         self.spec = spec
         self.table = spec.table
-        self.llr = 0.0
+        self.stream = stream
+        self.series = array("d", [first])
+        self.observations: list | None = [] if trace else None
+        self.end: int | None = None
+        self.verdict = Verdict.CONTINUE
 
-    def posterior(self) -> float:
-        return posterior(self.spec.prior, self.table.log_odds, self.llr)
+    def extend(self, last: int, cap: int) -> None:
+        """Fold observations until the path holds step min(last, cap) or
+        ends; a reader's stretch never reaches past its time cap."""
+        series, stream, last = self.series, self.stream, min(last, cap)
+        while self.end is None and len(series) <= last:
+            if stream.pos == len(stream.buf):
+                stream.refill()
+            stream.pos += self.fold(stream.buf[stream.pos : stream.pos + cap + 1 - len(series)])
 
-    def priority(self) -> float:
-        spec, table = self.spec, self.table
-        return _pair_index(spec.prior, table.log_odds, self.llr, spec.cost_rate, table.e_n_h0, table.e_n_h1)
+
+class _PairPath(_Path):
+    """A model-pair path: the LLR sum after each observation. The sum is
+    the SPRT statistic and, added to the prior log-odds, the posterior;
+    the index is derived from it where a reader needs it."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, spec: ProcessSpec, stream: _Stream, trace: bool):
+        super().__init__(spec, stream, 0.0, trace)
+        t = self.table
+        self.terms = (spec.prior, t.log_odds, spec.cost_rate, t.e_n_h0, t.e_n_h1)  # _pair_index's, but the LLR
 
     def increment(self, y: float) -> float:
         """The LLR increment of one observation, as both log-densities
@@ -288,87 +314,112 @@ class _PairRuntime:
             self.table.increments[y] = inc
         return inc
 
-    def advance(self, stream: _Stream, n_max: int, floor: float):
-        """Take observations until a boundary is hit, n_max are taken or
-        the index falls below floor (``PolicyState.floor_except``); return
-        the steps taken, the verdict and the index after the last step
-        (0.0 once declared). Past its first step, a stretch computes the
-        index only below its LLR threshold and at its last step."""
-        llr, table = self.llr, self.table
-        lower, upper = table.bounds.lower_a, table.bounds.upper_b
-        prior, log_odds, cost = self.spec.prior, table.log_odds, self.spec.cost_rate
-        e_n_h0, e_n_h1 = table.e_n_h0, table.e_n_h1
-        t_safe = floor if floor == -math.inf else math.inf
+    def fold(self, ys: list) -> int:
+        """The sums come from one C-level ``accumulate``, whose default
+        addition is ``operator.add``: the same float additions in the same
+        order as adding each increment in turn. An observation whose
+        increment raises ends the chunk before it, so the error reaches
+        the first reader that steps onto it."""
+        table = self.table
         lookup = table.increments.get if table.increments is not None else {}.get
-        buf, pos = stream.buf, stream.pos
-        steps = 0
-        while True:
-            if pos == len(buf):
-                buf = stream.refill()
-                pos = 0
-            y = buf[pos]
-            pos += 1
-            inc = lookup(y)
-            if inc is None:
-                inc = self.increment(y)
-            llr += inc
-            steps += 1
-            if llr >= upper:
-                verdict, value = Verdict.DECLARE_ABNORMAL, 0.0
-                break
-            if llr <= lower:
-                verdict, value = Verdict.DECLARE_NORMAL, 0.0
-                break
-            if llr < t_safe or steps == n_max:
-                value = _pair_index(prior, log_odds, llr, cost, e_n_h0, e_n_h1)
-                if steps == n_max or value < floor:
-                    verdict = Verdict.CONTINUE
+        try:
+            sums = list(accumulate(map(lookup, ys), initial=self.series[-1]))
+        except TypeError:  # observations seen for the first time
+            incs = list(map(lookup, ys))
+            for j, inc in enumerate(incs):
+                if inc is None:
+                    try:
+                        incs[j] = self.increment(ys[j])
+                    except ValueError:
+                        if not j:
+                            raise
+                        del incs[j:]
+                        break
+            sums = list(accumulate(incs, initial=self.series[-1]))
+        del sums[0]
+        lower, upper = table.bounds.lower_a, table.bounds.upper_b
+        if not (lower < min(sums) and max(sums) < upper):
+            for j, llr in enumerate(sums):
+                if llr >= upper or llr <= lower:
                     break
-                if steps == 1:
-                    t_safe = _pair_threshold(prior, log_odds, cost, e_n_h0, e_n_h1, floor)
-        stream.pos = pos
-        self.llr = llr
-        return steps, verdict, value
+            del sums[j + 1 :]
+            self.end = len(self.series) + j
+            self.verdict = Verdict.DECLARE_ABNORMAL if llr >= upper else Verdict.DECLARE_NORMAL
+        self.series.fromlist(sums)
+        if self.observations is not None:
+            self.observations += ys[: len(sums)]
+        return len(sums)
 
-    def stat_snapshot(self) -> float:
-        return self.llr
+    def priority(self, pos: int) -> float:
+        prior, log_odds, cost, e_n_h0, e_n_h1 = self.terms
+        return _pair_index(prior, log_odds, self.series[pos], cost, e_n_h0, e_n_h1)
+
+    def belief(self, pos: int) -> float:
+        return posterior(self.spec.prior, self.table.log_odds, self.series[pos])
+
+    def stat(self, pos: int) -> float:
+        return self.series[pos]
+
+    def advance(self, pos: int, n_max: int, floor: float, cap: int):
+        """From step pos, take steps until the declaration, n_max steps or
+        the index falling below floor (``PolicyState.floor_except``);
+        return the steps taken, the verdict and the index after the last
+        step (0.0 once declared). Past the first step, the index is
+        computed only below the floor's LLR threshold and at the last
+        step, so a stretch with no floor costs O(1) on a folded path."""
+        last = pos + n_max
+        if self.end is None and len(self.series) <= last:
+            self.extend(last, cap)
+        llrs, end = self.series, self.end
+        stop = end if end is not None and end < last else last  # the scan's end
+        prior, log_odds, cost, e_n_h0, e_n_h1 = self.terms
+        if floor > -math.inf and pos + 1 < stop:
+            value = _pair_index(prior, log_odds, llrs[pos + 1], cost, e_n_h0, e_n_h1)
+            if value < floor:
+                return 1, Verdict.CONTINUE, value
+            t_safe = _pair_threshold(prior, log_odds, cost, e_n_h0, e_n_h1, floor)
+            for j in range(pos + 2, stop):
+                llr = llrs[j]
+                if llr < t_safe:
+                    value = _pair_index(prior, log_odds, llr, cost, e_n_h0, e_n_h1)
+                    if value < floor:
+                        return j - pos, Verdict.CONTINUE, value
+        if end is not None and end <= last:
+            return end - pos, self.verdict, 0.0
+        return n_max, Verdict.CONTINUE, _pair_index(prior, log_odds, llrs[last], cost, e_n_h0, e_n_h1)
 
 
-class _GridRuntime:
-    """Per-episode state of a grid process: per-point cumulative
-    log-likelihoods, the GLR or ALR test and the estimated belief."""
+class _GridPath(_Path):
+    """A grid path: the index value after each observation (0.0 at the
+    declaration), with the running per-point sums, estimate, adaptive
+    numerator and estimated belief in ``state``; when tracing, the belief
+    and the GLR statistic for declaring abnormal after each step."""
 
-    def __init__(self, spec: ProcessSpec, statistic: StatisticKind):
-        self.spec = spec
-        self.table = spec.table
+    __slots__ = ("statistic", "state", "beliefs", "stats")
+
+    def __init__(self, spec: ProcessSpec, stream: _Stream, statistic: StatisticKind, trace: bool):
+        super().__init__(spec, stream, index(spec.prior, spec.cost_rate, spec.table.sizes[0]), trace)
         self.statistic = statistic
-        self.cstate = init_state(spec.grid, spec.prior)
+        self.state = init_state(spec.grid, spec.prior)
+        self.beliefs = array("d", [spec.prior]) if trace else None
+        self.stats = array("d", [0.0]) if trace else None  # the GLR of the empty sums
 
-    def posterior(self) -> float:
-        return self.cstate.estimated_belief
-
-    def priority(self) -> float:
-        return index(self.cstate.estimated_belief, self.spec.cost_rate, self.table.sizes[self.cstate.mle])
-
-    def advance(self, stream: _Stream, n_max: int, floor: float):
-        """As ``_PairRuntime.advance``. Each step is ``ingest``,
-        ``estimated_belief_update`` and ``check_stop_composite`` in the
-        same float operations and order, on locals written back to the
-        state once per stretch."""
-        state, grid, table = self.cstate, self.spec.grid, self.table
+    def fold(self, ys: list) -> int:
+        """Per observation: fold its row of log-densities into the sums
+        (the adaptive numerator takes the estimate held before it), find
+        the estimate and the regional maxima, update the belief, check
+        the boundaries, then the index. Plain floats and ``math`` only, on
+        locals written back to the state once per chunk."""
+        state, grid, table, spec = self.state, self.spec.grid, self.table, self.spec
         theta0, theta1, row = grid.theta0, grid.theta1, grid.row
         lookup = grid.increments.get if grid.increments is not None else {}.get
-        sizes, log_odds, cost = table.sizes, table.log_odds, self.spec.cost_rate
+        sizes, log_odds, cost = table.sizes, table.log_odds, spec.cost_rate
         b0, b1, glr = table.bounds.b0, table.bounds.b1, self.statistic is StatisticKind.GLR
         cum, mle, alr, belief = state.cum_ll, state.mle, state.alr_numerator, state.estimated_belief
-        buf, pos = stream.buf, stream.pos
-        steps = 0
-        while True:
-            if pos == len(buf):
-                buf = stream.refill()
-                pos = 0
-            y = buf[pos]
-            pos += 1
+        max0, max1 = state.max0, state.max1
+        values, beliefs, stats = self.series, self.beliefs, self.stats
+        taken = 0
+        for y in ys:
             inc = lookup(y) or row(y)  # a row is a nonempty list
             alr += inc[mle]
             cum = list(map(add, cum, inc))
@@ -378,26 +429,107 @@ class _GridRuntime:
             max0, max1 = max(map(at, theta0)), max(map(at, theta1))
             if log_odds is not None and not (math.isinf(max1) and math.isinf(max0)):
                 belief = _sigmoid(log_odds + max1 - max0)
-            steps += 1
+            taken += 1
+            if beliefs is not None:
+                beliefs.append(belief)
+                stats.append(_log_ratio(top, max0))
             excess1 = _log_ratio(top if glr else alr, max0) - b1
             excess0 = _log_ratio(top if glr else alr, max1) - b0
             if excess1 >= 0 and excess1 >= excess0:
-                verdict, value = Verdict.DECLARE_ABNORMAL, 0.0
-                break
-            if excess0 >= 0:
-                verdict, value = Verdict.DECLARE_NORMAL, 0.0
-                break
-            value = belief * cost / sizes[mle]
-            if steps == n_max or value < floor:
-                verdict = Verdict.CONTINUE
-                break
-        stream.pos = pos
+                self.verdict = Verdict.DECLARE_ABNORMAL
+            elif excess0 >= 0:
+                self.verdict = Verdict.DECLARE_NORMAL
+            else:
+                values.append(belief * cost / sizes[mle])
+                continue
+            values.append(0.0)
+            self.end = len(values) - 1
+            break
         state.cum_ll, state.mle, state.max0, state.max1 = cum, mle, max0, max1
         state.alr_numerator, state.estimated_belief = alr, belief
-        return steps, verdict, value
+        if self.observations is not None:
+            self.observations += ys[:taken]
+        return taken
 
-    def stat_snapshot(self) -> float:
-        return glr_statistic(self.cstate, 1)
+    def priority(self, pos: int) -> float:
+        return self.series[pos]
+
+    def belief(self, pos: int) -> float:
+        return self.beliefs[pos]
+
+    def stat(self, pos: int) -> float:
+        return self.stats[pos]
+
+    def advance(self, pos: int, n_max: int, floor: float, cap: int):
+        """As ``_PairPath.advance``, on the stored index values."""
+        last = pos + n_max
+        if self.end is None and len(self.series) <= last:
+            self.extend(last, cap)
+        values, end = self.series, self.end
+        if floor > -math.inf:
+            for j, value in enumerate(values[pos + 1 : end if end is not None and end < last else last], pos + 1):
+                if value < floor:
+                    return j - pos, Verdict.CONTINUE, value
+        if end is not None and end <= last:
+            return end - pos, self.verdict, 0.0
+        return n_max, Verdict.CONTINUE, values[last]
+
+
+class EpisodePaths:
+    """One episode's draw: the truth, the truth models and one path per
+    process, built from the episode's seed. A process's observations, its
+    statistic after each one, its verdict and its samples to declaration
+    do not depend on the policy, so every policy run on the seed reads the
+    same paths, and each path is folded once, as far as the furthest
+    reader. The paths serve one statistic; ``trace`` keeps what a traced
+    episode reads."""
+
+    def __init__(
+        self,
+        specs: Sequence[ProcessSpec],
+        seed: np.random.SeedSequence,
+        statistic: StatisticKind = StatisticKind.GLR,
+        forced_truth: Sequence[bool] | None = None,
+        trace: bool = False,
+    ):
+        k = len(specs)
+        # derive children by spawn-key extension rather than .spawn(),
+        # which mutates the parent and would break seed-object reuse
+        children = [
+            np.random.SeedSequence(entropy=seed.entropy, spawn_key=tuple(seed.spawn_key) + (i,))
+            for i in range(k + 1)
+        ]
+        meta_rng = np.random.default_rng(children[0])
+        if forced_truth is not None:
+            truth = tuple(bool(b) for b in forced_truth)
+            if len(truth) != k:
+                raise ValueError("forced truth length must match process count")
+        else:
+            truth = tuple(bool(meta_rng.random() < spec.prior) for spec in specs)
+        self.specs = tuple(specs)
+        self.seed = seed
+        self.statistic = statistic
+        self.trace = trace
+        self.truth = truth
+        self.truth_models = tuple(_draw_truth_model(spec, truth[i], meta_rng) for i, spec in enumerate(specs))
+        streams = [_Stream(model, np.random.default_rng(c)) for model, c in zip(self.truth_models, children[1:])]
+        self.paths = [
+            _GridPath(spec, stream, statistic, trace) if spec.is_composite else _PairPath(spec, stream, trace)
+            for spec, stream in zip(specs, streams)
+        ]
+
+    def check(self, specs, seed, forced_truth, statistic: StatisticKind, trace: bool) -> None:
+        """Raise unless these paths serve an episode of these arguments."""
+        if (
+            tuple(specs) != self.specs
+            or (seed.entropy, tuple(seed.spawn_key)) != (self.seed.entropy, tuple(self.seed.spawn_key))
+            or (forced_truth is not None and tuple(bool(b) for b in forced_truth) != self.truth)
+        ):
+            raise ValueError("the paths were built for other processes, another seed or another truth")
+        if statistic is not self.statistic:
+            raise ValueError(f"the paths were built for the {self.statistic.name} statistic, not {statistic.name}")
+        if trace and not self.trace:
+            raise ValueError("a traced episode needs paths built with trace=True")
 
 
 def apply_switching_delay(
@@ -439,36 +571,22 @@ def run_episode(
     forced_truth: Sequence[bool] | None = None,
     record_trace: bool = False,
     time_cap: int = TIME_CAP,
+    paths: EpisodePaths | None = None,
 ) -> EpisodeResult:
-    """Simulate one episode to the last declaration."""
+    """Simulate one episode to the last declaration, reading the paths
+    of (specs, rng, forced_truth): those given, which other policies may
+    have read already, or a private set built here."""
     k = len(specs)
     if k < 1:
         raise ValueError("need at least one process")
     if policy.m > k:
         raise ValueError(f"probe budget {policy.m} exceeds process count {k}")
-
-    # derive children by spawn-key extension rather than .spawn(),
-    # which mutates the parent and would break seed-object reuse
-    children = [
-        np.random.SeedSequence(entropy=rng.entropy, spawn_key=tuple(rng.spawn_key) + (i,))
-        for i in range(k + 1)
-    ]
-    meta_rng = np.random.default_rng(children[0])
-    obs_rngs = [np.random.default_rng(c) for c in children[1:]]
-
-    if forced_truth is not None:
-        truth = tuple(bool(b) for b in forced_truth)
-        if len(truth) != k:
-            raise ValueError("forced truth length must match process count")
+    if paths is None:
+        paths = EpisodePaths(specs, rng, policy.statistic, forced_truth, record_trace)
     else:
-        truth = tuple(bool(meta_rng.random() < spec.prior) for spec in specs)
-    truth_models = tuple(
-        _draw_truth_model(spec, truth[i], meta_rng) for i, spec in enumerate(specs)
-    )
-
-    runtimes = [_GridRuntime(spec, policy.statistic) if spec.is_composite else _PairRuntime(spec) for spec in specs]
-    streams = [_Stream(model, r) for model, r in zip(truth_models, obs_rngs)]
-    indices = [rt.priority() for rt in runtimes]  # 0.0 once declared
+        paths.check(specs, rng, forced_truth, policy.statistic, record_trace)
+    walks = paths.paths
+    indices = [path.priority(0) for path in walks]  # 0.0 once declared
 
     # open loop ranks by the pre-data priorities and never reranks or
     # explores, so it probes the first M undeclared ids of that order,
@@ -480,7 +598,7 @@ def run_episode(
 
     declared = [False] * k
     stop_times = [0] * k
-    samples = [0] * k
+    samples = [0] * k  # each process's step position on its path
     t = 0
     total_delay = 0
     idle_slots = 0
@@ -524,14 +642,16 @@ def run_episode(
                 floor = pstate.floor_except(sel[0])
         for pid in sel:
             i = pid - 1
-            steps, verdict, value = runtimes[i].advance(streams[i], n_max, floor)
+            steps, verdict, value = walks[i].advance(samples[i], n_max, floor, time_cap)
             while t + steps == nxt <= time_cap and verdict is Verdict.CONTINUE and rotation(pstate, 1) == (pid,):
                 # the stretch reached an exploration instant that picks pid,
                 # as every later one does once no other id is active
                 pstate.rr_cursor = pid
                 explore = next(instants, math.inf)
                 nxt = explore if len(pstate.active) > 1 else math.inf
-                more, verdict, value = runtimes[i].advance(streams[i], min(time_cap + 1, nxt) - t - steps, floor)
+                more, verdict, value = walks[i].advance(
+                    samples[i] + steps, min(time_cap + 1, nxt) - t - steps, floor, time_cap
+                )
                 steps += more
             t += steps - 1
             idle_slots += (policy.m - 1) * (steps - 1)
@@ -553,13 +673,14 @@ def run_episode(
                     instant=instant,
                     delay=delta,
                     selected=tuple(sel),
-                    observations=tuple(streams[pid - 1].last for pid in sel),
-                    beliefs=tuple(rt.posterior() for rt in runtimes),
+                    observations=tuple(walks[pid - 1].observations[samples[pid - 1] - 1] for pid in sel),
+                    beliefs=tuple(path.belief(n) for path, n in zip(walks, samples)),
                     indices=tuple(indices),
-                    stats=tuple(rt.stat_snapshot() for rt in runtimes),
+                    stats=tuple(path.stat(n) for path, n in zip(walks, samples)),
                 )
             )
 
+    truth = paths.truth
     fa = tuple(declared[i] and not truth[i] for i in range(k))
     md = tuple(not declared[i] and truth[i] for i in range(k))
     cost = sum(
@@ -576,7 +697,7 @@ def run_episode(
         cost=cost,
         false_alarms=fa,
         miss_detects=md,
-        truth_models=truth_models,
+        truth_models=paths.truth_models,
         trace=trace,
     )
 

@@ -3,7 +3,9 @@
 A config names a process set (explicit specs or a generator), a sweep
 variable, the policies to compare, and an episode budget. Running it
 produces one batch summary per (sweep point, policy), deterministic in
-the master seed, ready to serialize as plot-ready CSV.
+the master seed, ready to serialize as plot-ready CSV. At a sweep point
+each episode's paths (``engine.EpisodePaths``) are built once and read
+by every policy, so policies are compared on the same observations.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import numpy as np
 from seqscan.composite import ParameterGrid, Region, StatisticKind
 from seqscan.engine import (
     TIME_CAP,
+    EpisodePaths,
+    EpisodeResult,
     PolicyConfig,
     PolicyKind,
     ProcessSpec,
@@ -646,42 +650,70 @@ def _ratio_stderr(num: np.ndarray, den: np.ndarray) -> float | None:
     return math.sqrt(max(float(var), 0.0))
 
 
-def _run_batch(
-    cfg: ExperimentConfig,
-    sweep_idx: int,
-    sweep_value: float,
-    policy_name: str,
-    specs: tuple[ProcessSpec, ...],
-    episodes: int,
-) -> BatchSummary:
-    policy = _policy_config(cfg, policy_name)
+def _run_point(
+    cfg: ExperimentConfig, sweep_idx: int, sweep_value: float, specs: tuple[ProcessSpec, ...]
+) -> list[BatchSummary]:
+    """Every policy's batch at one sweep point, in the config's order.
+    Each episode's paths are built once from its seed and read by every
+    policy that has not failed; a policy that raises fails only its own
+    batch, and the others go on."""
+    episodes = cfg.episodes
+    policies = {name: _policy_config(cfg, name) for name in cfg.policies}
+    records: dict[str, list[dict]] = {name: [] for name in cfg.policies}
+    errors: dict[str, str] = {}
     bounds = np.empty(episodes)
     bounds_ok = True
-    records: list[dict] = []
 
     for ep in range(episodes):
         seed = np.random.SeedSequence(cfg.master_seed, spawn_key=(sweep_idx, ep))
-        res = run_episode(specs, policy, seed, forced_truth=cfg.truth)
-        if bounds_ok:
-            try:
-                bounds[ep] = lower_bound_oracle(specs, res.truth, res.truth_models, m=cfg.m)
-            except ValueError:
-                bounds_ok = False
-        records.append(
-            {
-                "episode": ep,
-                "cost": res.cost,
-                "samples": int(sum(res.samples)),
-                "fa": int(sum(res.false_alarms)),
-                "md": int(sum(res.miss_detects)),
-                "abnormal": int(sum(res.truth)),
-                "abnormal_time": int(
-                    sum(t for t, ab in zip(res.stop_times, res.truth) if ab)
-                ),
-                "bound": float(bounds[ep]) if bounds_ok else math.nan,
-            }
-        )
+        paths = bound = None
+        for name, policy in policies.items():
+            if name in errors:
+                continue
+            try:  # isolation boundary: the error is reported in the summary
+                if paths is None:
+                    paths = EpisodePaths(specs, seed, policy.statistic, forced_truth=cfg.truth)
+                res = run_episode(specs, policy, seed, paths=paths)
+                # the truth is every policy's, and so is the bound
+                if bounds_ok and bound is None:
+                    try:
+                        bound = bounds[ep] = lower_bound_oracle(specs, res.truth, res.truth_models, m=cfg.m)
+                    except ValueError:
+                        bounds_ok = False
+                records[name].append(_episode_record(ep, res, bound if bounds_ok else math.nan))
+            except Exception as exc:  # noqa: BLE001
+                errors[name] = str(exc)
 
+    return [
+        BatchSummary(sweep_value=sweep_value, policy=name, episodes=0, error=errors[name])
+        if name in errors
+        else _summarize(cfg, sweep_value, name, specs, records[name], float(bounds.mean()) if bounds_ok else math.nan)
+        for name in cfg.policies
+    ]
+
+
+def _episode_record(ep: int, res: EpisodeResult, bound: float) -> dict:
+    return {
+        "episode": ep,
+        "cost": res.cost,
+        "samples": int(sum(res.samples)),
+        "fa": int(sum(res.false_alarms)),
+        "md": int(sum(res.miss_detects)),
+        "abnormal": int(sum(res.truth)),
+        "abnormal_time": int(sum(t for t, ab in zip(res.stop_times, res.truth) if ab)),
+        "bound": float(bound),
+    }
+
+
+def _summarize(
+    cfg: ExperimentConfig,
+    sweep_value: float,
+    policy_name: str,
+    specs: tuple[ProcessSpec, ...],
+    records: list[dict],
+    mean_bound: float,
+) -> BatchSummary:
+    episodes = len(records)
     costs = np.array([r["cost"] for r in records], dtype=float)
     mean_cost = float(costs.mean())
     stderr = float(costs.std(ddof=1) / math.sqrt(episodes)) if episodes > 1 else math.nan
@@ -689,7 +721,6 @@ def _run_batch(
     md_total = sum(r["md"] for r in records)
     abnormal_total = sum(r["abnormal"] for r in records)
     normal_total = len(specs) * episodes - abnormal_total
-    mean_bound = float(bounds.mean()) if bounds_ok else math.nan
 
     def rate(count: int, denom: int) -> float:
         return count / denom if denom else math.nan
@@ -740,11 +771,14 @@ def run_experiment(
 ) -> list[BatchSummary]:
     """Execute the sweep: one batch per (sweep point, policy).
 
-    Deterministic in the master seed; episodes share RNG substreams
-    across policies at a sweep point, so comparisons are paired. Every
-    sweep point's process set is built once and checked before any batch
-    runs; a batch that fails while running is reported in its summary's
-    error field while the rest of the sweep proceeds.
+    Deterministic in the master seed. The policies at a sweep point share
+    each episode's seed and, built once from it, its paths: the truth and
+    every process's observations and test statistics, so comparisons are
+    paired and a process's samples to declaration are the same under
+    every policy. Every sweep point's process set is built once and
+    checked before any batch runs; a batch that fails while running is
+    reported in its summary's error field while the rest of the sweep
+    proceeds.
     """
     # the config as given must pass too: scaling K can hide a fault in its
     # process sets (an odd two_tier K), while overrides change none
@@ -765,14 +799,7 @@ def run_experiment(
 
     out: list[BatchSummary] = []
     for sweep_idx, (value, specs) in enumerate(zip(cfg.sweep_values, point_sets)):
-        point: list[BatchSummary] = []
-        for name in cfg.policies:
-            try:
-                point.append(_run_batch(cfg, sweep_idx, value, name, specs, cfg.episodes))
-            except Exception as exc:  # noqa: BLE001  (isolation boundary)
-                point.append(
-                    BatchSummary(sweep_value=value, policy=name, episodes=0, error=str(exc))
-                )
+        point = _run_point(cfg, sweep_idx, value, specs)
         base = next((s for s in point if s.policy == baseline and s.error is None), None)
         if base is not None and base.mean_cost and not math.isnan(base.mean_cost):
             base_costs = np.array([r["cost"] for r in base.episode_records])

@@ -17,18 +17,13 @@ import numpy as np
 import pytest
 
 from seqscan.belief import posterior, prior_log_odds
-from seqscan.composite import (
-    ParameterGrid,
-    Region,
-    estimated_belief_update,
-    composite_boundaries,
-    ingest,
-    init_state,
-)
+from seqscan.composite import ParameterGrid, Region, StatisticKind, composite_boundaries, size_terms
 from seqscan.engine import (
     PolicyConfig,
     PolicyKind,
     ProcessSpec,
+    _GridPath,
+    _Stream,
     lower_bound_oracle,
     run_episode,
 )
@@ -218,23 +213,38 @@ def test_c8_oracle_equivalences():
         worst = max(worst, abs(posterior(prior, prior_log_odds(prior), total) - closed))
     ok_belief = worst <= 1e-10
 
-    # incremental grid belief equals recomputation from scratch
+    # the engine's grid path, extended one observation at a time, equals a
+    # fresh path fed all past observations, and both equal the belief, the
+    # adaptive numerator and the index recomputed from scratch
     grid = ParameterGrid(
         models=(Poisson(10.0), Poisson(12.0), Poisson(15.0)),
         regions=(Region.THETA0, Region.THETA1, Region.THETA1),
     )
-    state = init_state(grid, prior=0.37)
+    spec = ProcessSpec(prior=0.37, cost_rate=1.0, alpha=1e-12, beta=1e-12, grid=grid)
+
+    def fresh_path():  # fed by hand: its stream is never drawn from
+        return _GridPath(spec, _Stream(grid.models[0], None), StatisticKind.GLR, trace=False)
+
+    sizes = [b / d for b, d in size_terms(grid, composite_boundaries(1e-12, 1e-12))]
+    path = fresh_path()
     worst_grid = 0.0
     ys = [int(v) for v in np.random.default_rng(88).poisson(11, size=60)]
+    lls = [0.0, 0.0, 0.0]  # per-point log-likelihoods of the data so far
+    alr_numerator = 0.0
     for n, y in enumerate(ys, start=1):
-        ingest(state, grid, y)
-        estimated_belief_update(state, prior_log_odds(0.37))
-        fresh = init_state(grid, prior=0.37)
-        for past in ys[:n]:
-            ingest(fresh, grid, past)
-        estimated_belief_update(fresh, prior_log_odds(0.37))
-        worst_grid = max(worst_grid, abs(state.estimated_belief - fresh.estimated_belief))
-    ok_grid = worst_grid <= 1e-10
+        path.fold([y])
+        whole = fresh_path()
+        whole.fold(ys[:n])
+        rows = [log_density(m, y) for m in grid.models]
+        alr_numerator += rows[lls.index(max(lls))]  # the estimate before y
+        lls = [sum(log_density(m, past) for past in ys[:n]) for m in grid.models]
+        odds = (0.37 / 0.63) * math.exp(max(lls[1:]) - lls[0])
+        belief = odds / (1.0 + odds)
+        direct = (belief, alr_numerator, belief * 1.0 / sizes[lls.index(max(lls))])
+        for p in (path, whole):
+            got = (p.state.estimated_belief, p.state.alr_numerator, p.series[n])
+            worst_grid = max([worst_grid] + [abs(a - b) for a, b in zip(got, direct)])
+    ok_grid = worst_grid <= 1e-10 and path.end is None
 
     # divergence closed forms against direct summation
     p, q = Poisson(7.3), Poisson(11.1)
@@ -272,7 +282,7 @@ def test_c8_oracle_equivalences():
     ok = ok_belief and ok_grid and ok_kl_poisson and ok_kl_cat and ok_trace
     _report(
         8, ok,
-        f"belief closed form (worst {worst:.2e}), grid belief recomputation "
+        f"belief closed form (worst {worst:.2e}), grid path against recomputation "
         f"(worst {worst_grid:.2e}), divergence sums, single-process trace equality: "
         f"{ok_belief}, {ok_grid}, {ok_kl_poisson and ok_kl_cat}, {ok_trace}",
     )

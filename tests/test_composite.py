@@ -1,5 +1,7 @@
-"""Grid-test tests: statistic formulas against hand sums, stop-rule tie
-handling, belief shortcut vs brute-force recomputation, estimate
+"""Grid-test tests: the engine's grid path (``seqscan.engine._GridPath``)
+fed observations by hand, one at a time, each step checked against a
+direct recomputation; statistic formulas against hand sums, stop-rule
+tie handling, belief against brute-force recomputation, estimate
 consistency, and the frozen per-point sample-size quotients."""
 
 from __future__ import annotations
@@ -11,24 +13,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqscan.belief import index, prior_log_odds
+from seqscan.belief import index
 from seqscan.composite import (
     CompositeBoundaries,
     ParameterGrid,
     Region,
     StatisticKind,
-    alr_statistic,
-    check_stop_composite,
+    _log_ratio,
     composite_boundaries,
-    estimated_belief_update,
-    glr_statistic,
-    ingest,
-    init_state,
     size_terms,
 )
-from seqscan.engine import ProcessSpec, _GridRuntime, _Stream
+from seqscan.engine import ProcessSpec, _GridPath, _Stream
 from seqscan.models import Categorical, Gaussian, Poisson, finite_kl, log_density, sample
 from seqscan.sprt import Verdict, update_llr
+
+# error budgets so small that no test's data reaches a boundary
+_NEVER = 1e-300
 
 
 def point_sizes(grid, b):
@@ -53,6 +53,62 @@ def mixture_grid():
     )
 
 
+def glr(state, declare):
+    """The GLR statistic for declaring abnormal (1) or normal (0): the
+    unrestricted maximum minus the maximum over the rejected region."""
+    return _log_ratio(state.cum_ll[state.mle], state.max0 if declare == 1 else state.max1)
+
+
+def alr(state, declare):
+    """The ALR statistic: the adaptive numerator minus the same maximum."""
+    return _log_ratio(state.alr_numerator, state.max0 if declare == 1 else state.max1)
+
+
+def grid_path(grid, prior, statistic=StatisticKind.GLR, alpha=_NEVER, beta=_NEVER):
+    """The engine's path of one grid process, traced, fed by hand: its
+    stream is never drawn from."""
+    spec = ProcessSpec(prior=prior, cost_rate=2.0, alpha=alpha, beta=beta, grid=grid)
+    return _GridPath(spec, _Stream(grid.models[0], None), statistic, trace=True)
+
+
+def steps(grid, prior, ys, statistic=StatisticKind.GLR, alpha=_NEVER, beta=_NEVER):
+    """Extend a fresh path by one observation of ys at a time and yield it
+    after each step, once the step equals the direct recomputation
+    (``_Oracle``): the sums, the estimate, the regional maxima, the
+    adaptive numerator, the belief, the stored GLR, the verdict and the
+    stored index value (0.0 at the declaration, where the path ends)."""
+    path = grid_path(grid, prior, statistic, alpha, beta)
+    oracle = _Oracle(grid, prior)
+    b = path.table.bounds
+    for y in ys:
+        before = path.state.estimated_belief
+        assert path.fold([y]) == 1
+        oracle.ingest(y)
+        s, n, verdict = path.state, len(path.series) - 1, oracle.verdict(b, statistic)
+        assert list(s.cum_ll) == oracle.cum.tolist()
+        assert s.mle == oracle.mle
+        assert (s.max0, s.max1) == (oracle.restricted(Region.THETA0), oracle.restricted(Region.THETA1))
+        assert s.alr_numerator == oracle.alr_numerator
+        assert s.estimated_belief == path.beliefs[n] == oracle.belief(before)
+        assert path.stats[n] == oracle.glr(1)
+        assert path.verdict is verdict
+        if verdict.decided:
+            assert (path.end, path.series[n]) == (n, 0.0)
+        else:
+            assert path.end is None
+            assert path.series[n] == index(s.estimated_belief, 2.0, oracle.expected_size(b))
+        yield path
+        if verdict.decided:
+            return
+
+
+def folded(grid, prior, ys, **kwargs):
+    """The path after ``steps`` has fed it every observation of ys."""
+    for path in steps(grid, prior, ys, **kwargs):
+        pass
+    return path
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         ParameterGrid(models=(Poisson(10.0),), regions=(Region.THETA0,))
@@ -73,10 +129,10 @@ def test_boundaries_from_budgets():
         CompositeBoundaries(b0=-1.0, b1=1.0)
 
 
-def test_ingest_tracks_mle_and_counts(binary_grid):
-    s = init_state(binary_grid, prior=0.5)
+def test_fold_tracks_mle_and_sums(binary_grid):
+    s = grid_path(binary_grid, 0.5).state
     assert s.mle == 0 and s.cum_ll == [0.0, 0.0]
-    s = ingest(s, binary_grid, 16)
+    s = folded(binary_grid, 0.5, [16]).state
     assert s.cum_ll == [log_density(m, 16) for m in binary_grid.models]
     assert s.mle == 1  # 16 sits closer in likelihood to rate 15
 
@@ -86,120 +142,93 @@ def test_mle_tie_breaks_to_lowest_index():
         models=(Poisson(10.0), Poisson(10.0)),
         regions=(Region.THETA0, Region.THETA1),
     )
-    s = init_state(twin, prior=0.5)
-    for y in (8, 11, 10, 14):
-        s = ingest(s, twin, y)
-        assert s.mle == 0
+    for path in steps(twin, 0.5, (8, 11, 10, 14)):
+        assert path.state.mle == 0
         # identical models in both regions: the statistic has nothing to separate
-        assert glr_statistic(s, 1) == 0.0
-        assert glr_statistic(s, 0) == 0.0
+        assert glr(path.state, 1) == 0.0
+        assert glr(path.state, 0) == 0.0
 
 
 def test_glr_constant_data_hand_sum(binary_grid):
-    s = init_state(binary_grid, prior=0.5)
-    for _ in range(5):
-        s = ingest(s, binary_grid, 15)
+    s = folded(binary_grid, 0.5, [15] * 5).state
     # direct summation: gap per sample is log f(15|15) - log f(15|10) = 15 ln 1.5 - 5
     gap = log_density(Poisson(15.0), 15) - log_density(Poisson(10.0), 15)
     assert gap == pytest.approx(15 * math.log(1.5) - 5, abs=1e-12)
-    assert glr_statistic(s, 1) == pytest.approx(5.409883108112328, abs=1e-10)
-    assert glr_statistic(s, 1) == pytest.approx(5 * gap, abs=1e-12)
+    assert glr(s, 1) == pytest.approx(5.409883108112328, abs=1e-10)
+    assert glr(s, 1) == pytest.approx(5 * gap, abs=1e-12)
     # the declared-for side whose region holds the MLE is pinned at zero
-    assert glr_statistic(s, 0) == 0.0
+    assert glr(s, 0) == 0.0
 
 
 def test_glr_nonnegative_on_random_data(mixture_grid):
     rng = np.random.default_rng(3)
-    s = init_state(mixture_grid, prior=0.5)
-    for _ in range(60):
-        s = ingest(s, mixture_grid, sample(Poisson(11.0), rng))
-        assert glr_statistic(s, 0) >= 0.0
-        assert glr_statistic(s, 1) >= 0.0
+    for path in steps(mixture_grid, 0.5, [sample(Poisson(11.0), rng) for _ in range(60)]):
+        assert glr(path.state, 0) >= 0.0
+        assert glr(path.state, 1) >= 0.0
 
 
 def test_alr_equals_glr_on_first_obs_when_initial_estimate_maximizes(binary_grid):
     # y=8 keeps the maximizer at index 0, which is also the initial estimate
-    s = init_state(binary_grid, prior=0.5)
-    s = ingest(s, binary_grid, 8)
+    s = folded(binary_grid, 0.5, [8], statistic=StatisticKind.ALR).state
     assert s.mle == 0
-    assert alr_statistic(s, 1) == pytest.approx(
-        glr_statistic(s, 1), abs=1e-12
-    )
-    assert alr_statistic(s, 0) == pytest.approx(
-        glr_statistic(s, 0), abs=1e-12
-    )
+    assert alr(s, 1) == pytest.approx(glr(s, 1), abs=1e-12)
+    assert alr(s, 0) == pytest.approx(glr(s, 0), abs=1e-12)
 
 
 def test_alr_never_exceeds_glr(mixture_grid):
     rng = np.random.default_rng(11)
     for _ in range(20):
-        s = init_state(mixture_grid, prior=0.5)
         true = Poisson(float(rng.choice([10.0, 12.0, 15.0])))
-        for _ in range(int(rng.integers(1, 40))):
-            s = ingest(s, mixture_grid, sample(true, rng))
+        ys = [sample(true, rng) for _ in range(int(rng.integers(1, 40)))]
+        s = folded(mixture_grid, 0.5, ys, statistic=StatisticKind.ALR).state
         for declare in (0, 1):
-            assert alr_statistic(s, declare) <= glr_statistic(s, declare) + 1e-12
+            assert alr(s, declare) <= glr(s, declare) + 1e-12
 
 
 def test_alr_grows_linearly_once_estimate_stabilizes(binary_grid):
-    s = init_state(binary_grid, prior=0.5)
-    values = []
-    for _ in range(12):
-        s = ingest(s, binary_grid, 15)
-        values.append(alr_statistic(s, 1))
+    values = [alr(p.state, 1) for p in steps(binary_grid, 0.5, [15] * 12, statistic=StatisticKind.ALR)]
     gap = log_density(Poisson(15.0), 15) - log_density(Poisson(10.0), 15)
     diffs = np.diff(values[1:])  # estimate locks onto rate 15 after the first obs
     assert np.allclose(diffs, gap, atol=1e-12)
 
 
-def test_check_stop_composite_rules(binary_grid):
-    b = CompositeBoundaries(b0=4.0, b1=6.0)
-    s = init_state(binary_grid, prior=0.5)
+def test_stop_rules(binary_grid):
+    # alpha = beta, so both boundaries are one b. The path's state is set
+    # to the sums under test, then folds one observation whose row is all
+    # zeros: the step's verdict is that of the sums as set
+    b = composite_boundaries(1e-3, 1e-3).b1
+    binary_grid.increments["zeros"] = [0.0, 0.0]
 
-    def set_sums(*cum):
-        # the sums, and the estimate and maxima ingest would derive from them
-        s.cum_ll = np.array(cum)
-        s.mle = int(np.argmax(s.cum_ll))
-        s.max0 = max(cum[i] for i in binary_grid.indices(Region.THETA0))
-        s.max1 = max(cum[i] for i in binary_grid.indices(Region.THETA1))
+    def verdict(cum, statistic=StatisticKind.GLR, alr_numerator=0.0):
+        path = grid_path(binary_grid, 0.5, statistic, alpha=1e-3, beta=1e-3)
+        path.state.cum_ll, path.state.alr_numerator = list(cum), alr_numerator
+        assert path.fold(["zeros"]) == 1
+        assert path.end == (1 if path.verdict.decided else None)
+        return path.verdict
 
-    set_sums(0.0, 0.0)
-    assert check_stop_composite(s, b) is Verdict.CONTINUE
-
+    assert verdict((0.0, 0.0)) is Verdict.CONTINUE
     # abnormal side at its boundary exactly
-    set_sums(-6.0, 0.0)
-    assert check_stop_composite(s, b) is Verdict.DECLARE_ABNORMAL
-
-    set_sums(0.0, -4.0)
-    assert check_stop_composite(s, b) is Verdict.DECLARE_NORMAL
-
+    assert verdict((-b, 0.0)) is Verdict.DECLARE_ABNORMAL
+    assert verdict((0.0, -b)) is Verdict.DECLARE_NORMAL
     # the GLR can only cross one side at a time (one side is always 0),
     # so drive the simultaneous-crossing branch through the adaptive
-    # statistic with an engineered numerator
-    set_sums(-8.0, -6.5)
-    s.alr_numerator = 0.0
-    # excess for abnormal: 0-(-8)-6 = 2; for normal: 0-(-6.5)-4 = 2.5
-    assert check_stop_composite(s, b, StatisticKind.ALR) is Verdict.DECLARE_NORMAL
-    set_sums(-8.0, -6.0)
-    # both excesses equal 2: tie declares abnormal
-    assert check_stop_composite(s, b, StatisticKind.ALR) is Verdict.DECLARE_ABNORMAL
+    # statistic with an engineered numerator: excess 2 for abnormal, 2.5
+    # for normal, so normal wins
+    assert verdict((-(b + 2.0), -(b + 2.5)), StatisticKind.ALR) is Verdict.DECLARE_NORMAL
+    # both excesses equal: the tie declares abnormal
+    assert verdict((-(b + 2.0), -(b + 2.0)), StatisticKind.ALR) is Verdict.DECLARE_ABNORMAL
 
 
 def test_estimated_belief_frozen_value(binary_grid):
-    s = init_state(binary_grid, prior=0.5)
-    s = ingest(s, binary_grid, 12)
-    belief = estimated_belief_update(s, prior_log_odds(0.5))
+    path = folded(binary_grid, 0.5, [12])
     # posterior odds e^{-5} 1.5^{12} against the flat prior
-    assert belief == pytest.approx(0.4664458315935051, abs=1e-10)
-    assert s.estimated_belief == belief
+    assert path.state.estimated_belief == pytest.approx(0.4664458315935051, abs=1e-10)
 
 
 def test_estimated_belief_degenerate_priors(binary_grid):
     for prior in (0.0, 1.0):
-        s = init_state(binary_grid, prior=prior)
-        for y in (12, 18, 9):
-            s = ingest(s, binary_grid, y)
-            assert estimated_belief_update(s, prior_log_odds(prior)) == prior
+        for path in steps(binary_grid, prior, (12, 18, 9)):
+            assert path.state.estimated_belief == prior
 
 
 def test_estimated_belief_identical_restricted_models():
@@ -207,10 +236,8 @@ def test_estimated_belief_identical_restricted_models():
         models=(Poisson(10.0), Poisson(10.0)),
         regions=(Region.THETA0, Region.THETA1),
     )
-    s = init_state(twin, prior=0.5)
-    for y in (9, 13, 10):
-        s = ingest(s, twin, y)
-        assert estimated_belief_update(s, prior_log_odds(0.5)) == pytest.approx(0.5, abs=1e-15)
+    for path in steps(twin, 0.5, (9, 13, 10)):
+        assert path.state.estimated_belief == pytest.approx(0.5, abs=1e-15)
 
 
 def test_estimated_belief_matches_brute_force(mixture_grid):
@@ -219,21 +246,15 @@ def test_estimated_belief_matches_brute_force(mixture_grid):
     rng = np.random.default_rng(17)
     for trial in range(30):
         prior = float(rng.uniform(0.05, 0.95))
-        s = init_state(mixture_grid, prior=prior)
-        obs = []
         true = Poisson(float(rng.choice([10.0, 12.0, 15.0])))
-        for _ in range(int(rng.integers(1, 100))):
-            y = sample(true, rng)
-            obs.append(y)
-            s = ingest(s, mixture_grid, y)
-            got = estimated_belief_update(s, prior_log_odds(prior))
-
-            lls = [sum(log_density(m, o) for o in obs) for m in mixture_grid.models]
+        ys = [sample(true, rng) for _ in range(int(rng.integers(1, 100)))]
+        for n, path in enumerate(steps(mixture_grid, prior, ys), start=1):
+            lls = [sum(log_density(m, o) for o in ys[:n]) for m in mixture_grid.models]
             l0 = max(lls[i] for i in mixture_grid.indices(Region.THETA0))
             l1 = max(lls[i] for i in mixture_grid.indices(Region.THETA1))
             num = prior * math.exp(l1 - max(l0, l1))
             den = num + (1 - prior) * math.exp(l0 - max(l0, l1))
-            assert got == pytest.approx(num / den, abs=1e-10)
+            assert path.state.estimated_belief == pytest.approx(num / den, abs=1e-10)
 
 
 def test_estimated_sample_size_frozen_values(binary_grid):
@@ -277,16 +298,14 @@ def test_singleton_regions_match_simple_sum_llr(binary_grid):
     # the generalized statistic for declaring abnormal is the plain
     # sum-LLR accumulated by the simple test
     rng = np.random.default_rng(23)
-    s = init_state(binary_grid, prior=0.5)
+    ys = [sample(Poisson(15.0), rng) for _ in range(40)]
     sum_llr = 0.0
-    for _ in range(40):
-        y = sample(Poisson(15.0), rng)
-        s = ingest(s, binary_grid, y)
+    for y, path in zip(ys, steps(binary_grid, 0.5, ys)):
         sum_llr = update_llr(
             sum_llr, log_density(Poisson(15.0), y) - log_density(Poisson(10.0), y)
         )
-        if s.mle == 1:
-            assert glr_statistic(s, 1) == pytest.approx(sum_llr, abs=1e-9)
+        if path.state.mle == 1:
+            assert glr(path.state, 1) == pytest.approx(sum_llr, abs=1e-9)
 
 
 def test_mle_consistency_at_depth(mixture_grid):
@@ -294,14 +313,12 @@ def test_mle_consistency_at_depth(mixture_grid):
     trials = 200
     hits = 0
     for _ in range(trials):
-        s = init_state(mixture_grid, prior=0.5)
-        for _ in range(200):
-            s = ingest(s, mixture_grid, sample(Poisson(15.0), rng))
-        hits += s.mle == 2
+        ys = [sample(Poisson(15.0), rng) for _ in range(200)]
+        hits += folded(mixture_grid, 0.5, ys).state.mle == 2
     assert hits / trials >= 0.99
 
 
-# --- exact differential test of the grid fold against the old numpy fold ---
+# --- exact differential test of the grid path against the old numpy fold ---
 
 
 class _Oracle:
@@ -401,45 +418,29 @@ def _grid_and_data(draw):
 
 @given(_grid_and_data())
 @settings(max_examples=300, deadline=None)
-def test_grid_fold_equals_direct_recomputation(case):
+def test_grid_path_equals_direct_recomputation(case):
     grid, ys, prior = case
     b = composite_boundaries(1e-3, 1e-5)
-    spec = ProcessSpec(prior=prior, cost_rate=2.0, alpha=1e-3, beta=1e-5, grid=grid)
-    # the second fold over the same grid object reads the rows the first
+    # the second pass over the same grid object reads the rows the first
     # one put in its table
+    seen = set()  # the observations folded, up to each path's declaration
     for data in (ys, ys[::-1]):
-        s, oracle = init_state(grid, prior), _Oracle(grid, prior)
-        # the engine's grid loop, one observation per call, as a third side
-        runtimes = [_GridRuntime(spec, which) for which in StatisticKind]
-        streams = [_Stream(grid.models[0], None) for _ in runtimes]
-        for stream in streams:
-            stream.buf = list(data)
-        for y in data:
-            ingest(s, grid, y)
-            oracle.ingest(y)
-            expected_belief = oracle.belief(s.estimated_belief)
-            assert list(s.cum_ll) == oracle.cum.tolist()
-            assert s.mle == oracle.mle
-            assert s.max0 == oracle.restricted(Region.THETA0)
-            assert s.max1 == oracle.restricted(Region.THETA1)
-            assert s.alr_numerator == oracle.alr_numerator
-            for declare in (0, 1):
-                assert glr_statistic(s, declare) == oracle.glr(declare)
-                assert alr_statistic(s, declare) == oracle.alr(declare)
-            for which in StatisticKind:
-                assert check_stop_composite(s, b, which) == oracle.verdict(b, which)
-            assert estimated_belief_update(s, prior_log_odds(prior)) == expected_belief
-            assert point_sizes(grid, b)[s.mle] == oracle.expected_size(b)
-            for rt, stream in zip(runtimes, streams):
-                steps, verdict, value = rt.advance(stream, 1, -math.inf)
-                c = rt.cstate
-                assert steps == 1
-                assert (list(c.cum_ll), c.mle, c.max0, c.max1, c.alr_numerator, c.estimated_belief) == (
-                    list(s.cum_ll), s.mle, s.max0, s.max1, s.alr_numerator, s.estimated_belief
-                )
-                assert verdict == check_stop_composite(s, b, rt.statistic)
-                direct = index(s.estimated_belief, spec.cost_rate, point_sizes(grid, b)[s.mle])
-                assert value == (0.0 if verdict.decided else direct)
+        for which in StatisticKind:
+            # one observation per extension, each step checked by ``steps``,
+            # against the whole prefix in one chunk
+            for path in steps(grid, prior, data, which, alpha=1e-3, beta=1e-5):
+                s, n = path.state, len(path.series) - 1
+                for declare in (0, 1):
+                    assert glr(s, declare) == _Oracle.glr(_replay(grid, prior, data[:n]), declare)
+                    assert alr(s, declare) == _Oracle.alr(_replay(grid, prior, data[:n]), declare)
+                assert point_sizes(grid, b)[s.mle] == _replay(grid, prior, data[:n]).expected_size(b)
+            seen.update(data[:n])
+            whole = grid_path(grid, prior, which, alpha=1e-3, beta=1e-5)
+            assert whole.fold(list(data)) == n
+            assert (whole.series, whole.beliefs, whole.stats, whole.end, whole.verdict) == (
+                path.series, path.beliefs, path.stats, path.end, path.verdict
+            )
+            assert vars_of(whole.state) == vars_of(path.state)
     model = grid.models[0]
     if isinstance(model, Gaussian):
         assert grid.increments is None
@@ -448,6 +449,18 @@ def test_grid_fold_equals_direct_recomputation(case):
     bad = (2.5, -1) if isinstance(model, Poisson) else (2.5, -1, len(model.probs))
     for y in bad:
         with pytest.raises(ValueError):
-            ingest(init_state(grid, prior), grid, y)
+            grid_path(grid, prior).fold([y])
         assert y not in grid.increments
-    assert set(grid.increments) == set(ys)
+    # a row for every observation some path folded, and no other
+    assert set(grid.increments) == seen
+
+
+def _replay(grid, prior, ys) -> _Oracle:
+    oracle = _Oracle(grid, prior)
+    for y in ys:
+        oracle.ingest(y)
+    return oracle
+
+
+def vars_of(state):
+    return (list(state.cum_ll), state.mle, state.max0, state.max1, state.alr_numerator, state.estimated_belief)

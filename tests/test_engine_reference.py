@@ -17,13 +17,15 @@ eligible set for every pick. The engine must reproduce it exactly:
 every ``EpisodeResult`` field and every ``TraceStep`` compare with ``==``.
 Traced runs take one observation per decision; untraced runs take a lone
 probe's observations in stretches up to its next event, and their
-``EpisodeResult`` must equal the same replay.
+``EpisodeResult`` must equal the same replay. So must every policy run on
+one shared path set (``EpisodePaths``), in any order.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from array import array
 
 import numpy as np
 import pytest
@@ -32,10 +34,12 @@ from hypothesis import strategies as st
 
 from seqscan.composite import ParameterGrid, Region, StatisticKind
 from seqscan.engine import (
+    EpisodePaths,
     EpisodeResult,
     PolicyConfig,
     PolicyKind,
     ProcessSpec,
+    SimulationError,
     TraceStep,
     _pair_index,
     _pair_threshold,
@@ -639,6 +643,83 @@ def test_identical_grid_processes_match_reference_replay(spec, k, policy, seed, 
     plain = run_episode(specs, config, np.random.SeedSequence(seed))
     expected.trace = None
     assert plain == expected
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    statistic=st.sampled_from(list(StatisticKind)),
+    order=st.permutations(sorted(POLICIES)),
+    traced=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_policies_sharing_one_path_set_match_fresh_runs_and_the_replay(statistic, order, traced, seed, data):
+    # every policy of a sweep point reads one path set, in a drawn order:
+    # each reads what earlier ones folded and folds further where it must.
+    # Near model pairs give long lone stretches at M = 1; a traced set
+    # serves traced and untraced runs alike
+    positive = statistic is StatisticKind.ALR
+    kinds = st.one_of(grid_specs(positive), pair_specs(), pair_specs(min_budget=1e-4, near=True))
+    specs = data.draw(st.lists(kinds, min_size=1, max_size=4), label="specs")
+    m = data.draw(st.integers(1, len(specs)), label="m")
+    paths = EpisodePaths(specs, np.random.SeedSequence(seed), statistic, trace=traced)
+    for name in order:
+        config = POLICIES[name](m, statistic)
+        expected = reference_episode(specs, config, np.random.SeedSequence(seed))
+        for record in (True, False) if traced else (False,):
+            shared = run_episode(specs, config, np.random.SeedSequence(seed), record_trace=record, paths=paths)
+            fresh = run_episode(specs, config, np.random.SeedSequence(seed), record_trace=record)
+            if not record:
+                expected.trace = None
+            assert shared == fresh == expected
+
+
+def test_paths_serve_only_the_episode_they_were_built_for():
+    spec = ProcessSpec(
+        prior=0.5, cost_rate=1.0, alpha=1e-2, beta=1e-2, model_h0=Poisson(10.0), model_h1=Poisson(15.0)
+    )
+    specs, seed = [spec, spec], np.random.SeedSequence(5)
+    paths = EpisodePaths(specs, seed, StatisticKind.GLR)
+    alr = PolicyConfig(statistic=StatisticKind.ALR)
+    with pytest.raises(ValueError, match="built for the GLR statistic, not ALR"):
+        run_episode(specs, alr, seed, paths=paths)
+    with pytest.raises(ValueError, match="trace=True"):
+        run_episode(specs, PolicyConfig(), seed, record_trace=True, paths=paths)
+    with pytest.raises(ValueError, match="another seed"):
+        run_episode(specs, PolicyConfig(), np.random.SeedSequence(6), paths=paths)
+    with pytest.raises(ValueError, match="other processes"):
+        run_episode([spec], PolicyConfig(), seed, paths=paths)
+    with pytest.raises(ValueError, match="another truth"):
+        run_episode(specs, PolicyConfig(), seed, forced_truth=[not t for t in paths.truth], paths=paths)
+    assert run_episode(specs, PolicyConfig(), seed, paths=paths) == run_episode(specs, PolicyConfig(), seed)
+
+
+def test_time_cap_with_shared_paths():
+    # two slow pairs entered with a delay: closed loop switches at
+    # exploration instants and at index crossings, paying entering delays
+    # that open loop, which probes each process to its declaration, does
+    # not, so a time cap at open loop's final time stops closed loop alone
+    spec = ProcessSpec(
+        prior=0.5, cost_rate=1.0, alpha=1e-3, beta=1e-3,
+        model_h0=Poisson(10.0), model_h1=Poisson(11.0), switch_delay=3,
+    )
+    specs, seed = [spec, spec], np.random.SeedSequence(21)
+    cl, ol = PolicyConfig(kind=PolicyKind.CL, zeta=1.3), PolicyConfig(kind=PolicyKind.OL)
+    uncapped = {policy: run_episode(specs, policy, seed) for policy in (cl, ol)}
+    cap = uncapped[ol].final_time
+    assert uncapped[cl].final_time > cap
+    message = rf"^episode exceeded {cap} time units with [12] processes undecided$"
+    with pytest.raises(SimulationError, match=message) as alone:
+        run_episode(specs, cl, seed, time_cap=cap)
+    paths = EpisodePaths(specs, seed)
+    with pytest.raises(SimulationError) as shared:
+        run_episode(specs, cl, seed, time_cap=cap, paths=paths)
+    assert str(shared.value) == str(alone.value)
+    assert run_episode(specs, ol, seed, time_cap=cap, paths=paths) == uncapped[ol]
+    for path, n in zip(paths.paths, uncapped[ol].samples):
+        # steps as compact doubles, none past the declaration or the cap
+        assert isinstance(path.series, array) and path.series.typecode == "d"
+        assert len(path.series) == n + 1 <= cap + 1
 
 
 def test_impossible_observation_fails_the_episode():

@@ -397,6 +397,53 @@ def test_partial_failure_isolated(monkeypatch):
     assert lines[1].startswith("1,CL,0,,")
 
 
+@pytest.mark.parametrize("name", ["fig1", "fig5"])
+def test_policy_order_leaves_every_row_unchanged(name):
+    # the policies of a sweep point read one path set per episode; which
+    # of them folds it first does not show in any row
+    scale = RECIPE_DIGESTS[name][0]
+    cfg = figure_config(name)
+    rows = []
+    for policies in (cfg.policies, cfg.policies[::-1]):
+        summaries = run_experiment(replace(cfg, policies=policies), scale=scale, per_episode=True)
+        for emit, key in ((emit_csv, 2), (emit_per_episode_csv, 3)):  # (sweep value, policy[, episode])
+            buf = io.StringIO()
+            emit(summaries, buf)
+            header, *lines = buf.getvalue().splitlines()
+            rows.append((header, {tuple(line.split(",")[:key]): line for line in lines}))
+    assert rows[:2] == rows[2:]
+    assert len(rows[0][1]) == len(cfg.policies) * len(scaled_sweep_values(cfg, scale))
+
+
+def test_a_failing_policy_fails_only_its_own_rows(monkeypatch):
+    # CL-no-explore raises on episode 3 of 5; it is not run again, and the
+    # CL and OL rows (OL the baseline of both runs) equal a run without it
+    real = harness.run_episode
+    seen = []
+
+    def run_episode(specs, policy, seed, *args, **kwargs):
+        seen.append((policy.zeta, seed.spawn_key[1]))
+        if policy.zeta == math.inf and seed.spawn_key[1] == 3:
+            raise RuntimeError("episode 3 failed")
+        return real(specs, policy, seed, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_episode", run_episode)
+    cfg = tiny_config(policies=("CL", "OL", "CL-no-explore"), episodes=5, sweep_values=(2.0, 3.0))
+    res = run_experiment(cfg)
+    assert [(s.policy, s.error) for s in res] == [
+        ("CL", None), ("OL", None), ("CL-no-explore", "episode 3 failed")
+    ] * 2
+    assert sorted(ep for zeta, ep in seen if zeta == math.inf) == [0, 0, 1, 1, 2, 2, 3, 3]
+    monkeypatch.setattr(harness, "run_episode", real)
+    without = run_experiment(replace(cfg, policies=("CL", "OL")))
+    summary, alone = io.StringIO(), io.StringIO()
+    emit_csv(res, summary)
+    emit_csv(without, alone)
+    lines = summary.getvalue().splitlines()
+    assert [lines[0], lines[1], lines[2], lines[4], lines[5]] == alone.getvalue().splitlines()
+    assert lines[3].startswith("2,CL-no-explore,0,,") and lines[6].startswith("3,CL-no-explore,0,,")
+
+
 def test_per_episode_records_match_aggregates():
     res = run_experiment(tiny_config(episodes=30), per_episode=True)
     for s in res:
