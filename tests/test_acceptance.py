@@ -222,19 +222,22 @@ def test_c8_oracle_equivalences():
     )
     spec = ProcessSpec(prior=0.37, cost_rate=1.0, alpha=1e-12, beta=1e-12, grid=grid)
 
-    def fresh_path():  # fed by hand: its stream is never drawn from
-        return _GridPath(spec, _Stream(grid.models[0], None), StatisticKind.GLR, trace=False)
+    ys = [int(v) for v in np.random.default_rng(88).poisson(11, size=60)]
+
+    def fresh_path():  # its stream holds ys, so it is never drawn from
+        stream = _Stream(grid.models[0], None)
+        stream.buf = list(ys)
+        return _GridPath(spec, stream, StatisticKind.GLR, trace=False)
 
     sizes = [b / d for b, d in size_terms(grid, composite_boundaries(1e-12, 1e-12))]
     path = fresh_path()
     worst_grid = 0.0
-    ys = [int(v) for v in np.random.default_rng(88).poisson(11, size=60)]
     lls = [0.0, 0.0, 0.0]  # per-point log-likelihoods of the data so far
     alr_numerator = 0.0
     for n, y in enumerate(ys, start=1):
-        path.fold([y])
+        path.extend(n, n)  # a cap of n steps: one more observation
         whole = fresh_path()
-        whole.fold(ys[:n])
+        whole.extend(n, n)  # all n in one chunk
         rows = [log_density(m, y) for m in grid.models]
         alr_numerator += rows[lls.index(max(lls))]  # the estimate before y
         lls = [sum(log_density(m, past) for past in ys[:n]) for m in grid.models]
