@@ -27,6 +27,7 @@ from seqscan.sprt import (
 )
 from seqscan.composite import ParameterGrid, Region, StatisticKind
 from seqscan.engine import (
+    EpisodePaths,
     EpisodeResult,
     PolicyConfig,
     PolicyKind,
@@ -40,6 +41,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Categorical",
+    "EpisodePaths",
     "EpisodeResult",
     "ExperimentConfig",
     "Gaussian",

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: run a config file, validate one, run a bundled figure
-recipe, or print the cost floor for a config with a forced truth.
+recipe, or print the cost floor of each sweep point of a config with a
+forced truth.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_run_flags(p_fig)
 
     p_bound = sub.add_parser(
-        "bound", help="print the cost floor for a config with explicit processes and truth"
+        "bound", help="print the cost floor of each sweep point of a config with explicit processes and truth"
     )
     p_bound.add_argument("config", type=Path)
 
@@ -130,11 +131,14 @@ def main(argv: list[str] | None = None) -> int:
             return _execute(cfg, args, default_stem=args.figure)
         if args.command == "bound":
             cfg = _read_config(args.config)
-            validate_config(cfg)
+            point_sets = validate_config(cfg)
             if cfg.processes is None or cfg.truth is None:
                 raise ConfigError("bound needs explicit processes and a truth vector")
-            value = lower_bound_oracle(cfg.processes, cfg.truth, m=cfg.m)
-            print(f"{value:.10g}")
+            grid = next((pid for pid, spec in enumerate(cfg.processes, start=1) if spec.is_composite), None)
+            if grid is not None:  # a config cannot name the grid point drawn as its truth
+                raise ConfigError(f"process {grid} is a parameter grid: its floor needs its realized grid point")
+            for specs in point_sets:  # one floor per sweep point, in sweep order
+                print(f"{lower_bound_oracle(specs, cfg.truth, m=cfg.m):.10g}")
             return 0
     except ConfigError as exc:
         print(f"seqscan: {exc}", file=sys.stderr)

@@ -1,20 +1,19 @@
 """Sequential tests with unknown parameters over a finite grid.
 
 Each process under test carries cumulative log-likelihoods for every
-grid point (``CompositeState``). Those sums are sufficient for
-everything a grid test needs: the generalized statistic (re-maximized
-over all data), the adaptive statistic (plug-in estimate from the
-previous step), the restricted maximum-likelihood estimates per region
-and the estimated belief. The engine's grid path
-(``seqscan.engine._GridPath``) folds each observation into a state and
-computes the statistics from it; this module holds the grid, the state,
-the boundaries and the per-point expected sample sizes (``size_terms``).
+grid point. Those sums are sufficient for everything a grid test needs:
+the generalized statistic (re-maximized over all data), the adaptive
+statistic (plug-in estimate from the previous step), the restricted
+maximum-likelihood estimates per region and the estimated belief. The
+engine's grid path (``seqscan.engine._GridPath``) holds the sums, folds
+each observation into them and computes the statistics; this module
+holds the grid, the boundaries and the per-point expected sample sizes
+(``size_terms``).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -95,18 +94,6 @@ class ParameterGrid:
         return inc
 
 
-@dataclass
-class CompositeState:
-    """Running sufficient statistics for one process."""
-
-    cum_ll: Sequence[float]     # cumulative log-likelihood per grid point
-    mle: int                    # argmax of cum_ll, ties to lowest index
-    max0: float                 # max of cum_ll over Theta0
-    max1: float                 # max of cum_ll over Theta1
-    alr_numerator: float        # sum of log f(y_r | estimate before y_r)
-    estimated_belief: float
-
-
 @dataclass(frozen=True)
 class CompositeBoundaries:
     b0: float  # declare normal at statistic >= b0
@@ -126,21 +113,6 @@ def composite_boundaries(alpha: float, beta: float) -> CompositeBoundaries:
     if not (0 < alpha < 1 and 0 < beta < 1):
         raise ValueError(f"error probabilities must lie in (0,1), got alpha={alpha}, beta={beta}")
     return CompositeBoundaries(b0=math.log(1.0 / beta), b1=math.log(1.0 / alpha))
-
-
-def init_state(grid: ParameterGrid, prior: float) -> CompositeState:
-    """Fresh state. The pre-data estimate is grid index 0 (uniform prior
-    plausibility, ties to the lowest index)."""
-    if not 0.0 <= prior <= 1.0:
-        raise ValueError(f"prior must be a probability, got {prior}")
-    return CompositeState(
-        cum_ll=[0.0] * len(grid),
-        mle=0,
-        max0=0.0,
-        max1=0.0,
-        alr_numerator=0.0,
-        estimated_belief=prior,
-    )
 
 
 def _log_ratio(numerator: float, restricted: float) -> float:

@@ -4,12 +4,13 @@ accrual, switching delays, and the analysis-side lower bound.
 Time is discrete. Each probe block consumes the entering switching
 delays plus one sampling unit; every sampling unit offers M probe
 slots, so over an episode the probe counts, delay units and idle slots
-add up to exactly M times the final clock. Observations come from one
-substream per process, drawn in chunks, and an episode's seed fixes one
-path per process (``EpisodePaths``): its statistic after each
-observation, its verdict and its samples to declaration, whatever the
-policy. Every policy run on the seed reads the same paths, each from its
-own step positions, so paired comparisons see the same data, a path is
+add up to exactly M times the final clock. An episode is its paths
+(``EpisodePaths``): its seed fixes one path per process, which owns the
+process's observations, drawn from its own substream in chunks, and its
+test: its statistic after each observation, its verdict and its samples
+to declaration, whatever the policy. A policy only chooses which paths
+to read and when; every policy run on the paths reads them from its own
+step positions, so paired comparisons see the same data, a path is
 folded once, and replays stay bit-identical. Only a probed process's
 index moves, so a lone probe keeps its selection until an event (a
 declaration, an exploration instant that picks another id, the probed
@@ -38,7 +39,6 @@ from seqscan.composite import (
     StatisticKind,
     _log_ratio,
     composite_boundaries,
-    init_state,
     size_terms,
 )
 from seqscan.models import Gaussian, ObservationModel, finite_kl, log_density, sample_many
@@ -63,7 +63,6 @@ class PolicyConfig:
     kind: PolicyKind = PolicyKind.CL
     m: int = 1
     zeta: float = 1.7  # inf disables exploration
-    statistic: StatisticKind = StatisticKind.GLR
 
     def __post_init__(self) -> None:
         if self.m < 1:
@@ -202,29 +201,6 @@ _FIRST_CHUNK = 16
 _MAX_CHUNK = 512
 
 
-class _Stream:
-    """One process's observations, drawn from its own generator in chunks
-    that start small and double up to a cap. The generator is never
-    shared, so buffered draws reach the process in the order single
-    draws would."""
-
-    __slots__ = ("model", "rng", "buf", "pos", "chunk")
-
-    def __init__(self, model: ObservationModel, rng: np.random.Generator):
-        self.model = model
-        self.rng = rng
-        self.buf: list = []
-        self.pos = 0
-        self.chunk = _FIRST_CHUNK
-
-    def refill(self) -> list:
-        """Replace the spent buffer with the next chunk and return it."""
-        self.buf = sample_many(self.model, self.rng, self.chunk)
-        self.pos = 0
-        self.chunk = min(2 * self.chunk, _MAX_CHUNK)
-        return self.buf
-
-
 def _pair_index(
     prior: float, log_odds: float | None, llr: float, cost: float, e_n_h0: float, e_n_h1: float
 ) -> float:
@@ -263,21 +239,26 @@ def _pair_threshold(
 
 
 class _Path:
-    """One process's observation path in an episode: a number per step
-    (``series``, step 0 before any observation), folded from the
-    process's stream in chunks only as far as some reader asks, and never
-    past the declaration (``end``, with its ``verdict``) or a reader's
-    time cap. When tracing, the observations are kept too. Every policy
-    run on the episode's seed reads the same path, each from its own
-    step position. Each kind's ``fold(ys)`` appends the steps of ys in
-    order, stopping at the declaration, and returns how many it took."""
+    """One process in an episode: its observations, drawn from its own
+    generator in chunks (``buf``) that start small and double up to a cap,
+    in the order single draws would give, and a number per step
+    (``series``, step 0 before any observation), folded from them only as
+    far as some reader asks, and never past the declaration (``end``, with
+    its ``verdict``) or a reader's time cap. When tracing, the
+    observations are kept too. Each kind's ``fold(ys)`` appends the steps
+    of ys in order, stopping at the declaration, and returns how many it
+    took."""
 
-    __slots__ = ("spec", "table", "stream", "series", "observations", "end", "verdict")
+    __slots__ = ("spec", "table", "model", "rng", "buf", "pos", "chunk", "series", "observations", "end", "verdict")
 
-    def __init__(self, spec: ProcessSpec, stream: _Stream, first: float, trace: bool):
+    def __init__(self, spec: ProcessSpec, model: ObservationModel, rng: np.random.Generator, first: float, trace: bool):
         self.spec = spec
         self.table = spec.table
-        self.stream = stream
+        self.model = model
+        self.rng = rng
+        self.buf: list = []
+        self.pos = 0
+        self.chunk = _FIRST_CHUNK
         self.series = array("d", [first])
         self.observations: list | None = [] if trace else None
         self.end: int | None = None
@@ -285,12 +266,15 @@ class _Path:
 
     def extend(self, last: int, cap: int) -> None:
         """Fold observations until the path holds step min(last, cap) or
-        ends; a reader's stretch never reaches past its time cap."""
-        series, stream, last = self.series, self.stream, min(last, cap)
+        ends; a reader's stretch never reaches past its time cap. A spent
+        buffer is replaced by the next chunk."""
+        series, last = self.series, min(last, cap)
         while self.end is None and len(series) <= last:
-            if stream.pos == len(stream.buf):
-                stream.refill()
-            stream.pos += self.fold(stream.buf[stream.pos : stream.pos + cap + 1 - len(series)])
+            if self.pos == len(self.buf):
+                self.buf = sample_many(self.model, self.rng, self.chunk)
+                self.pos = 0
+                self.chunk = min(2 * self.chunk, _MAX_CHUNK)
+            self.pos += self.fold(self.buf[self.pos : self.pos + cap + 1 - len(series)])
 
 
 class _PairPath(_Path):
@@ -300,8 +284,8 @@ class _PairPath(_Path):
 
     __slots__ = ("terms",)
 
-    def __init__(self, spec: ProcessSpec, stream: _Stream, trace: bool):
-        super().__init__(spec, stream, 0.0, trace)
+    def __init__(self, spec: ProcessSpec, model: ObservationModel, rng: np.random.Generator, trace: bool):
+        super().__init__(spec, model, rng, 0.0, trace)
         t = self.table
         self.terms = (spec.prior, t.log_odds, spec.cost_rate, t.e_n_h0, t.e_n_h1)  # _pair_index's, but the LLR
 
@@ -391,16 +375,25 @@ class _PairPath(_Path):
 
 class _GridPath(_Path):
     """A grid path: the index value after each observation (0.0 at the
-    declaration), with the running per-point sums, estimate, adaptive
-    numerator and estimated belief in ``state``; when tracing, the belief
-    and the GLR statistic for declaring abnormal after each step."""
+    declaration), with the running sums after the last one: the
+    log-likelihood per grid point (``cum_ll``), the estimate (``mle``,
+    their argmax, ties to the lowest index; point 0 before any data),
+    their maxima over Theta0 and Theta1, the adaptive numerator (the sum
+    of each observation's log-density under the estimate before it) and
+    the estimated belief. When tracing, the belief and the GLR statistic
+    for declaring abnormal after each step are kept too."""
 
-    __slots__ = ("statistic", "state", "beliefs", "stats")
+    __slots__ = ("statistic", "cum_ll", "mle", "max0", "max1", "alr_numerator", "estimated_belief", "beliefs", "stats")
 
-    def __init__(self, spec: ProcessSpec, stream: _Stream, statistic: StatisticKind, trace: bool):
-        super().__init__(spec, stream, index(spec.prior, spec.cost_rate, spec.table.sizes[0]), trace)
+    def __init__(
+        self, spec: ProcessSpec, model: ObservationModel, rng: np.random.Generator, statistic: StatisticKind, trace: bool
+    ):
+        super().__init__(spec, model, rng, index(spec.prior, spec.cost_rate, spec.table.sizes[0]), trace)
         self.statistic = statistic
-        self.state = init_state(spec.grid, spec.prior)
+        self.cum_ll = [0.0] * len(spec.grid)
+        self.mle = 0
+        self.max0 = self.max1 = self.alr_numerator = 0.0
+        self.estimated_belief = spec.prior
         self.beliefs = array("d", [spec.prior]) if trace else None
         self.stats = array("d", [0.0]) if trace else None  # the GLR of the empty sums
 
@@ -409,14 +402,14 @@ class _GridPath(_Path):
         (the adaptive numerator takes the estimate held before it), find
         the estimate and the regional maxima, update the belief, check
         the boundaries, then the index. Plain floats and ``math`` only, on
-        locals written back to the state once per chunk."""
-        state, grid, table, spec = self.state, self.spec.grid, self.table, self.spec
+        locals written back to the slots once per chunk."""
+        grid, table, spec = self.spec.grid, self.table, self.spec
         theta0, theta1, row = grid.theta0, grid.theta1, grid.row
         lookup = grid.increments.get if grid.increments is not None else {}.get
         sizes, log_odds, cost = table.sizes, table.log_odds, spec.cost_rate
         b0, b1, glr = table.bounds.b0, table.bounds.b1, self.statistic is StatisticKind.GLR
-        cum, mle, alr, belief = state.cum_ll, state.mle, state.alr_numerator, state.estimated_belief
-        max0, max1 = state.max0, state.max1
+        cum, mle, alr, belief = self.cum_ll, self.mle, self.alr_numerator, self.estimated_belief
+        max0, max1 = self.max0, self.max1
         values, beliefs, stats = self.series, self.beliefs, self.stats
         taken = 0
         for y in ys:
@@ -445,8 +438,8 @@ class _GridPath(_Path):
             values.append(0.0)
             self.end = len(values) - 1
             break
-        state.cum_ll, state.mle, state.max0, state.max1 = cum, mle, max0, max1
-        state.alr_numerator, state.estimated_belief = alr, belief
+        self.cum_ll, self.mle, self.max0, self.max1 = cum, mle, max0, max1
+        self.alr_numerator, self.estimated_belief = alr, belief
         if self.observations is not None:
             self.observations += ys[:taken]
         return taken
@@ -476,13 +469,14 @@ class _GridPath(_Path):
 
 
 class EpisodePaths:
-    """One episode's draw: the truth, the truth models and one path per
-    process, built from the episode's seed. A process's observations, its
-    statistic after each one, its verdict and its samples to declaration
-    do not depend on the policy, so every policy run on the seed reads the
-    same paths, and each path is folded once, as far as the furthest
-    reader. The paths serve one statistic; ``trace`` keeps what a traced
-    episode reads."""
+    """One episode: the processes, the truth, the truth models and one
+    path per process, built from the episode's seed. A process's
+    observations, its statistic after each one, its verdict and its
+    samples to declaration do not depend on the policy, so every policy
+    run on the seed reads the same paths, and each path is folded once,
+    as far as the furthest reader. The paths serve one statistic; a
+    ``trace`` set keeps what a traced episode reads, and every run on it
+    is traced."""
 
     def __init__(
         self,
@@ -493,6 +487,8 @@ class EpisodePaths:
         trace: bool = False,
     ):
         k = len(specs)
+        if k < 1:
+            raise ValueError("need at least one process")
         # derive children by spawn-key extension rather than .spawn(),
         # which mutates the parent and would break seed-object reuse
         children = [
@@ -507,29 +503,14 @@ class EpisodePaths:
         else:
             truth = tuple(bool(meta_rng.random() < spec.prior) for spec in specs)
         self.specs = tuple(specs)
-        self.seed = seed
-        self.statistic = statistic
         self.trace = trace
         self.truth = truth
         self.truth_models = tuple(_draw_truth_model(spec, truth[i], meta_rng) for i, spec in enumerate(specs))
-        streams = [_Stream(model, np.random.default_rng(c)) for model, c in zip(self.truth_models, children[1:])]
+        rngs = map(np.random.default_rng, children[1:])
         self.paths = [
-            _GridPath(spec, stream, statistic, trace) if spec.is_composite else _PairPath(spec, stream, trace)
-            for spec, stream in zip(specs, streams)
+            _GridPath(spec, model, rng, statistic, trace) if spec.is_composite else _PairPath(spec, model, rng, trace)
+            for spec, model, rng in zip(specs, self.truth_models, rngs)
         ]
-
-    def check(self, specs, seed, forced_truth, statistic: StatisticKind, trace: bool) -> None:
-        """Raise unless these paths serve an episode of these arguments."""
-        if (
-            tuple(specs) != self.specs
-            or (seed.entropy, tuple(seed.spawn_key)) != (self.seed.entropy, tuple(self.seed.spawn_key))
-            or (forced_truth is not None and tuple(bool(b) for b in forced_truth) != self.truth)
-        ):
-            raise ValueError("the paths were built for other processes, another seed or another truth")
-        if statistic is not self.statistic:
-            raise ValueError(f"the paths were built for the {self.statistic.name} statistic, not {statistic.name}")
-        if trace and not self.trace:
-            raise ValueError("a traced episode needs paths built with trace=True")
 
 
 def apply_switching_delay(
@@ -564,46 +545,30 @@ def _draw_truth_model(spec: ProcessSpec, abnormal: bool, meta_rng: np.random.Gen
     return spec.grid.models[points[-1][0]]
 
 
-def run_episode(
-    specs: Sequence[ProcessSpec],
-    policy: PolicyConfig,
-    rng: np.random.SeedSequence,
-    forced_truth: Sequence[bool] | None = None,
-    record_trace: bool = False,
-    time_cap: int = TIME_CAP,
-    paths: EpisodePaths | None = None,
-) -> EpisodeResult:
-    """Simulate one episode to the last declaration, reading the paths
-    of (specs, rng, forced_truth): those given, which other policies may
-    have read already, or a private set built here."""
+def run_episode(paths: EpisodePaths, policy: PolicyConfig, time_cap: int = TIME_CAP) -> EpisodeResult:
+    """Simulate one episode to the last declaration under policy, reading
+    the episode's paths, which other policies may have read already; a
+    traced set gives a traced run."""
+    specs, walks = paths.specs, paths.paths
     k = len(specs)
-    if k < 1:
-        raise ValueError("need at least one process")
     if policy.m > k:
         raise ValueError(f"probe budget {policy.m} exceeds process count {k}")
-    if paths is None:
-        paths = EpisodePaths(specs, rng, policy.statistic, forced_truth, record_trace)
-    else:
-        paths.check(specs, rng, forced_truth, policy.statistic, record_trace)
-    walks = paths.paths
-    indices = [path.priority(0) for path in walks]  # 0.0 once declared
 
     # open loop ranks by the pre-data priorities and never reranks or
     # explores, so it probes the first M undeclared ids of that order,
     # each to its declaration
     cl = policy.kind is PolicyKind.CL
-    pstate = PolicyState.fresh(indices if cl else [initial_priority(s) for s in specs])
+    pstate = PolicyState.fresh([path.priority(0) for path in walks] if cl else [initial_priority(s) for s in specs])
     instants = exploration_instants(policy.zeta if cl else math.inf)
     explore = next(instants, math.inf)  # the first exploration instant not yet passed
 
-    declared = [False] * k
     stop_times = [0] * k
     samples = [0] * k  # each process's step position on its path
     t = 0
     total_delay = 0
     idle_slots = 0
     prev_sel: set[int] = set()
-    trace: list[TraceStep] | None = [] if record_trace else None
+    trace: list[TraceStep] | None = [] if paths.trace else None
 
     # Each pass is one decision: select, charge the entering delays and
     # one sampling unit, then advance every selected process. A lone
@@ -657,14 +622,10 @@ def run_episode(
             idle_slots += (policy.m - 1) * (steps - 1)
             samples[i] += steps
             if verdict.decided:
-                declared[i] = verdict is Verdict.DECLARE_ABNORMAL
                 stop_times[i] = t
                 pstate.declare(pid)
-                indices[i] = 0.0
-            else:
-                indices[i] = value
-                if cl:
-                    pstate.rerank(pid, value)
+            elif cl:
+                pstate.rerank(pid, value)
 
         prev_sel = set(sel)
         if trace is not None:
@@ -675,12 +636,13 @@ def run_episode(
                     selected=tuple(sel),
                     observations=tuple(walks[pid - 1].observations[samples[pid - 1] - 1] for pid in sel),
                     beliefs=tuple(path.belief(n) for path, n in zip(walks, samples)),
-                    indices=tuple(indices),
+                    indices=tuple(0.0 if path.end == n else path.priority(n) for path, n in zip(walks, samples)),
                     stats=tuple(path.stat(n) for path, n in zip(walks, samples)),
                 )
             )
 
     truth = paths.truth
+    declared = tuple(path.verdict is Verdict.DECLARE_ABNORMAL for path in walks)
     fa = tuple(declared[i] and not truth[i] for i in range(k))
     md = tuple(not declared[i] and truth[i] for i in range(k))
     cost = sum(
@@ -688,7 +650,7 @@ def run_episode(
     )
     return EpisodeResult(
         truth=truth,
-        declared=tuple(declared),
+        declared=declared,
         stop_times=tuple(stop_times),
         samples=tuple(samples),
         final_time=t,

@@ -584,12 +584,11 @@ _STATISTIC_KINDS = {"SPRT": StatisticKind.GLR, "GLR": StatisticKind.GLR, "ALR": 
 
 
 def _policy_config(cfg: ExperimentConfig, name: str) -> PolicyConfig:
-    stat = _STATISTIC_KINDS[cfg.statistic]
     if name == "OL":
-        return PolicyConfig(kind=PolicyKind.OL, m=cfg.m, statistic=stat)
+        return PolicyConfig(kind=PolicyKind.OL, m=cfg.m)
     if name == "CL-no-explore":
-        return PolicyConfig(kind=PolicyKind.CL, m=cfg.m, zeta=math.inf, statistic=stat)
-    return PolicyConfig(kind=PolicyKind.CL, m=cfg.m, zeta=cfg.zeta, statistic=stat)
+        return PolicyConfig(kind=PolicyKind.CL, m=cfg.m, zeta=math.inf)
+    return PolicyConfig(kind=PolicyKind.CL, m=cfg.m, zeta=cfg.zeta)
 
 
 def _scaled_k(cfg: ExperimentConfig, k: float, scale: int) -> int:
@@ -658,36 +657,35 @@ def _run_point(
     policy that has not failed; a policy that raises fails only its own
     batch, and the others go on."""
     episodes = cfg.episodes
+    statistic = _STATISTIC_KINDS[cfg.statistic]
     policies = {name: _policy_config(cfg, name) for name in cfg.policies}
     records: dict[str, list[dict]] = {name: [] for name in cfg.policies}
     errors: dict[str, str] = {}
-    bounds = np.empty(episodes)
-    bounds_ok = True
+    bounds = np.full(episodes, math.nan)  # NaN where the bound is undefined, and so is their mean
 
     for ep in range(episodes):
         seed = np.random.SeedSequence(cfg.master_seed, spawn_key=(sweep_idx, ep))
-        paths = bound = None
+        paths = None
         for name, policy in policies.items():
             if name in errors:
                 continue
             try:  # isolation boundary: the error is reported in the summary
                 if paths is None:
-                    paths = EpisodePaths(specs, seed, policy.statistic, forced_truth=cfg.truth)
-                res = run_episode(specs, policy, seed, paths=paths)
-                # the truth is every policy's, and so is the bound
-                if bounds_ok and bound is None:
+                    paths = EpisodePaths(specs, seed, statistic, forced_truth=cfg.truth)
+                    # the truth is every policy's, and so is the bound
                     try:
-                        bound = bounds[ep] = lower_bound_oracle(specs, res.truth, res.truth_models, m=cfg.m)
+                        bounds[ep] = lower_bound_oracle(specs, paths.truth, paths.truth_models, m=cfg.m)
                     except ValueError:
-                        bounds_ok = False
-                records[name].append(_episode_record(ep, res, bound if bounds_ok else math.nan))
+                        pass
+                res = run_episode(paths, policy)
+                records[name].append(_episode_record(ep, res, bounds[ep]))
             except Exception as exc:  # noqa: BLE001
                 errors[name] = str(exc)
 
     return [
         BatchSummary(sweep_value=sweep_value, policy=name, episodes=0, error=errors[name])
         if name in errors
-        else _summarize(cfg, sweep_value, name, specs, records[name], float(bounds.mean()) if bounds_ok else math.nan)
+        else _summarize(cfg, sweep_value, name, specs, records[name], float(bounds.mean()))
         for name in cfg.policies
     ]
 

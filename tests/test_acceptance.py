@@ -19,11 +19,11 @@ import pytest
 from seqscan.belief import posterior, prior_log_odds
 from seqscan.composite import ParameterGrid, Region, StatisticKind, composite_boundaries, size_terms
 from seqscan.engine import (
+    EpisodePaths,
     PolicyConfig,
     PolicyKind,
     ProcessSpec,
     _GridPath,
-    _Stream,
     lower_bound_oracle,
     run_episode,
 )
@@ -54,11 +54,11 @@ def test_c1_sequential_test_error_control():
     policy = PolicyConfig()
     n = 20_000
     fa = sum(
-        run_episode([spec], policy, _seed(101, 0, ep), forced_truth=(False,)).false_alarms[0]
+        run_episode(EpisodePaths([spec], _seed(101, 0, ep), forced_truth=(False,)), policy).false_alarms[0]
         for ep in range(n)
     )
     md = sum(
-        run_episode([spec], policy, _seed(101, 1, ep), forced_truth=(True,)).miss_detects[0]
+        run_episode(EpisodePaths([spec], _seed(101, 1, ep), forced_truth=(True,)), policy).miss_detects[0]
         for ep in range(n)
     )
     fa_rate, md_rate = fa / n, md / n
@@ -79,7 +79,7 @@ def test_c2_mean_sample_size_tracks_first_order_value():
     policy = PolicyConfig()
     n = 20_000
     total = sum(
-        run_episode([spec], policy, _seed(202, 0, ep), forced_truth=(True,)).samples[0]
+        run_episode(EpisodePaths([spec], _seed(202, 0, ep), forced_truth=(True,)), policy).samples[0]
         for ep in range(n)
     )
     predicted = expected_sample_sizes(
@@ -224,10 +224,10 @@ def test_c8_oracle_equivalences():
 
     ys = [int(v) for v in np.random.default_rng(88).poisson(11, size=60)]
 
-    def fresh_path():  # its stream holds ys, so it is never drawn from
-        stream = _Stream(grid.models[0], None)
-        stream.buf = list(ys)
-        return _GridPath(spec, stream, StatisticKind.GLR, trace=False)
+    def fresh_path():  # its buffer holds ys, so it is never drawn from
+        path = _GridPath(spec, grid.models[0], None, StatisticKind.GLR, trace=False)
+        path.buf = list(ys)
+        return path
 
     sizes = [b / d for b, d in size_terms(grid, composite_boundaries(1e-12, 1e-12))]
     path = fresh_path()
@@ -245,7 +245,7 @@ def test_c8_oracle_equivalences():
         belief = odds / (1.0 + odds)
         direct = (belief, alr_numerator, belief * 1.0 / sizes[lls.index(max(lls))])
         for p in (path, whole):
-            got = (p.state.estimated_belief, p.state.alr_numerator, p.series[n])
+            got = (p.estimated_belief, p.alr_numerator, p.series[n])
             worst_grid = max([worst_grid] + [abs(a - b) for a, b in zip(got, direct)])
     ok_grid = worst_grid <= 1e-10 and path.end is None
 
@@ -266,7 +266,7 @@ def test_c8_oracle_equivalences():
     # a single-process closed-loop episode is exactly the standalone test
     spec = _simple(alpha=1e-2, beta=1e-2)
     seed = _seed(808, 0, 0)
-    res = run_episode([spec], PolicyConfig(), seed, forced_truth=(True,), record_trace=True)
+    res = run_episode(EpisodePaths([spec], seed, forced_truth=(True,), trace=True), PolicyConfig())
     child = np.random.SeedSequence(entropy=seed.entropy, spawn_key=(0, 0, 1))
     stream = np.random.default_rng(child)
     sum_llr = 0.0

@@ -15,7 +15,7 @@ from seqscan.belief import (
     posterior,
     prior_log_odds,
 )
-from seqscan.engine import PolicyConfig, ProcessSpec, run_episode
+from seqscan.engine import EpisodePaths, PolicyConfig, ProcessSpec, run_episode
 from seqscan.models import Poisson, log_density, sample
 from seqscan.sprt import update_llr
 
@@ -38,7 +38,7 @@ def test_unprobed_instant_changes_nothing():
                     model_h0=Poisson(10.0), model_h1=Poisson(15.0))
         for p, c in ((0.3, 1.0), (0.7, 2.0), (0.5, 1.5))
     ]
-    res = run_episode(specs, PolicyConfig(), np.random.SeedSequence(11), record_trace=True)
+    res = run_episode(EpisodePaths(specs, np.random.SeedSequence(11), trace=True), PolicyConfig())
     moved = 0
     for prev, step in zip(res.trace, res.trace[1:]):
         for pid in range(1, 4):
@@ -130,7 +130,7 @@ def test_index_arithmetic_and_inactivity():
                     model_h0=Poisson(10.0), model_h1=Poisson(15.0))
         for c in (1.0, 3.0, 2.0)
     ]
-    res = run_episode(specs, PolicyConfig(m=2), np.random.SeedSequence(17), record_trace=True)
+    res = run_episode(EpisodePaths(specs, np.random.SeedSequence(17), trace=True), PolicyConfig(m=2))
     for step in res.trace:
         end = step.instant + step.delay  # the clock after this instant
         for pid, stop in enumerate(res.stop_times, start=1):

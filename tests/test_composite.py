@@ -23,7 +23,7 @@ from seqscan.composite import (
     composite_boundaries,
     size_terms,
 )
-from seqscan.engine import ProcessSpec, _GridPath, _Stream
+from seqscan.engine import ProcessSpec, _GridPath
 from seqscan.models import Categorical, Gaussian, Poisson, finite_kl, log_density, sample
 from seqscan.sprt import Verdict, update_llr
 
@@ -53,22 +53,22 @@ def mixture_grid():
     )
 
 
-def glr(state, declare):
+def glr(path, declare):
     """The GLR statistic for declaring abnormal (1) or normal (0): the
     unrestricted maximum minus the maximum over the rejected region."""
-    return _log_ratio(state.cum_ll[state.mle], state.max0 if declare == 1 else state.max1)
+    return _log_ratio(path.cum_ll[path.mle], path.max0 if declare == 1 else path.max1)
 
 
-def alr(state, declare):
+def alr(path, declare):
     """The ALR statistic: the adaptive numerator minus the same maximum."""
-    return _log_ratio(state.alr_numerator, state.max0 if declare == 1 else state.max1)
+    return _log_ratio(path.alr_numerator, path.max0 if declare == 1 else path.max1)
 
 
 def grid_path(grid, prior, statistic=StatisticKind.GLR, alpha=_NEVER, beta=_NEVER):
-    """The engine's path of one grid process, traced, fed by hand: its
-    stream is never drawn from."""
+    """The engine's path of one grid process, traced, fed by hand: it
+    has no generator to draw from."""
     spec = ProcessSpec(prior=prior, cost_rate=2.0, alpha=alpha, beta=beta, grid=grid)
-    return _GridPath(spec, _Stream(grid.models[0], None), statistic, trace=True)
+    return _GridPath(spec, grid.models[0], None, statistic, trace=True)
 
 
 def steps(grid, prior, ys, statistic=StatisticKind.GLR, alpha=_NEVER, beta=_NEVER):
@@ -81,22 +81,22 @@ def steps(grid, prior, ys, statistic=StatisticKind.GLR, alpha=_NEVER, beta=_NEVE
     oracle = _Oracle(grid, prior)
     b = path.table.bounds
     for y in ys:
-        before = path.state.estimated_belief
+        before = path.estimated_belief
         assert path.fold([y]) == 1
         oracle.ingest(y)
-        s, n, verdict = path.state, len(path.series) - 1, oracle.verdict(b, statistic)
-        assert list(s.cum_ll) == oracle.cum.tolist()
-        assert s.mle == oracle.mle
-        assert (s.max0, s.max1) == (oracle.restricted(Region.THETA0), oracle.restricted(Region.THETA1))
-        assert s.alr_numerator == oracle.alr_numerator
-        assert s.estimated_belief == path.beliefs[n] == oracle.belief(before)
+        n, verdict = len(path.series) - 1, oracle.verdict(b, statistic)
+        assert list(path.cum_ll) == oracle.cum.tolist()
+        assert path.mle == oracle.mle
+        assert (path.max0, path.max1) == (oracle.restricted(Region.THETA0), oracle.restricted(Region.THETA1))
+        assert path.alr_numerator == oracle.alr_numerator
+        assert path.estimated_belief == path.beliefs[n] == oracle.belief(before)
         assert path.stats[n] == oracle.glr(1)
         assert path.verdict is verdict
         if verdict.decided:
             assert (path.end, path.series[n]) == (n, 0.0)
         else:
             assert path.end is None
-            assert path.series[n] == index(s.estimated_belief, 2.0, oracle.expected_size(b))
+            assert path.series[n] == index(path.estimated_belief, 2.0, oracle.expected_size(b))
         yield path
         if verdict.decided:
             return
@@ -130,9 +130,9 @@ def test_boundaries_from_budgets():
 
 
 def test_fold_tracks_mle_and_sums(binary_grid):
-    s = grid_path(binary_grid, 0.5).state
+    s = grid_path(binary_grid, 0.5)
     assert s.mle == 0 and s.cum_ll == [0.0, 0.0]
-    s = folded(binary_grid, 0.5, [16]).state
+    s = folded(binary_grid, 0.5, [16])
     assert s.cum_ll == [log_density(m, 16) for m in binary_grid.models]
     assert s.mle == 1  # 16 sits closer in likelihood to rate 15
 
@@ -143,14 +143,14 @@ def test_mle_tie_breaks_to_lowest_index():
         regions=(Region.THETA0, Region.THETA1),
     )
     for path in steps(twin, 0.5, (8, 11, 10, 14)):
-        assert path.state.mle == 0
+        assert path.mle == 0
         # identical models in both regions: the statistic has nothing to separate
-        assert glr(path.state, 1) == 0.0
-        assert glr(path.state, 0) == 0.0
+        assert glr(path, 1) == 0.0
+        assert glr(path, 0) == 0.0
 
 
 def test_glr_constant_data_hand_sum(binary_grid):
-    s = folded(binary_grid, 0.5, [15] * 5).state
+    s = folded(binary_grid, 0.5, [15] * 5)
     # direct summation: gap per sample is log f(15|15) - log f(15|10) = 15 ln 1.5 - 5
     gap = log_density(Poisson(15.0), 15) - log_density(Poisson(10.0), 15)
     assert gap == pytest.approx(15 * math.log(1.5) - 5, abs=1e-12)
@@ -163,13 +163,13 @@ def test_glr_constant_data_hand_sum(binary_grid):
 def test_glr_nonnegative_on_random_data(mixture_grid):
     rng = np.random.default_rng(3)
     for path in steps(mixture_grid, 0.5, [sample(Poisson(11.0), rng) for _ in range(60)]):
-        assert glr(path.state, 0) >= 0.0
-        assert glr(path.state, 1) >= 0.0
+        assert glr(path, 0) >= 0.0
+        assert glr(path, 1) >= 0.0
 
 
 def test_alr_equals_glr_on_first_obs_when_initial_estimate_maximizes(binary_grid):
     # y=8 keeps the maximizer at index 0, which is also the initial estimate
-    s = folded(binary_grid, 0.5, [8], statistic=StatisticKind.ALR).state
+    s = folded(binary_grid, 0.5, [8], statistic=StatisticKind.ALR)
     assert s.mle == 0
     assert alr(s, 1) == pytest.approx(glr(s, 1), abs=1e-12)
     assert alr(s, 0) == pytest.approx(glr(s, 0), abs=1e-12)
@@ -180,20 +180,20 @@ def test_alr_never_exceeds_glr(mixture_grid):
     for _ in range(20):
         true = Poisson(float(rng.choice([10.0, 12.0, 15.0])))
         ys = [sample(true, rng) for _ in range(int(rng.integers(1, 40)))]
-        s = folded(mixture_grid, 0.5, ys, statistic=StatisticKind.ALR).state
+        s = folded(mixture_grid, 0.5, ys, statistic=StatisticKind.ALR)
         for declare in (0, 1):
             assert alr(s, declare) <= glr(s, declare) + 1e-12
 
 
 def test_alr_grows_linearly_once_estimate_stabilizes(binary_grid):
-    values = [alr(p.state, 1) for p in steps(binary_grid, 0.5, [15] * 12, statistic=StatisticKind.ALR)]
+    values = [alr(p, 1) for p in steps(binary_grid, 0.5, [15] * 12, statistic=StatisticKind.ALR)]
     gap = log_density(Poisson(15.0), 15) - log_density(Poisson(10.0), 15)
     diffs = np.diff(values[1:])  # estimate locks onto rate 15 after the first obs
     assert np.allclose(diffs, gap, atol=1e-12)
 
 
 def test_stop_rules(binary_grid):
-    # alpha = beta, so both boundaries are one b. The path's state is set
+    # alpha = beta, so both boundaries are one b. The path's sums are set
     # to the sums under test, then folds one observation whose row is all
     # zeros: the step's verdict is that of the sums as set
     b = composite_boundaries(1e-3, 1e-3).b1
@@ -201,7 +201,7 @@ def test_stop_rules(binary_grid):
 
     def verdict(cum, statistic=StatisticKind.GLR, alr_numerator=0.0):
         path = grid_path(binary_grid, 0.5, statistic, alpha=1e-3, beta=1e-3)
-        path.state.cum_ll, path.state.alr_numerator = list(cum), alr_numerator
+        path.cum_ll, path.alr_numerator = list(cum), alr_numerator
         assert path.fold(["zeros"]) == 1
         assert path.end == (1 if path.verdict.decided else None)
         return path.verdict
@@ -222,13 +222,13 @@ def test_stop_rules(binary_grid):
 def test_estimated_belief_frozen_value(binary_grid):
     path = folded(binary_grid, 0.5, [12])
     # posterior odds e^{-5} 1.5^{12} against the flat prior
-    assert path.state.estimated_belief == pytest.approx(0.4664458315935051, abs=1e-10)
+    assert path.estimated_belief == pytest.approx(0.4664458315935051, abs=1e-10)
 
 
 def test_estimated_belief_degenerate_priors(binary_grid):
     for prior in (0.0, 1.0):
         for path in steps(binary_grid, prior, (12, 18, 9)):
-            assert path.state.estimated_belief == prior
+            assert path.estimated_belief == prior
 
 
 def test_estimated_belief_identical_restricted_models():
@@ -237,7 +237,7 @@ def test_estimated_belief_identical_restricted_models():
         regions=(Region.THETA0, Region.THETA1),
     )
     for path in steps(twin, 0.5, (9, 13, 10)):
-        assert path.state.estimated_belief == pytest.approx(0.5, abs=1e-15)
+        assert path.estimated_belief == pytest.approx(0.5, abs=1e-15)
 
 
 def test_estimated_belief_matches_brute_force(mixture_grid):
@@ -254,7 +254,7 @@ def test_estimated_belief_matches_brute_force(mixture_grid):
             l1 = max(lls[i] for i in mixture_grid.indices(Region.THETA1))
             num = prior * math.exp(l1 - max(l0, l1))
             den = num + (1 - prior) * math.exp(l0 - max(l0, l1))
-            assert path.state.estimated_belief == pytest.approx(num / den, abs=1e-10)
+            assert path.estimated_belief == pytest.approx(num / den, abs=1e-10)
 
 
 def test_estimated_sample_size_frozen_values(binary_grid):
@@ -304,8 +304,8 @@ def test_singleton_regions_match_simple_sum_llr(binary_grid):
         sum_llr = update_llr(
             sum_llr, log_density(Poisson(15.0), y) - log_density(Poisson(10.0), y)
         )
-        if path.state.mle == 1:
-            assert glr(path.state, 1) == pytest.approx(sum_llr, abs=1e-9)
+        if path.mle == 1:
+            assert glr(path, 1) == pytest.approx(sum_llr, abs=1e-9)
 
 
 def test_mle_consistency_at_depth(mixture_grid):
@@ -314,7 +314,7 @@ def test_mle_consistency_at_depth(mixture_grid):
     hits = 0
     for _ in range(trials):
         ys = [sample(Poisson(15.0), rng) for _ in range(200)]
-        hits += folded(mixture_grid, 0.5, ys).state.mle == 2
+        hits += folded(mixture_grid, 0.5, ys).mle == 2
     assert hits / trials >= 0.99
 
 
@@ -429,18 +429,18 @@ def test_grid_path_equals_direct_recomputation(case):
             # one observation per extension, each step checked by ``steps``,
             # against the whole prefix in one chunk
             for path in steps(grid, prior, data, which, alpha=1e-3, beta=1e-5):
-                s, n = path.state, len(path.series) - 1
+                n = len(path.series) - 1
                 for declare in (0, 1):
-                    assert glr(s, declare) == _Oracle.glr(_replay(grid, prior, data[:n]), declare)
-                    assert alr(s, declare) == _Oracle.alr(_replay(grid, prior, data[:n]), declare)
-                assert point_sizes(grid, b)[s.mle] == _replay(grid, prior, data[:n]).expected_size(b)
+                    assert glr(path, declare) == _Oracle.glr(_replay(grid, prior, data[:n]), declare)
+                    assert alr(path, declare) == _Oracle.alr(_replay(grid, prior, data[:n]), declare)
+                assert point_sizes(grid, b)[path.mle] == _replay(grid, prior, data[:n]).expected_size(b)
             seen.update(data[:n])
             whole = grid_path(grid, prior, which, alpha=1e-3, beta=1e-5)
             assert whole.fold(list(data)) == n
             assert (whole.series, whole.beliefs, whole.stats, whole.end, whole.verdict) == (
                 path.series, path.beliefs, path.stats, path.end, path.verdict
             )
-            assert vars_of(whole.state) == vars_of(path.state)
+            assert vars_of(whole) == vars_of(path)
     model = grid.models[0]
     if isinstance(model, Gaussian):
         assert grid.increments is None
@@ -462,5 +462,6 @@ def _replay(grid, prior, ys) -> _Oracle:
     return oracle
 
 
-def vars_of(state):
-    return (list(state.cum_ll), state.mle, state.max0, state.max1, state.alr_numerator, state.estimated_belief)
+def vars_of(path):
+    """A grid path's running sums, estimate, maxima, numerator and belief."""
+    return (list(path.cum_ll), path.mle, path.max0, path.max1, path.alr_numerator, path.estimated_belief)

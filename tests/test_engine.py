@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from seqscan.belief import index
 from seqscan.composite import ParameterGrid, Region, StatisticKind, composite_boundaries
 from seqscan.engine import (
+    EpisodePaths,
     PolicyConfig,
     PolicyKind,
     ProcessSpec,
@@ -100,7 +101,7 @@ def test_certain_abnormal_is_declared_with_high_probability():
     hits = 0
     episodes = 2000
     for ep in range(episodes):
-        res = run_episode([spec], PolicyConfig(), np.random.SeedSequence((1, ep)))
+        res = run_episode(EpisodePaths([spec], np.random.SeedSequence((1, ep))), PolicyConfig())
         hits += res.declared[0]
     md_rate = 1 - hits / episodes
     bound = 0.01 / 0.99
@@ -110,7 +111,7 @@ def test_certain_abnormal_is_declared_with_high_probability():
 def test_all_normal_truth_costs_nothing():
     specs = [simple_spec(prior=0.0), simple_spec(prior=0.0), simple_spec(prior=0.0)]
     for ep in range(50):
-        res = run_episode(specs, PolicyConfig(), np.random.SeedSequence((2, ep)))
+        res = run_episode(EpisodePaths(specs, np.random.SeedSequence((2, ep))), PolicyConfig())
         assert res.truth == (False, False, False)
         assert res.cost == 0.0
 
@@ -118,7 +119,7 @@ def test_all_normal_truth_costs_nothing():
 def test_full_budget_probes_everyone_every_instant():
     specs = [simple_spec(), simple_spec()]
     for ep in range(30):
-        res = run_episode(specs, PolicyConfig(m=2), np.random.SeedSequence((3, ep)))
+        res = run_episode(EpisodePaths(specs, np.random.SeedSequence((3, ep))), PolicyConfig(m=2))
         assert res.stop_times == res.samples  # no contention, no delays
         assert res.idle_slots == 2 * res.final_time - sum(res.samples)
 
@@ -137,11 +138,7 @@ def test_time_conservation_across_policies_and_budgets():
             for _ in range(k)
         ]
         kind = PolicyKind.CL if trial % 2 == 0 else PolicyKind.OL
-        res = run_episode(
-            specs,
-            PolicyConfig(kind=kind, m=m),
-            np.random.SeedSequence((4, trial)),
-        )
+        res = run_episode(EpisodePaths(specs, np.random.SeedSequence((4, trial))), PolicyConfig(kind=kind, m=m))
         assert sum(res.samples) + m * res.total_delay + res.idle_slots == m * res.final_time
         assert all(tau <= res.final_time for tau in res.stop_times)
 
@@ -150,7 +147,7 @@ def test_cost_matches_accounting_rule():
     specs = [simple_spec(prior=0.6, cost=2.5), simple_spec(prior=0.4, cost=1.0)]
     saw_miss = False
     for ep in range(300):
-        res = run_episode(specs, PolicyConfig(), np.random.SeedSequence((5, ep)))
+        res = run_episode(EpisodePaths(specs, np.random.SeedSequence((5, ep))), PolicyConfig())
         expect = sum(
             specs[i].cost_rate * res.stop_times[i]
             for i in range(2)
@@ -166,7 +163,7 @@ def test_error_flags_and_rates_within_wald_bounds():
     episodes = 10_000
     fa = normal = md = abnormal = 0
     for ep in range(episodes):
-        res = run_episode(specs, PolicyConfig(), np.random.SeedSequence((6, ep)))
+        res = run_episode(EpisodePaths(specs, np.random.SeedSequence((6, ep))), PolicyConfig())
         for i in range(2):
             if res.truth[i]:
                 abnormal += 1
@@ -181,9 +178,7 @@ def test_error_flags_and_rates_within_wald_bounds():
 
 def test_switching_delays_stretch_the_clock():
     specs = [simple_spec(delay=2), simple_spec(delay=0)]
-    res = run_episode(
-        specs, PolicyConfig(), np.random.SeedSequence(7), record_trace=True
-    )
+    res = run_episode(EpisodePaths(specs, np.random.SeedSequence(7), trace=True), PolicyConfig())
     assert res.total_delay >= 2  # first entry into process 1 pays at least once
     assert res.final_time == len(res.trace) + res.total_delay
     recomputed = sum(step.delay for step in res.trace)
@@ -192,9 +187,7 @@ def test_switching_delays_stretch_the_clock():
 
 def test_reprobe_after_interruption_pays_the_delay_again():
     specs = [simple_spec(delay=1), simple_spec(delay=0)]
-    res = run_episode(
-        specs, PolicyConfig(), np.random.SeedSequence(8), record_trace=True
-    )
+    res = run_episode(EpisodePaths(specs, np.random.SeedSequence(8), trace=True), PolicyConfig())
     entries = 0
     prev: tuple[int, ...] = ()
     for step in res.trace:
@@ -205,8 +198,8 @@ def test_reprobe_after_interruption_pays_the_delay_again():
 
 def test_reproducibility_bit_identical():
     specs = [simple_spec(prior=0.4, cost=2.0), grid_spec(prior=0.6, cost=1.0)]
-    a = run_episode(specs, PolicyConfig(), np.random.SeedSequence(99), record_trace=True)
-    b = run_episode(specs, PolicyConfig(), np.random.SeedSequence(99), record_trace=True)
+    a = run_episode(EpisodePaths(specs, np.random.SeedSequence(99), trace=True), PolicyConfig())
+    b = run_episode(EpisodePaths(specs, np.random.SeedSequence(99), trace=True), PolicyConfig())
     assert a == b
 
 
@@ -214,8 +207,8 @@ def test_common_random_numbers_share_truth_across_policies():
     specs = [simple_spec(prior=0.5), simple_spec(prior=0.5), simple_spec(prior=0.5)]
     for ep in range(20):
         seed = np.random.SeedSequence((9, ep))
-        cl = run_episode(specs, PolicyConfig(kind=PolicyKind.CL), seed)
-        ol = run_episode(specs, PolicyConfig(kind=PolicyKind.OL), seed)
+        cl = run_episode(EpisodePaths(specs, seed), PolicyConfig(kind=PolicyKind.CL))
+        ol = run_episode(EpisodePaths(specs, seed), PolicyConfig(kind=PolicyKind.OL))
         assert cl.truth == ol.truth
         assert cl.truth_models == ol.truth_models
 
@@ -223,7 +216,7 @@ def test_common_random_numbers_share_truth_across_policies():
 def test_unprobed_indices_do_not_move():
     specs = [simple_spec(prior=0.3, cost=1.0), simple_spec(prior=0.7, cost=2.0),
              simple_spec(prior=0.5, cost=1.5)]
-    res = run_episode(specs, PolicyConfig(), np.random.SeedSequence(11), record_trace=True)
+    res = run_episode(EpisodePaths(specs, np.random.SeedSequence(11), trace=True), PolicyConfig())
     for prev, step in zip(res.trace, res.trace[1:]):
         for pid in range(1, 4):
             if pid not in step.selected:
@@ -233,9 +226,7 @@ def test_unprobed_indices_do_not_move():
 def test_exploration_instants_rotate_in_trace():
     specs = [simple_spec(prior=0.9, cost=5.0), simple_spec(prior=0.1, cost=1.0),
              simple_spec(prior=0.1, cost=1.0)]
-    res = run_episode(
-        specs, PolicyConfig(zeta=1.7), np.random.SeedSequence(12), record_trace=True
-    )
+    res = run_episode(EpisodePaths(specs, np.random.SeedSequence(12), trace=True), PolicyConfig(zeta=1.7))
     by_instant = {step.instant: step for step in res.trace}
     # instant 2 is the first exploration instant and must pick process 1
     # (nothing was declared by then in this configuration)
@@ -248,9 +239,7 @@ def test_open_loop_probes_to_completion_in_order():
              simple_spec(prior=0.5, cost=2.0)]
     order = PolicyState.fresh([initial_priority(s) for s in specs]).top(3)
     assert order == (2, 3, 1)
-    res = run_episode(
-        specs, PolicyConfig(kind=PolicyKind.OL), np.random.SeedSequence(13), record_trace=True
-    )
+    res = run_episode(EpisodePaths(specs, np.random.SeedSequence(13), trace=True), PolicyConfig(kind=PolicyKind.OL))
     seen = [step.selected[0] for step in res.trace if step.selected]
     # collapse runs: the probed id changes only at declarations, walking the order
     collapsed = [seen[0]]
@@ -262,12 +251,7 @@ def test_open_loop_probes_to_completion_in_order():
 
 def test_open_loop_multi_probe_fills_freed_slots_in_order():
     specs = [simple_spec(prior=0.5, cost=c) for c in (4.0, 3.0, 2.0, 1.0)]
-    res = run_episode(
-        specs,
-        PolicyConfig(kind=PolicyKind.OL, m=2),
-        np.random.SeedSequence(14),
-        record_trace=True,
-    )
+    res = run_episode(EpisodePaths(specs, np.random.SeedSequence(14), trace=True), PolicyConfig(kind=PolicyKind.OL, m=2))
     first_seen = {}
     for step in res.trace:
         for pid in step.selected:
@@ -288,21 +272,32 @@ def test_forced_truth_and_episode_cap():
         ),
     )
     with pytest.raises(SimulationError):
-        run_episode([twin], PolicyConfig(), np.random.SeedSequence(15), time_cap=500)
+        run_episode(EpisodePaths([twin], np.random.SeedSequence(15)), PolicyConfig(), time_cap=500)
 
-    res = run_episode(
-        [simple_spec(), simple_spec()],
-        PolicyConfig(),
-        np.random.SeedSequence(16),
-        forced_truth=(True, False),
-    )
+    paths = EpisodePaths([simple_spec(), simple_spec()], np.random.SeedSequence(16), forced_truth=(True, False))
+    res = run_episode(paths, PolicyConfig())
     assert res.truth == (True, False)
 
 
+def test_argument_errors():
+    with pytest.raises(ValueError, match="^need at least one process$"):
+        EpisodePaths([], np.random.SeedSequence(17))
+    with pytest.raises(ValueError, match="^forced truth length must match process count$"):
+        EpisodePaths([simple_spec()], np.random.SeedSequence(17), forced_truth=(True, False))
+    paths = EpisodePaths([simple_spec(), simple_spec()], np.random.SeedSequence(17))
+    for kind in PolicyKind:
+        with pytest.raises(ValueError, match="^probe budget 3 exceeds process count 2$"):
+            run_episode(paths, PolicyConfig(kind=kind, m=3))
+    # the refused runs read nothing, so the paths still serve a run
+    assert run_episode(paths, PolicyConfig(m=2)) == run_episode(
+        EpisodePaths([simple_spec(), simple_spec()], np.random.SeedSequence(17)), PolicyConfig(m=2)
+    )
+
+
 POLICIES = {
-    "CL": lambda m, statistic: PolicyConfig(PolicyKind.CL, m, 1.3, statistic),
-    "OL": lambda m, statistic: PolicyConfig(PolicyKind.OL, m, 1.7, statistic),
-    "CL-no-explore": lambda m, statistic: PolicyConfig(PolicyKind.CL, m, math.inf, statistic),
+    "CL": lambda m: PolicyConfig(PolicyKind.CL, m, 1.3),
+    "OL": lambda m: PolicyConfig(PolicyKind.OL, m, 1.7),
+    "CL-no-explore": lambda m: PolicyConfig(PolicyKind.CL, m, math.inf),
 }
 
 
@@ -316,7 +311,7 @@ def test_spec_table_never_caches_an_impossible_increment():
     messages = []
     for _ in range(2):
         with pytest.raises(ValueError, match="LLR increment must be finite") as exc:
-            run_episode([spec], PolicyConfig(), np.random.SeedSequence(4), forced_truth=(False,))
+            run_episode(EpisodePaths([spec], np.random.SeedSequence(4), forced_truth=(False,)), PolicyConfig())
         messages.append(str(exc.value))
         assert 2 not in spec.table.increments
     assert messages[0] == messages[1]
@@ -329,9 +324,9 @@ def test_spec_table_shared_across_episodes_equals_fresh_copies():
     for kind, m in ((PolicyKind.CL, 1), (PolicyKind.OL, 2), (PolicyKind.CL, 3)):
         policy = PolicyConfig(kind=kind, m=m, zeta=1.3)
         for seed in range(4):
-            got = run_episode([shared] * 3, policy, np.random.SeedSequence(seed))
+            got = run_episode(EpisodePaths([shared] * 3, np.random.SeedSequence(seed)), policy)
             fresh = [replace(shared) for _ in range(3)]
-            assert got == run_episode(fresh, policy, np.random.SeedSequence(seed))
+            assert got == run_episode(EpisodePaths(fresh, np.random.SeedSequence(seed)), policy)
     assert len(shared.table.increments) > 5
 
 
@@ -397,18 +392,18 @@ def test_grid_boundaries_are_built_once_per_spec(monkeypatch):
     one, other = grid_spec(), grid_spec(alpha=1e-3)
     for kind in PolicyKind:
         for seed in range(3):
-            run_episode([one, other, one, one], PolicyConfig(kind=kind, m=2), np.random.SeedSequence(seed))
+            run_episode(EpisodePaths([one, other, one, one], np.random.SeedSequence(seed)), PolicyConfig(kind=kind, m=2))
     assert calls == [(1e-2, 1e-2), (1e-3, 1e-2)]
 
 
-def _untraced_equals_traced(specs, policy, seed, time_cap):
+def _untraced_equals_traced(specs, policy, seed, time_cap, statistic=StatisticKind.GLR):
     """Run traced and untraced; both raise the same SimulationError or
     give equal results. Returns whether the episode finished."""
     outcomes = []
-    for record_trace in (True, False):
+    for trace in (True, False):
         try:
-            res = run_episode(specs, policy, np.random.SeedSequence(seed),
-                              record_trace=record_trace, time_cap=time_cap)
+            paths = EpisodePaths(specs, np.random.SeedSequence(seed), statistic, trace=trace)
+            res = run_episode(paths, policy, time_cap=time_cap)
         except SimulationError as exc:
             outcomes.append(str(exc))
         else:
@@ -427,9 +422,9 @@ def test_time_cap_fires_at_the_same_instant_traced_or_not():
     finished = set()
     # CL at zeta 1.005 explores at every instant up to about 200, so an
     # untraced stretch runs through exploration instants into the cap
-    for make in (*POLICIES.values(), lambda m, statistic: PolicyConfig(PolicyKind.CL, m, 1.005, statistic)):
+    for make in (*POLICIES.values(), lambda m: PolicyConfig(PolicyKind.CL, m, 1.005)):
         for m in (1, 2):
-            policy = make(m, StatisticKind.GLR)
+            policy = make(m)
             for cap in range(1, 61):
                 finished.add(_untraced_equals_traced([fast, slow], policy, 23, cap))
                 if m == 1:
@@ -470,8 +465,8 @@ def grid_specs(draw):
 def test_grid_episode_untraced_equals_traced(specs, policy, statistic, seed, data):
     # the traced run takes one observation per decision; the untraced one
     # runs each lone probe to its next event
-    config = POLICIES[policy](data.draw(st.integers(1, len(specs)), label="m"), statistic)
-    _untraced_equals_traced(specs, config, seed, time_cap=20_000)
+    config = POLICIES[policy](data.draw(st.integers(1, len(specs)), label="m"))
+    _untraced_equals_traced(specs, config, seed, time_cap=20_000, statistic=statistic)
 
 
 @st.composite
@@ -502,8 +497,8 @@ def test_open_loop_probes_the_first_active_ids_of_the_pre_data_order(pool, picks
     # process is active at an instant up to and including its stop time
     specs = [pool[i % len(pool)] for i in picks]
     m = min(m, len(specs))
-    policy = PolicyConfig(kind=PolicyKind.OL, m=m, statistic=statistic)
-    res = run_episode(specs, policy, np.random.SeedSequence(seed), record_trace=True)
+    paths = EpisodePaths(specs, np.random.SeedSequence(seed), statistic, trace=True)
+    res = run_episode(paths, PolicyConfig(kind=PolicyKind.OL, m=m))
     order = sorted(range(1, len(specs) + 1), key=lambda pid: (-initial_priority(specs[pid - 1]), pid))
     for step in res.trace:
         active = [pid for pid in order if res.stop_times[pid - 1] >= step.instant]

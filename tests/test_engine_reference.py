@@ -109,7 +109,9 @@ def _truth_model(spec, abnormal: bool, meta_rng):
     return spec.grid.models[points[-1][0]]
 
 
-def reference_episode(specs, policy: PolicyConfig, seed: np.random.SeedSequence) -> EpisodeResult:
+def reference_episode(
+    specs, policy: PolicyConfig, seed: np.random.SeedSequence, statistic: StatisticKind = StatisticKind.GLR
+) -> EpisodeResult:
     """Episode replayed one observation at a time, traced."""
     k = len(specs)
     children = [
@@ -176,7 +178,7 @@ def reference_episode(specs, policy: PolicyConfig, seed: np.random.SeedSequence)
             grid_belief[i] = prior
         elif not (math.isinf(l1) and math.isinf(l0)):
             grid_belief[i] = _sigmoid(math.log(prior / (1.0 - prior)) + l1 - l0)
-        adaptive = policy.statistic is StatisticKind.ALR
+        adaptive = statistic is StatisticKind.ALR
         excess1 = grid_stat(i, 1, adaptive) - math.log(1.0 / spec.alpha)
         excess0 = grid_stat(i, 0, adaptive) - math.log(1.0 / spec.beta)
         if excess1 >= 0 and excess0 >= 0:
@@ -411,16 +413,15 @@ def grid_specs(draw, positive=False, near=False):
 
 
 POLICIES = {
-    "CL": lambda m, statistic=StatisticKind.GLR: PolicyConfig(
-        kind=PolicyKind.CL, m=m, zeta=1.3, statistic=statistic
-    ),
-    "OL": lambda m, statistic=StatisticKind.GLR: PolicyConfig(
-        kind=PolicyKind.OL, m=m, statistic=statistic
-    ),
-    "CL-no-explore": lambda m, statistic=StatisticKind.GLR: PolicyConfig(
-        kind=PolicyKind.CL, m=m, zeta=math.inf, statistic=statistic
-    ),
+    "CL": lambda m: PolicyConfig(kind=PolicyKind.CL, m=m, zeta=1.3),
+    "OL": lambda m: PolicyConfig(kind=PolicyKind.OL, m=m),
+    "CL-no-explore": lambda m: PolicyConfig(kind=PolicyKind.CL, m=m, zeta=math.inf),
 }
+
+
+def engine_episode(specs, policy, seed: int, statistic=StatisticKind.GLR, trace=False):
+    """The engine's run of policy on a fresh path set of the seed."""
+    return run_episode(EpisodePaths(specs, np.random.SeedSequence(seed), statistic, trace=trace), policy)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -433,10 +434,10 @@ POLICIES = {
 def test_engine_matches_reference_replay(specs, policy, seed, data):
     config = POLICIES[policy](data.draw(st.integers(1, len(specs)), label="m"))
     expected = reference_episode(specs, config, np.random.SeedSequence(seed))
-    traced = run_episode(specs, config, np.random.SeedSequence(seed), record_trace=True)
+    traced = engine_episode(specs, config, seed, trace=True)
     assert traced.trace == expected.trace
     assert traced == expected
-    plain = run_episode(specs, config, np.random.SeedSequence(seed))
+    plain = engine_episode(specs, config, seed)
     assert plain.trace is None
     expected.trace = None
     assert plain == expected
@@ -457,10 +458,10 @@ def test_identical_processes_match_reference_replay(spec, k, policy, seed, data)
     specs = [spec] * k
     config = POLICIES[policy](data.draw(st.integers(1, min(5, k)), label="m"))
     expected = reference_episode(specs, config, np.random.SeedSequence(seed))
-    traced = run_episode(specs, config, np.random.SeedSequence(seed), record_trace=True)
+    traced = engine_episode(specs, config, seed, trace=True)
     assert traced.trace == expected.trace
     assert traced == expected
-    plain = run_episode(specs, config, np.random.SeedSequence(seed))
+    plain = engine_episode(specs, config, seed)
     expected.trace = None
     assert plain == expected
 
@@ -478,7 +479,7 @@ def test_two_process_single_probe_stretches_match_reference_replay(specs, zeta, 
     # next exploration instant or a crossing of the other process's index
     config = PolicyConfig(kind=PolicyKind.CL, m=1, zeta=zeta)
     expected = reference_episode(specs, config, np.random.SeedSequence(seed))
-    plain = run_episode(specs, config, np.random.SeedSequence(seed))
+    plain = engine_episode(specs, config, seed)
     expected.trace = None
     assert plain == expected
 
@@ -498,7 +499,7 @@ def test_lone_process_through_exploration_instants_matches_reference_replay(fast
     specs = [slow, fast] if slow_first else [fast, slow]
     config = PolicyConfig(kind=PolicyKind.CL, m=1, zeta=1.005)
     expected = reference_episode(specs, config, np.random.SeedSequence(seed))
-    plain = run_episode(specs, config, np.random.SeedSequence(seed))
+    plain = engine_episode(specs, config, seed)
     expected.trace = None
     assert plain == expected
 
@@ -515,7 +516,7 @@ def test_identical_pair_single_probe_stretches_match_reference_replay(spec, zeta
     # wins the tie) or the next float above it (id 2 loses it)
     config = PolicyConfig(kind=PolicyKind.CL, m=1, zeta=zeta)
     expected = reference_episode([spec, spec], config, np.random.SeedSequence(seed))
-    plain = run_episode([spec, spec], config, np.random.SeedSequence(seed))
+    plain = engine_episode([spec, spec], config, seed)
     expected.trace = None
     assert plain == expected
 
@@ -590,12 +591,12 @@ def test_grid_engine_matches_reference_replay(statistic, policy, seed, data):
     positive = statistic is StatisticKind.ALR
     kinds = st.one_of(grid_specs(positive), grid_specs(positive), pair_specs())
     specs = data.draw(st.lists(kinds, min_size=1, max_size=5), label="specs")
-    config = POLICIES[policy](data.draw(st.integers(1, len(specs)), label="m"), statistic)
-    expected = reference_episode(specs, config, np.random.SeedSequence(seed))
-    traced = run_episode(specs, config, np.random.SeedSequence(seed), record_trace=True)
+    config = POLICIES[policy](data.draw(st.integers(1, len(specs)), label="m"))
+    expected = reference_episode(specs, config, np.random.SeedSequence(seed), statistic)
+    traced = engine_episode(specs, config, seed, statistic, trace=True)
     assert traced.trace == expected.trace
     assert traced == expected
-    plain = run_episode(specs, config, np.random.SeedSequence(seed))
+    plain = engine_episode(specs, config, seed, statistic)
     assert plain.trace is None
     expected.trace = None
     assert plain == expected
@@ -616,9 +617,9 @@ def test_two_grid_process_single_probe_stretches_match_reference_replay(statisti
     # that crossing an exact tie
     spec = grid_specs(statistic is StatisticKind.ALR, near=True)
     specs = data.draw(st.one_of(st.lists(spec, min_size=2, max_size=2), spec.map(lambda s: [s, s])), label="specs")
-    config = PolicyConfig(kind=PolicyKind.CL, m=1, zeta=zeta, statistic=statistic)
-    expected = reference_episode(specs, config, np.random.SeedSequence(seed))
-    plain = run_episode(specs, config, np.random.SeedSequence(seed))
+    config = PolicyConfig(kind=PolicyKind.CL, m=1, zeta=zeta)
+    expected = reference_episode(specs, config, np.random.SeedSequence(seed), statistic)
+    plain = engine_episode(specs, config, seed, statistic)
     expected.trace = None
     assert plain == expected
 
@@ -637,10 +638,10 @@ def test_identical_grid_processes_match_reference_replay(spec, k, policy, seed, 
     specs = [spec] * k
     config = POLICIES[policy](data.draw(st.integers(1, min(5, k)), label="m"))
     expected = reference_episode(specs, config, np.random.SeedSequence(seed))
-    traced = run_episode(specs, config, np.random.SeedSequence(seed), record_trace=True)
+    traced = engine_episode(specs, config, seed, trace=True)
     assert traced.trace == expected.trace
     assert traced == expected
-    plain = run_episode(specs, config, np.random.SeedSequence(seed))
+    plain = engine_episode(specs, config, seed)
     expected.trace = None
     assert plain == expected
 
@@ -657,41 +658,24 @@ def test_policies_sharing_one_path_set_match_fresh_runs_and_the_replay(statistic
     # every policy of a sweep point reads one path set, in a drawn order:
     # each reads what earlier ones folded and folds further where it must.
     # Near model pairs give long lone stretches at M = 1; a traced set
-    # serves traced and untraced runs alike
+    # gives traced runs, whose results without the trace equal an
+    # untraced set's
     positive = statistic is StatisticKind.ALR
     kinds = st.one_of(grid_specs(positive), pair_specs(), pair_specs(min_budget=1e-4, near=True))
     specs = data.draw(st.lists(kinds, min_size=1, max_size=4), label="specs")
     m = data.draw(st.integers(1, len(specs)), label="m")
     paths = EpisodePaths(specs, np.random.SeedSequence(seed), statistic, trace=traced)
     for name in order:
-        config = POLICIES[name](m, statistic)
-        expected = reference_episode(specs, config, np.random.SeedSequence(seed))
-        for record in (True, False) if traced else (False,):
-            shared = run_episode(specs, config, np.random.SeedSequence(seed), record_trace=record, paths=paths)
-            fresh = run_episode(specs, config, np.random.SeedSequence(seed), record_trace=record)
-            if not record:
-                expected.trace = None
-            assert shared == fresh == expected
-
-
-def test_paths_serve_only_the_episode_they_were_built_for():
-    spec = ProcessSpec(
-        prior=0.5, cost_rate=1.0, alpha=1e-2, beta=1e-2, model_h0=Poisson(10.0), model_h1=Poisson(15.0)
-    )
-    specs, seed = [spec, spec], np.random.SeedSequence(5)
-    paths = EpisodePaths(specs, seed, StatisticKind.GLR)
-    alr = PolicyConfig(statistic=StatisticKind.ALR)
-    with pytest.raises(ValueError, match="built for the GLR statistic, not ALR"):
-        run_episode(specs, alr, seed, paths=paths)
-    with pytest.raises(ValueError, match="trace=True"):
-        run_episode(specs, PolicyConfig(), seed, record_trace=True, paths=paths)
-    with pytest.raises(ValueError, match="another seed"):
-        run_episode(specs, PolicyConfig(), np.random.SeedSequence(6), paths=paths)
-    with pytest.raises(ValueError, match="other processes"):
-        run_episode([spec], PolicyConfig(), seed, paths=paths)
-    with pytest.raises(ValueError, match="another truth"):
-        run_episode(specs, PolicyConfig(), seed, forced_truth=[not t for t in paths.truth], paths=paths)
-    assert run_episode(specs, PolicyConfig(), seed, paths=paths) == run_episode(specs, PolicyConfig(), seed)
+        config = POLICIES[name](m)
+        expected = reference_episode(specs, config, np.random.SeedSequence(seed), statistic)
+        shared = run_episode(paths, config)
+        fresh = engine_episode(specs, config, seed, statistic, trace=traced)
+        assert shared == fresh
+        if traced:
+            assert shared == expected
+            shared.trace = None
+        expected.trace = None
+        assert shared == engine_episode(specs, config, seed, statistic) == expected
 
 
 def test_time_cap_with_shared_paths():
@@ -705,17 +689,17 @@ def test_time_cap_with_shared_paths():
     )
     specs, seed = [spec, spec], np.random.SeedSequence(21)
     cl, ol = PolicyConfig(kind=PolicyKind.CL, zeta=1.3), PolicyConfig(kind=PolicyKind.OL)
-    uncapped = {policy: run_episode(specs, policy, seed) for policy in (cl, ol)}
+    uncapped = {policy: run_episode(EpisodePaths(specs, seed), policy) for policy in (cl, ol)}
     cap = uncapped[ol].final_time
     assert uncapped[cl].final_time > cap
     message = rf"^episode exceeded {cap} time units with [12] processes undecided$"
     with pytest.raises(SimulationError, match=message) as alone:
-        run_episode(specs, cl, seed, time_cap=cap)
+        run_episode(EpisodePaths(specs, seed), cl, time_cap=cap)
     paths = EpisodePaths(specs, seed)
     with pytest.raises(SimulationError) as shared:
-        run_episode(specs, cl, seed, time_cap=cap, paths=paths)
+        run_episode(paths, cl, time_cap=cap)
     assert str(shared.value) == str(alone.value)
-    assert run_episode(specs, ol, seed, time_cap=cap, paths=paths) == uncapped[ol]
+    assert run_episode(paths, ol, time_cap=cap) == uncapped[ol]
     for path, n in zip(paths.paths, uncapped[ol].samples):
         # steps as compact doubles, none past the declaration or the cap
         assert isinstance(path.series, array) and path.series.typecode == "d"
@@ -732,4 +716,4 @@ def test_impossible_observation_fails_the_episode():
     )
     for truth in (True, False):
         with pytest.raises(ValueError, match="LLR increment must be finite"):
-            run_episode([spec], PolicyConfig(), np.random.SeedSequence(3), forced_truth=(truth,))
+            run_episode(EpisodePaths([spec], np.random.SeedSequence(3), forced_truth=(truth,)), PolicyConfig())

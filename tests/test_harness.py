@@ -32,7 +32,7 @@ from seqscan.harness import (
     serialize_config,
     validate_config,
 )
-from seqscan.engine import TIME_CAP, ProcessSpec
+from seqscan.engine import TIME_CAP, EpisodePaths, ProcessSpec, lower_bound_oracle
 from seqscan.models import Categorical, Gaussian, Poisson
 
 
@@ -381,10 +381,10 @@ def test_partial_failure_isolated(monkeypatch):
     # the batch at the first sweep point (one process) fails while running
     real = harness.run_episode
 
-    def run_episode(specs, *args, **kwargs):
-        if len(specs) == 1:
+    def run_episode(paths, *args, **kwargs):
+        if len(paths.specs) == 1:
             raise RuntimeError("episode failed")
-        return real(specs, *args, **kwargs)
+        return real(paths, *args, **kwargs)
 
     monkeypatch.setattr(harness, "run_episode", run_episode)
     cfg = tiny_config(policies=("CL",), sweep_values=(1.0, 3.0), episodes=5)
@@ -421,12 +421,18 @@ def test_a_failing_policy_fails_only_its_own_rows(monkeypatch):
     real = harness.run_episode
     seen = []
 
-    def run_episode(specs, policy, seed, *args, **kwargs):
-        seen.append((policy.zeta, seed.spawn_key[1]))
-        if policy.zeta == math.inf and seed.spawn_key[1] == 3:
-            raise RuntimeError("episode 3 failed")
-        return real(specs, policy, seed, *args, **kwargs)
+    class Numbered(harness.EpisodePaths):  # paths that know their episode
+        def __init__(self, specs, seed, *args, **kwargs):
+            super().__init__(specs, seed, *args, **kwargs)
+            self.episode = seed.spawn_key[1]
 
+    def run_episode(paths, policy, *args, **kwargs):
+        seen.append((policy.zeta, paths.episode))
+        if policy.zeta == math.inf and paths.episode == 3:
+            raise RuntimeError("episode 3 failed")
+        return real(paths, policy, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "EpisodePaths", Numbered)
     monkeypatch.setattr(harness, "run_episode", run_episode)
     cfg = tiny_config(policies=("CL", "OL", "CL-no-explore"), episodes=5, sweep_values=(2.0, 3.0))
     res = run_experiment(cfg)
@@ -460,6 +466,34 @@ def test_per_episode_records_match_aggregates():
         assert s.lower_bound == pytest.approx(
             np.mean([r["bound"] for r in rows]), rel=1e-12
         )
+
+
+def test_per_episode_bound_is_each_episodes_own():
+    # unequal costs at m = 2: the bound is undefined for an episode whose
+    # abnormal processes have unequal costs, and defined for the others,
+    # whichever comes first; the batch's mean bound is undefined
+    cfg = tiny_config(
+        episodes=12, master_seed=3, m=2, sweep_variable="alpha", sweep_values=(0.01,),
+        generator={"kind": "two_tier", "K": 4},
+    )
+    [specs] = validate_config(cfg)
+    defined = []
+    for s in run_experiment(cfg, per_episode=True):
+        assert math.isnan(s.lower_bound) and math.isnan(s.cost_over_bound)
+        for r in s.episode_records:
+            paths = EpisodePaths(specs, np.random.SeedSequence(3, spawn_key=(0, r["episode"])))
+            assert r["abnormal"] == sum(paths.truth)
+            try:
+                bound = lower_bound_oracle(specs, paths.truth, paths.truth_models, m=2)
+            except ValueError:
+                assert math.isnan(r["bound"])
+            else:
+                assert r["bound"] == bound
+                defined.append(r["episode"])
+    assert defined == [0, 1, 7, 8, 10] * 2  # under both policies
+    buf = io.StringIO()
+    emit_csv(run_experiment(cfg), buf)
+    assert all(line.split(",")[8] == "" for line in buf.getvalue().splitlines()[1:])
 
 
 def test_per_episode_csv_recomputation():
@@ -650,6 +684,39 @@ def test_cli_bound_prints_frozen_example(tmp_path, capsys):
     path.write_text(json.dumps(raw))
     assert main(["bound", str(path)]) == 0
     assert capsys.readouterr().out.startswith("19.15")
+
+
+def test_cli_bound_prints_one_floor_per_sweep_point(tmp_path, capsys):
+    spec = {"prior": 0.5, "cost_rate": 1.0, "alpha": 1e-3, "beta": 1e-6,
+            "model_h0": {"family": "poisson", "rate": 10.0},
+            "model_h1": {"family": "poisson", "rate": 15.0}}
+    raw = {"name": "bound-sweep", "episodes": 1, "master_seed": 0, "policies": ["CL"],
+           "sweep": {"variable": "alpha", "values": [0.3, 0.001]},
+           "processes": [spec, spec, spec], "truth": [True, True, False]}
+    path = tmp_path / "bound.json"
+    path.write_text(json.dumps(raw))
+    assert main(["bound", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    point_sets = validate_config(parse_config(path.read_text()))
+    assert lines == [f"{lower_bound_oracle(specs, (True, True, False)):.10g}" for specs in point_sets]
+    assert len(set(lines)) == 2
+
+
+def test_cli_bound_refuses_a_grid_process(tmp_path, capsys):
+    grid = {"models": [{"family": "poisson", "rate": 10.0}, {"family": "poisson", "rate": 15.0}],
+            "regions": ["theta0", "theta1"]}
+    pair = {"prior": 0.5, "cost_rate": 1.0, "alpha": 1e-3, "beta": 1e-3,
+            "model_h0": {"family": "poisson", "rate": 10.0},
+            "model_h1": {"family": "poisson", "rate": 15.0}}
+    raw = {"name": "bound-grid", "episodes": 1, "master_seed": 0, "policies": ["CL"],
+           "statistic": "GLR", "sweep": {"variable": "alpha", "values": [1e-3]},
+           "processes": [pair, {"prior": 0.5, "cost_rate": 1.0, "alpha": 1e-3, "beta": 1e-3, "grid": grid}],
+           "truth": [True, True]}
+    path = tmp_path / "bound.json"
+    path.write_text(json.dumps(raw))
+    assert main(["bound", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "process 2 is a parameter grid" in captured.err
 
 
 def test_cli_bound_requires_truth(tmp_path, capsys):
