@@ -137,8 +137,13 @@ def main(argv: list[str] | None = None) -> int:
             grid = next((pid for pid, spec in enumerate(cfg.processes, start=1) if spec.is_composite), None)
             if grid is not None:  # a config cannot name the grid point drawn as its truth
                 raise ConfigError(f"process {grid} is a parameter grid: its floor needs its realized grid point")
-            for specs in point_sets:  # one floor per sweep point, in sweep order
-                print(f"{lower_bound_oracle(specs, cfg.truth, m=cfg.m):.10g}")
+            floors = []  # one per sweep point, in sweep order, all before any is printed
+            for v, specs in zip(cfg.sweep_values, point_sets):
+                try:
+                    floors.append(f"{lower_bound_oracle(specs, cfg.truth, m=cfg.m):.10g}")
+                except ValueError as exc:  # such as unequal costs at m > 1
+                    raise ConfigError(f"sweep point {v}: {exc}") from exc
+            print("\n".join(floors))
             return 0
     except ConfigError as exc:
         print(f"seqscan: {exc}", file=sys.stderr)

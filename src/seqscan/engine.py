@@ -41,7 +41,7 @@ from seqscan.composite import (
     composite_boundaries,
     size_terms,
 )
-from seqscan.models import Gaussian, ObservationModel, finite_kl, log_density, sample_many
+from seqscan.models import Gaussian, ObservationModel, _category, finite_kl, log_density, sample_many
 from seqscan.policy import PolicyState, exploration_instants, rotation
 from seqscan.sprt import SprtBoundaries, Verdict, expected_sample_sizes, update_llr, wald_boundaries
 
@@ -536,13 +536,8 @@ def _draw_truth_model(spec: ProcessSpec, abnormal: bool, meta_rng: np.random.Gen
     points = spec.truth_points(abnormal)
     # one uniform per composite process regardless of truth or arity,
     # so the stream position does not depend on the realization
-    u = meta_rng.random()
-    acc = 0.0
-    for i, w in points:
-        acc += w
-        if u < acc:
-            return spec.grid.models[i]
-    return spec.grid.models[points[-1][0]]
+    j = _category(tuple(w for _, w in points), meta_rng.random())
+    return spec.grid.models[points[j][0]]
 
 
 def run_episode(paths: EpisodePaths, policy: PolicyConfig, time_cap: int = TIME_CAP) -> EpisodeResult:

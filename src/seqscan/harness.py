@@ -209,18 +209,47 @@ def _read_generator(gen: dict) -> dict:
 
 # --- model / process (de)serialization ---------------------------------
 
-# each model family's class and its fields
+# each model family's class and its field table
+_FAMILY = {"family": (str, _REQUIRED)}
 _MODELS = {
-    "poisson": (Poisson, {"rate": float}),
-    "gaussian": (Gaussian, {"mean": float, "stddev": float}),
-    "categorical": (Categorical, {"probs": [float]}),
+    "poisson": (Poisson, dict(_FAMILY, rate=(float, _REQUIRED))),
+    "gaussian": (Gaussian, dict(_FAMILY, mean=(float, _REQUIRED), stddev=(float, _REQUIRED))),
+    "categorical": (Categorical, dict(_FAMILY, probs=([float], _REQUIRED))),
 }
+_GRID_FIELDS = {"models": ([dict], _REQUIRED), "regions": ([str], _REQUIRED)}
+_PROCESS_FIELDS = {
+    "prior": (float, _REQUIRED), "cost_rate": (float, _REQUIRED), "alpha": (float, _REQUIRED),
+    "beta": (float, _REQUIRED), "switch_delay": (int, 0), "model_h0": (dict, None),
+    "model_h1": (dict, None), "grid": (dict, None), "h0_weights": ([float], None),
+    "h1_weights": ([float], None),
+}
+
+
+def _write_fields(obj, fields: dict, **given) -> dict:
+    """The JSON object of a table's fields, each taken from given or else
+    from obj's attribute of that name; a None value is left out."""
+    values = ((name, given[name] if name in given else getattr(obj, name)) for name in fields)
+    return {name: _json(value) for name, value in values if value is not None}
+
+
+def _json(x):
+    """x as JSON data: a process, grid or model as its object, a region
+    as its name and a tuple as a list."""
+    if isinstance(x, ProcessSpec):
+        return process_to_json(x)
+    if isinstance(x, ParameterGrid):
+        return _write_fields(x, _GRID_FIELDS)
+    if isinstance(x, ObservationModel):
+        return model_to_json(x)
+    if isinstance(x, Region):
+        return x.value
+    return list(map(_json, x)) if isinstance(x, tuple) else x
 
 
 def model_to_json(model: ObservationModel) -> dict:
     for family, (cls, fields) in _MODELS.items():
         if type(model) is cls:
-            return {"family": family} | {name: getattr(model, name) for name in fields}
+            return _write_fields(model, fields, family=family)
     raise ConfigError(f"unknown model type {type(model).__name__}")
 
 
@@ -229,38 +258,13 @@ def model_from_json(obj: dict) -> ObservationModel:
     if family not in _MODELS:
         raise ConfigError(f"unknown model family {family!r}")
     cls, fields = _MODELS[family]
-    return cls(**{name: _read(obj, name, kind, owner=family) for name, kind in fields.items()})
+    values = _read_fields(obj, fields, family)
+    del values["family"]
+    return cls(**values)
 
 
 def process_to_json(spec: ProcessSpec) -> dict:
-    out: dict = {
-        "prior": spec.prior,
-        "cost_rate": spec.cost_rate,
-        "alpha": spec.alpha,
-        "beta": spec.beta,
-        "switch_delay": spec.switch_delay,
-    }
-    if spec.is_composite:
-        out["grid"] = {
-            "models": [model_to_json(m) for m in spec.grid.models],
-            "regions": [r.value for r in spec.grid.regions],
-        }
-        if spec.h0_weights is not None:
-            out["h0_weights"] = list(spec.h0_weights)
-        if spec.h1_weights is not None:
-            out["h1_weights"] = list(spec.h1_weights)
-    else:
-        out["model_h0"] = model_to_json(spec.model_h0)
-        out["model_h1"] = model_to_json(spec.model_h1)
-    return out
-
-
-_PROCESS_FIELDS = {
-    "prior": (float, _REQUIRED), "cost_rate": (float, _REQUIRED), "alpha": (float, _REQUIRED),
-    "beta": (float, _REQUIRED), "switch_delay": (int, 0), "model_h0": (dict, None),
-    "model_h1": (dict, None), "grid": (dict, None), "h0_weights": ([float], None),
-    "h1_weights": ([float], None),
-}
+    return _write_fields(spec, _PROCESS_FIELDS)
 
 
 def process_from_json(obj: dict, pid: int) -> ProcessSpec:
@@ -271,10 +275,9 @@ def process_from_json(obj: dict, pid: int) -> ProcessSpec:
                 raise ConfigError(f"{name} must not be null")
         fields = _read_fields(obj, _PROCESS_FIELDS)
         if fields["grid"] is not None:
-            grid = fields["grid"]
+            grid = _read_fields(fields["grid"], _GRID_FIELDS, "grid")
             fields["grid"] = ParameterGrid(
-                models=tuple(map(model_from_json, _read(grid, "models", [dict], owner="grid"))),
-                regions=tuple(map(Region, _read(grid, "regions", [str], owner="grid"))),
+                models=tuple(map(model_from_json, grid["models"])), regions=tuple(map(Region, grid["regions"]))
             )
         for name in ("model_h0", "model_h1"):
             if fields[name] is not None:
@@ -306,25 +309,11 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    out: dict = {
-        "name": cfg.name,
-        "episodes": cfg.episodes,
-        "master_seed": cfg.master_seed,
-        "m": cfg.m,
-        "zeta": cfg.zeta,
-        "statistic": cfg.statistic,
-        "policies": list(cfg.policies),
-        "sweep": {"variable": cfg.sweep_variable, "values": list(cfg.sweep_values)},
-    }
-    if cfg.generator is not None:  # the fields that differ from their defaults
-        fields = _GENERATOR_FIELDS[cfg.generator["kind"]]
-        out["generator"] = {k: v for k, v in cfg.generator.items() if v != fields[k][1]}
-    if cfg.processes is not None:
-        out["processes"] = [process_to_json(p) for p in cfg.processes]
-    if cfg.truth is not None:
-        out["truth"] = list(cfg.truth)
-    if cfg.alpha_match is not None:
-        out["alpha_match"] = cfg.alpha_match
+    gen = cfg.generator
+    if gen is not None:  # the fields that differ from their defaults
+        gen = {k: v for k, v in gen.items() if v != _GENERATOR_FIELDS[gen["kind"]][k][1]}
+    sweep = {"variable": cfg.sweep_variable, "values": cfg.sweep_values}
+    out = _write_fields(cfg, _CONFIG_FIELDS, sweep=sweep, generator=gen)
     return json.dumps(out, indent=2, sort_keys=True)
 
 

@@ -75,6 +75,70 @@ def test_explicit_process_round_trip():
     assert parse_config(serialize_config(cfg)) == cfg
 
 
+_unit = st.floats(0.0, 1.0)
+_budget = st.floats(1e-9, 0.49)
+
+
+@st.composite
+def _probs(draw, n):
+    """n finite weights that sum to 1 within rounding."""
+    raw = draw(st.lists(st.integers(1, 100), min_size=n, max_size=n))
+    return tuple(x / sum(raw) for x in raw)
+
+
+@st.composite
+def _model_pair(draw):
+    family = draw(st.sampled_from(("poisson", "gaussian", "categorical")))
+    if family == "poisson":
+        return tuple(Poisson(draw(st.floats(0.1, 100.0))) for _ in range(2))
+    if family == "gaussian":
+        return tuple(Gaussian(draw(st.floats(-10.0, 10.0)), draw(st.floats(0.1, 10.0))) for _ in range(2))
+    n = draw(st.integers(1, 4))
+    return tuple(Categorical(draw(_probs(n))) for _ in range(2))
+
+
+@st.composite
+def _grid_fields(draw):
+    n0, n1, ni = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    regions = draw(st.permutations([Region.THETA0] * n0 + [Region.THETA1] * n1 + [Region.INDIFFERENCE] * ni))
+    models = tuple(Poisson(draw(st.floats(0.1, 100.0))) for _ in regions)
+    fields = {"grid": ParameterGrid(models, tuple(regions))}
+    for name, n in (("h0_weights", n0), ("h1_weights", n1)):
+        if draw(st.booleans()):
+            fields[name] = draw(_probs(n))
+    return fields
+
+
+@st.composite
+def _explicit_config(draw):
+    specs = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            h0, h1 = draw(_model_pair())
+            models = {"model_h0": h0, "model_h1": h1}
+        else:
+            models = draw(_grid_fields())
+        specs.append(ProcessSpec(
+            prior=draw(_unit), cost_rate=draw(st.floats(0.0, 10.0)), alpha=draw(_budget),
+            beta=draw(_budget), switch_delay=draw(st.integers(0, 5)), **models,
+        ))
+    truth = draw(st.none() | st.lists(st.booleans(), min_size=len(specs), max_size=len(specs)).map(tuple))
+    return tiny_config(generator=None, processes=tuple(specs), truth=truth,
+                       statistic=draw(st.sampled_from(harness.STATISTIC_NAMES)),
+                       sweep_variable="alpha", sweep_values=(0.01, 0.1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_explicit_config())
+def test_explicit_process_sets_round_trip(cfg):
+    # pairs of each family, grids with indifference points and truth weights,
+    # switch delays, a truth vector and each statistic
+    text = serialize_config(cfg)
+    parsed = parse_config(text)
+    assert parsed == cfg
+    assert serialize_config(parsed) == text
+
+
 def test_parse_rejects_unknown_keys():
     raw = json.loads(serialize_config(tiny_config()))
     raw["bogus"] = 1
@@ -719,6 +783,22 @@ def test_cli_bound_refuses_a_grid_process(tmp_path, capsys):
     assert captured.out == "" and "process 2 is a parameter grid" in captured.err
 
 
+def test_cli_bound_rejects_unequal_costs_at_several_probes(tmp_path, capsys):
+    # validate accepts this config, but the multi-probe floor needs equal costs
+    specs = [{"prior": 0.5, "cost_rate": c, "alpha": 1e-3, "beta": 1e-3,
+              "model_h0": {"family": "poisson", "rate": 10.0},
+              "model_h1": {"family": "poisson", "rate": 15.0}} for c in (1.0, 2.0)]
+    raw = {"name": "bound-costs", "episodes": 1, "master_seed": 0, "policies": ["CL"], "m": 2,
+           "sweep": {"variable": "alpha", "values": [0.01]}, "processes": specs, "truth": [True, True]}
+    path = tmp_path / "bound.json"
+    path.write_text(json.dumps(raw))
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["bound", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "sweep point 0.01" in captured.err
+
+
 def test_cli_bound_requires_truth(tmp_path, capsys):
     path = _write_config(tmp_path, tiny_config())
     assert main(["bound", str(path)]) == 2
@@ -1038,6 +1118,34 @@ def test_cli_names_a_wrong_typed_field_without_traceback(tmp_path, capsys, base,
     assert main(["validate", str(path)]) == 2
     err = capsys.readouterr().err
     assert f"{field} must be a" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "base,mutate,message",
+    [
+        (_fig5_raw, _set(("processes", 0, "model_h1", "stddev"), 2.0),
+         "process 1: poisson: unknown keys ['stddev']"),
+        (_gaussian_raw, _set(("processes", 1, "model_h0", "rate"), 1.0),
+         "process 2: gaussian: unknown keys ['rate']"),
+        (_categorical_raw, _set(("processes", 1, "model_h1", "mean"), 0.0),
+         "process 2: categorical: unknown keys ['mean']"),
+        (_grid_raw, _set(("processes", 1, "grid", "models", 0, "weight"), 1.0),
+         "process 2: poisson: unknown keys ['weight']"),
+        # truth weights misplaced inside the grid were ignored, and the truth drawn uniformly
+        (_grid_raw, _set(("processes", 1, "grid", "h1_weights"), [0.99, 0.01]),
+         "process 2: grid: unknown keys ['h1_weights']"),
+    ],
+)
+def test_models_and_grids_reject_unknown_keys(tmp_path, capsys, base, mutate, message):
+    raw = base()
+    mutate(raw)
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(raw))
+    assert str(exc.value) == message
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"seqscan: {message}\n"
 
 
 def test_cli_rejects_a_model_pair_without_a_divergence(tmp_path, capsys):
