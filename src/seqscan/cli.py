@@ -91,6 +91,12 @@ def _resolve_seed(args) -> int | None:
 
 
 def _execute(cfg: ExperimentConfig, args, default_stem: str) -> int:
+    out = args.out if args.out is not None else Path(f"{default_stem}.csv")
+    # checked before the run, which may take minutes; the per-episode file shares the parent
+    if out.is_dir():
+        raise ConfigError(f"cannot write CSV to {out}: it is a directory")
+    if not out.parent.is_dir():
+        raise ConfigError(f"cannot write CSV to {out}: {out.parent} is not a directory")
     summaries = run_experiment(
         cfg,
         scale=args.scale,
@@ -104,7 +110,6 @@ def _execute(cfg: ExperimentConfig, args, default_stem: str) -> int:
             f"seqscan: sweep point {s.sweep_value} ({s.policy}) failed: {s.error}",
             file=sys.stderr,
         )
-    out = args.out if args.out is not None else Path(f"{default_stem}.csv")
     emit_csv(summaries, out)
     if args.per_episode:
         episodes_out = out.with_name(out.stem + "_episodes" + out.suffix)

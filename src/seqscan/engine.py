@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import add
 from typing import Sequence
 
@@ -46,6 +47,7 @@ from seqscan.policy import PolicyState, exploration_instants, rotation
 from seqscan.sprt import SprtBoundaries, Verdict, expected_sample_sizes, update_llr, wald_boundaries
 
 TIME_CAP = 10_000_000
+_CONTINUE = Verdict.CONTINUE  # bound once: reading a member off the Enum class is slow in the hot loops
 
 
 class SimulationError(RuntimeError):
@@ -360,17 +362,17 @@ class _PairPath(_Path):
         if floor > -math.inf and pos + 1 < stop:
             value = _pair_index(prior, log_odds, llrs[pos + 1], cost, e_n_h0, e_n_h1)
             if value < floor:
-                return 1, Verdict.CONTINUE, value
+                return 1, _CONTINUE, value
             t_safe = _pair_threshold(prior, log_odds, cost, e_n_h0, e_n_h1, floor)
             for j in range(pos + 2, stop):
                 llr = llrs[j]
                 if llr < t_safe:
                     value = _pair_index(prior, log_odds, llr, cost, e_n_h0, e_n_h1)
                     if value < floor:
-                        return j - pos, Verdict.CONTINUE, value
+                        return j - pos, _CONTINUE, value
         if end is not None and end <= last:
             return end - pos, self.verdict, 0.0
-        return n_max, Verdict.CONTINUE, _pair_index(prior, log_odds, llrs[last], cost, e_n_h0, e_n_h1)
+        return n_max, _CONTINUE, _pair_index(prior, log_odds, llrs[last], cost, e_n_h0, e_n_h1)
 
 
 class _GridPath(_Path):
@@ -462,10 +464,10 @@ class _GridPath(_Path):
         if floor > -math.inf:
             for j, value in enumerate(values[pos + 1 : end if end is not None and end < last else last], pos + 1):
                 if value < floor:
-                    return j - pos, Verdict.CONTINUE, value
+                    return j - pos, _CONTINUE, value
         if end is not None and end <= last:
             return end - pos, self.verdict, 0.0
-        return n_max, Verdict.CONTINUE, values[last]
+        return n_max, _CONTINUE, values[last]
 
 
 class EpisodePaths:
@@ -540,22 +542,35 @@ def _draw_truth_model(spec: ProcessSpec, abnormal: bool, meta_rng: np.random.Gen
     return spec.grid.models[points[j][0]]
 
 
+def _over_cap(time_cap: int, undecided: int) -> SimulationError:
+    return SimulationError(f"episode exceeded {time_cap} time units with {undecided} processes undecided")
+
+
 def run_episode(paths: EpisodePaths, policy: PolicyConfig, time_cap: int = TIME_CAP) -> EpisodeResult:
     """Simulate one episode to the last declaration under policy, reading
     the episode's paths, which other policies may have read already; a
     traced set gives a traced run."""
     specs, walks = paths.specs, paths.paths
-    k = len(specs)
-    if policy.m > k:
-        raise ValueError(f"probe budget {policy.m} exceeds process count {k}")
+    k, m = len(specs), policy.m
+    if m > k:
+        raise ValueError(f"probe budget {m} exceeds process count {k}")
 
     # open loop ranks by the pre-data priorities and never reranks or
     # explores, so it probes the first M undeclared ids of that order,
     # each to its declaration
     cl = policy.kind is PolicyKind.CL
     pstate = PolicyState.fresh([path.priority(0) for path in walks] if cl else [initial_priority(s) for s in specs])
+    active = pstate.active  # a live view of the undeclared ids
     instants = exploration_instants(policy.zeta if cl else math.inf)
-    explore = next(instants, math.inf)  # the first exploration instant not yet passed
+    schedule: list[float] = []  # the exploration instants read so far, ascending; inf past the last
+
+    def after(time: int) -> int:
+        """The index in schedule of the first exploration instant after
+        time; the schedule is read on, 64 instants at a time, until the
+        one after that is in it too."""
+        while len(schedule) < 2 or schedule[-2] <= time:
+            schedule.extend(list(islice(instants, 64)) or (math.inf, math.inf))
+        return bisect_right(schedule, time)
 
     stop_times = [0] * k
     samples = [0] * k  # each process's step position on its path
@@ -565,58 +580,28 @@ def run_episode(paths: EpisodePaths, policy: PolicyConfig, time_cap: int = TIME_
     prev_sel: set[int] = set()
     trace: list[TraceStep] | None = [] if paths.trace else None
 
-    # Each pass is one decision: select, charge the entering delays and
-    # one sampling unit, then advance every selected process. A lone
-    # untraced probe runs on, one sampling unit per observation, until
-    # its selection could change: at its declaration, at an exploration
-    # instant whose round-robin pick (read off the cursor and the active
-    # ids) is another id, at the time cap, or (closed loop) when its key
-    # falls below the best key of the other active ids, all of which are
-    # frozen meanwhile.
-    while pstate.active:
-        instant = t + 1
-        while explore < instant:
-            explore = next(instants, math.inf)
-        if explore == instant:
-            sel = rotation(pstate, policy.m)
+    # The pass loop: one decision per instant, for traced runs and for the
+    # instants that probe more than one id. Each pass selects, charges the
+    # entering delays and one sampling unit, then takes one observation of
+    # every selected process.
+    while active and (trace is not None or m > 1 and len(active) > 1):
+        now = t + 1
+        if schedule[after(t)] == now:
+            sel = rotation(pstate, m)
             pstate.rr_cursor = sel[-1]
         else:
-            sel = pstate.top(policy.m)
-
+            sel = pstate.top(m)
         delta = apply_switching_delay(prev_sel, sel, specs)
         t += delta + 1
         total_delay += delta
-        idle_slots += policy.m - len(sel)
+        idle_slots += m - len(sel)
         if t > time_cap:
-            raise SimulationError(
-                f"episode exceeded {time_cap} time units with {len(pstate.active)} processes undecided"
-            )
-
-        n_max, floor, nxt = 1, -math.inf, math.inf
-        if len(sel) == 1 and trace is None:
-            while explore <= t:
-                explore = next(instants, math.inf)
-            nxt = explore
-            n_max = min(time_cap + 1, nxt) - t
-            if cl:
-                floor = pstate.floor_except(sel[0])
+            raise _over_cap(time_cap, len(active))
         for pid in sel:
             i = pid - 1
-            steps, verdict, value = walks[i].advance(samples[i], n_max, floor, time_cap)
-            while t + steps == nxt <= time_cap and verdict is Verdict.CONTINUE and rotation(pstate, 1) == (pid,):
-                # the stretch reached an exploration instant that picks pid,
-                # as every later one does once no other id is active
-                pstate.rr_cursor = pid
-                explore = next(instants, math.inf)
-                nxt = explore if len(pstate.active) > 1 else math.inf
-                more, verdict, value = walks[i].advance(
-                    samples[i] + steps, min(time_cap + 1, nxt) - t - steps, floor, time_cap
-                )
-                steps += more
-            t += steps - 1
-            idle_slots += (policy.m - 1) * (steps - 1)
-            samples[i] += steps
-            if verdict.decided:
+            _, verdict, value = walks[i].advance(samples[i], 1, -math.inf, time_cap)
+            samples[i] += 1
+            if verdict is not _CONTINUE:
                 stop_times[i] = t
                 pstate.declare(pid)
             elif cl:
@@ -626,7 +611,7 @@ def run_episode(paths: EpisodePaths, policy: PolicyConfig, time_cap: int = TIME_
         if trace is not None:
             trace.append(
                 TraceStep(
-                    instant=instant,
+                    instant=now,
                     delay=delta,
                     selected=tuple(sel),
                     observations=tuple(walks[pid - 1].observations[samples[pid - 1] - 1] for pid in sel),
@@ -635,6 +620,65 @@ def run_episode(paths: EpisodePaths, policy: PolicyConfig, time_cap: int = TIME_
                     stats=tuple(path.stat(n) for path, n in zip(walks, samples)),
                 )
             )
+
+    # The lone loop: once one id is probed per instant (from the start at
+    # M = 1, at M > 1 once one id is left active), a run takes the probed
+    # id's observations in stretches, one sampling unit each, until its
+    # selection could change: at its declaration, at the time cap, at an
+    # exploration instant whose round-robin pick is another id or (closed
+    # loop) when its index falls below the best index of the other active
+    # ids, all of which are frozen meanwhile. An exploration instant that
+    # picks the probed id falls inside the stretch; one that picks another
+    # id starts that id's stretch.
+    probed = next(iter(prev_sel & active), 0)  # the id probed last; 0 for none
+    e = after(t)
+    while active:
+        # at the cap every selection overruns it: raise before reading the
+        # instants up to it, one per time unit for a zeta near 1
+        if t >= time_cap:
+            raise _over_cap(time_cap, len(active))
+        if schedule[e] <= t:
+            e = after(t)
+        explored = schedule[e] == t + 1
+        if explored:
+            (pid,) = rotation(pstate, 1)
+            pstate.rr_cursor = pid
+        else:
+            (pid,) = pstate.top(1)
+        if pid != probed:
+            delta = specs[pid - 1].switch_delay
+            t += delta
+            total_delay += delta
+            probed = pid
+        t += 1
+        if t > time_cap:
+            raise _over_cap(time_cap, len(active))
+
+        if schedule[e] <= t:
+            e = after(t)
+        nxt = schedule[e]  # the first exploration instant after the stretch's first step
+        if len(active) == 1:
+            end = math.inf  # every exploration instant picks the one active id
+        elif not explored and rotation(pstate, 1) == (pid,):
+            # nxt picks pid too, and the instant after it another id; after
+            # a pick by rotation, which moved the cursor to pid, nxt cannot
+            end = schedule[e + 1]
+        else:
+            end = nxt
+        i = pid - 1
+        n_max = (end if end <= time_cap else time_cap + 1) - t  # the builtin min costs more
+        floor = pstate.floor_except(pid) if cl else -math.inf
+        steps, verdict, value = walks[i].advance(samples[i], n_max, floor, time_cap)
+        if t + steps > nxt:  # the stretch took the step at nxt, whose pick was pid
+            pstate.rr_cursor = pid
+        t += steps - 1
+        idle_slots += (m - 1) * steps
+        samples[i] += steps
+        if verdict is not _CONTINUE:
+            stop_times[i] = t
+            pstate.declare(pid)
+        elif cl:
+            pstate.rerank(pid, value)
 
     truth = paths.truth
     declared = tuple(path.verdict is Verdict.DECLARE_ABNORMAL for path in walks)

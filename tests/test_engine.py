@@ -20,6 +20,7 @@ from seqscan.engine import (
     PolicyKind,
     ProcessSpec,
     SimulationError,
+    _PairPath,
     apply_switching_delay,
     initial_priority,
     lower_bound_oracle,
@@ -430,6 +431,26 @@ def test_time_cap_fires_at_the_same_instant_traced_or_not():
                 if m == 1:
                     finished.add(_untraced_equals_traced([fast], policy, 24, cap))
     assert finished == {True, False}
+
+
+def test_the_last_active_id_runs_through_exploration_instants_in_one_call(monkeypatch):
+    # every exploration instant picks the one id left active, so an
+    # untraced run scans it to its declaration in one call, however many
+    # instants (about one in five steps near t = 1000) it spans: a lone
+    # process at M = 1, and at M = 2 the process that outlives the other,
+    # after passes of one call per probed id
+    fast = simple_spec(alpha=0.05, beta=0.05, r0=10.0, r1=20.0)
+    slow = simple_spec(alpha=1e-3, beta=1e-3, r0=10.0, r1=10.5)
+    calls = []
+    advance = _PairPath.advance
+    monkeypatch.setattr(_PairPath, "advance", lambda path, *args: calls.append(path) or advance(path, *args))
+    lone = run_episode(EpisodePaths([slow], np.random.SeedSequence(5)), PolicyConfig(PolicyKind.CL, 1, 1.005))
+    assert lone.final_time > 300 and len(calls) == 1
+    calls.clear()
+    paths = EpisodePaths([fast, slow], np.random.SeedSequence(5), forced_truth=(True, False))
+    pair = run_episode(paths, PolicyConfig(PolicyKind.CL, 2, 1.005))
+    assert pair.stop_times[1] - pair.stop_times[0] > 100
+    assert len(calls) == 2 * pair.samples[0] + 1
 
 
 @st.composite

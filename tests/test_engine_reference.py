@@ -521,6 +521,29 @@ def test_identical_pair_single_probe_stretches_match_reference_replay(spec, zeta
     assert plain == expected
 
 
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    specs=st.lists(
+        st.one_of(pair_specs(min_budget=1e-4, near=True), pair_specs(), grid_specs()), min_size=3, max_size=6
+    ),
+    kind=st.sampled_from(list(PolicyKind)),
+    zeta=st.sampled_from([1.005, 1.05, math.inf]),
+    m=st.one_of(st.just(1), st.integers(2, 3)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lone_stretches_among_three_or_more_processes_match_reference_replay(specs, kind, zeta, m, seed):
+    # K = 3..6 of mixed kinds: at M = 1 every instant is a lone stretch, at
+    # M = 2 or 3 the last active id is. The round-robin cursor wraps past
+    # declared ids, entering delays push a stretch's first step past an
+    # exploration instant, and an instant that picks another id starts
+    # that id's stretch, on a path of another kind
+    config = PolicyConfig(kind=kind, m=m, zeta=zeta)
+    expected = reference_episode(specs, config, np.random.SeedSequence(seed))
+    plain = engine_episode(specs, config, seed)
+    expected.trace = None
+    assert plain == expected
+
+
 def _index_at(spec, llr: float) -> float:
     t = spec.table
     return _pair_index(spec.prior, t.log_odds, llr, spec.cost_rate, t.e_n_h0, t.e_n_h1)

@@ -816,6 +816,21 @@ def test_cli_missing_config_file(tmp_path, capsys):
     assert "nope.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("out", ["missing/f5.csv", "."])
+@pytest.mark.parametrize("command", ["figures", "run"])
+def test_cli_rejects_an_unwritable_out_before_running(tmp_path, capsys, monkeypatch, command, out):
+    # an --out in a missing directory, or that is a directory, exits 2
+    # before the run: run_experiment raising shows that nothing ran
+    def never(*args, **kwargs):
+        raise AssertionError("ran before checking --out")
+
+    monkeypatch.setattr("seqscan.cli.run_experiment", never)
+    target = str(tmp_path / out)
+    source = ["fig5"] if command == "figures" else [str(_write_config(tmp_path, tiny_config()))]
+    assert main([command, *source, "--scale", "100", "--per-episode", "--out", target]) == 2
+    assert f"cannot write CSV to {target}" in capsys.readouterr().err
+
+
 # --- twin model pairs and recipe bytes -----------------------------------
 
 
