@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate, islice
+from itertools import accumulate
 from operator import add
 from typing import Sequence
 
@@ -562,15 +561,8 @@ def run_episode(paths: EpisodePaths, policy: PolicyConfig, time_cap: int = TIME_
     pstate = PolicyState.fresh([path.priority(0) for path in walks] if cl else [initial_priority(s) for s in specs])
     active = pstate.active  # a live view of the undeclared ids
     instants = exploration_instants(policy.zeta if cl else math.inf)
-    schedule: list[float] = []  # the exploration instants read so far, ascending; inf past the last
-
-    def after(time: int) -> int:
-        """The index in schedule of the first exploration instant after
-        time; the schedule is read on, 64 instants at a time, until the
-        one after that is in it too."""
-        while len(schedule) < 2 or schedule[-2] <= time:
-            schedule.extend(list(islice(instants, 64)) or (math.inf, math.inf))
-        return bisect_right(schedule, time)
+    # the first exploration instant not yet passed, and the one after it
+    nxt, nxt2 = next(instants, math.inf), next(instants, math.inf)
 
     stop_times = [0] * k
     samples = [0] * k  # each process's step position on its path
@@ -586,7 +578,9 @@ def run_episode(paths: EpisodePaths, policy: PolicyConfig, time_cap: int = TIME_
     # every selected process.
     while active and (trace is not None or m > 1 and len(active) > 1):
         now = t + 1
-        if schedule[after(t)] == now:
+        while nxt < now:
+            nxt, nxt2 = nxt2, next(instants, math.inf)
+        if nxt == now:
             sel = rotation(pstate, m)
             pstate.rr_cursor = sel[-1]
         else:
@@ -631,15 +625,14 @@ def run_episode(paths: EpisodePaths, policy: PolicyConfig, time_cap: int = TIME_
     # picks the probed id falls inside the stretch; one that picks another
     # id starts that id's stretch.
     probed = next(iter(prev_sel & active), 0)  # the id probed last; 0 for none
-    e = after(t)
     while active:
         # at the cap every selection overruns it: raise before reading the
         # instants up to it, one per time unit for a zeta near 1
         if t >= time_cap:
             raise _over_cap(time_cap, len(active))
-        if schedule[e] <= t:
-            e = after(t)
-        explored = schedule[e] == t + 1
+        while nxt <= t:
+            nxt, nxt2 = nxt2, next(instants, math.inf)
+        explored = nxt == t + 1
         if explored:
             (pid,) = rotation(pstate, 1)
             pstate.rr_cursor = pid
@@ -654,15 +647,14 @@ def run_episode(paths: EpisodePaths, policy: PolicyConfig, time_cap: int = TIME_
         if t > time_cap:
             raise _over_cap(time_cap, len(active))
 
-        if schedule[e] <= t:
-            e = after(t)
-        nxt = schedule[e]  # the first exploration instant after the stretch's first step
+        while nxt <= t:  # now the first exploration instant after the stretch's first step
+            nxt, nxt2 = nxt2, next(instants, math.inf)
         if len(active) == 1:
             end = math.inf  # every exploration instant picks the one active id
         elif not explored and rotation(pstate, 1) == (pid,):
-            # nxt picks pid too, and the instant after it another id; after
-            # a pick by rotation, which moved the cursor to pid, nxt cannot
-            end = schedule[e + 1]
+            # nxt picks pid too, and nxt2 another id; after a pick by
+            # rotation, which moved the cursor to pid, nxt cannot
+            end = nxt2
         else:
             end = nxt
         i = pid - 1

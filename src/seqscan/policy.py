@@ -15,36 +15,25 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain, islice, takewhile
 from typing import Iterator, Sequence
 
 
 def exploration_instants(zeta: float) -> Iterator[int]:
     """The instants ceil(zeta^l), l = 1, 2, ..., ascending with repeats
-    dropped; none for zeta = inf, the sentinel for "never explore". The
-    first ones come from a table kept per zeta (``_head``), the rest from
-    the powers after it."""
+    dropped; none for zeta = inf, the sentinel for "never explore"."""
     if not zeta > 1.0:
         raise ValueError(f"zeta must exceed 1, got {zeta}")
-    if math.isinf(zeta):
-        return iter(())
-    head = _head(zeta)
-    return chain(head, islice(_ceil_powers(zeta), len(head), None))
-
-
-@lru_cache(maxsize=8)
-def _head(zeta: float) -> tuple[int, ...]:
-    """The first instants of zeta up to 2^20, at most 4096 of them: every
-    episode reads them, and they cost a generator step each to compute."""
-    return tuple(islice(takewhile(lambda v: v <= 2**20, _ceil_powers(zeta)), 4096))
+    return iter(()) if math.isinf(zeta) else _ceil_powers(zeta)
 
 
 def _ceil_powers(zeta: float) -> Iterator[int]:
     log_zeta = math.log(zeta)
     exponent, last = 1, 1
     while True:
-        v = math.ceil(zeta**exponent)
+        try:
+            v = math.ceil(zeta**exponent)
+        except OverflowError:  # past any time cap: no more instants
+            return
         if v > last:
             yield v
             last = v

@@ -544,6 +544,25 @@ def test_lone_stretches_among_three_or_more_processes_match_reference_replay(spe
     assert plain == expected
 
 
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    specs=st.lists(st.one_of(pair_specs(), grid_specs()), min_size=1, max_size=4),
+    zeta=st.sampled_from([1e5, 1e6, 1e200]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_large_zeta_matches_reference_replay(specs, zeta, seed, data):
+    # a zeta whose powers leave the float range a few instants past the
+    # time cap: the engine reads no further than the instant after the
+    # next one, as the reference reads up to the next
+    config = PolicyConfig(kind=PolicyKind.CL, m=data.draw(st.integers(1, len(specs)), label="m"), zeta=zeta)
+    expected = reference_episode(specs, config, np.random.SeedSequence(seed))
+    assert engine_episode(specs, config, seed, trace=True) == expected
+    plain = engine_episode(specs, config, seed)
+    expected.trace = None
+    assert plain == expected
+
+
 def _index_at(spec, llr: float) -> float:
     t = spec.table
     return _pair_index(spec.prior, t.log_odds, llr, spec.cost_rate, t.e_n_h0, t.e_n_h1)

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 import time
-from itertools import islice, takewhile
+from itertools import takewhile
 
 import numpy as np
 import pytest
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from seqscan.belief import expected_detection_time, index
 from seqscan.engine import ProcessSpec, initial_priority
 from seqscan.models import Poisson
-from seqscan.policy import PolicyState, _head, exploration_instants, rotation
+from seqscan.policy import PolicyState, exploration_instants, rotation
 
 
 def idx(*values, inactive=()):
@@ -104,7 +104,7 @@ def test_instants_just_above_one_skip_the_repeats():
     queries=st.lists(st.integers(1, 20_000), min_size=1, max_size=8),
 )
 def test_next_exploration_instant_is_first_member_at_or_after(zeta, queries):
-    # the instants read in order up to the first at or after each of an
+    # the engine walks the instants forward to the first at or after an
     # ascending sequence of queries; against a scan of ceil(zeta^l)
     members = ceil_powers(zeta, 50_000)  # past the member after any query
     instants = exploration_instants(zeta)
@@ -126,17 +126,10 @@ def test_instants_match_a_scan_of_every_exponent(zeta):
     assert instants_up_to(zeta, 20_000) == ceil_powers(zeta, 20_000)
 
 
-def test_the_head_kept_per_zeta_is_bounded_and_the_instants_go_on_past_it():
-    # the head stops after 4096 instants, as at zeta = 1 + 1e-12 where every
-    # integer is one, or at 2^20; the instants after it are the powers'
-    assert _head(1 + 1e-12) == tuple(range(2, 4098))
-    assert list(islice(exploration_instants(1 + 1e-12), 4094, 4099)) == [4096, 4097, 4098, 4099, 4100]
-    for zeta, limit in ((1.0001, 20_000), (1.005, 2**21), (1.7, 10**9)):
-        head = _head(zeta)
-        assert len(head) <= 4096 and head[-1] <= 2**20
-        scan = ceil_powers(zeta, limit)
-        assert len(scan) > len(head) + 3
-        assert list(islice(exploration_instants(zeta), len(scan))) == scan
+def test_instants_end_where_the_powers_leave_the_float_range():
+    # 1e5^62 overflows a float: the instants end there, far past any time cap
+    assert list(exploration_instants(1e5)) == [math.ceil(1e5**l) for l in range(1, 62)]
+    assert list(exploration_instants(1e200)) == [math.ceil(1e200)]
 
 
 def test_floor_except_skips_only_the_given_id():
