@@ -16,7 +16,12 @@ index moves, so a lone probe keeps its selection until an event (a
 declaration, an exploration instant that picks another id, the probed
 index falling below the best other one) and runs there in one call, a
 scan of the stored steps, with the same result as one decision per
-observation.
+observation. Open loop's selection changes only at a declaration, so an
+untraced open-loop run at M > 1 runs as M lanes, each probed id scanned
+to its declaration in one call. Instants that probe several ids in
+closed loop read one step per probed id. An episode's K + 1 generators
+are seeded as numpy's SeedSequence would seed them, from one hash of the
+words their seeds share.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ import math
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
+from heapq import heappop, heappush
 from itertools import accumulate
 from operator import add
 from typing import Sequence
@@ -277,6 +283,16 @@ class _Path:
                 self.chunk = min(2 * self.chunk, _MAX_CHUNK)
             self.pos += self.fold(self.buf[self.pos : self.pos + cap + 1 - len(series)])
 
+    def step(self, pos: int, cap: int):
+        """The verdict and the index after the one step from pos, as
+        ``advance(pos, 1, -inf, cap)`` returns them."""
+        last = pos + 1
+        if self.end is None and len(self.series) <= last:
+            self.extend(last, cap)
+        if self.end == last:
+            return self.verdict, 0.0
+        return _CONTINUE, self.priority(last)
+
 
 class _PairPath(_Path):
     """A model-pair path: the LLR sum after each observation. The sum is
@@ -490,13 +506,7 @@ class EpisodePaths:
         k = len(specs)
         if k < 1:
             raise ValueError("need at least one process")
-        # derive children by spawn-key extension rather than .spawn(),
-        # which mutates the parent and would break seed-object reuse
-        children = [
-            np.random.SeedSequence(entropy=seed.entropy, spawn_key=tuple(seed.spawn_key) + (i,))
-            for i in range(k + 1)
-        ]
-        meta_rng = np.random.default_rng(children[0])
+        meta_rng, *rngs = _child_generators(seed, k + 1)
         if forced_truth is not None:
             truth = tuple(bool(b) for b in forced_truth)
             if len(truth) != k:
@@ -507,21 +517,112 @@ class EpisodePaths:
         self.trace = trace
         self.truth = truth
         self.truth_models = tuple(_draw_truth_model(spec, truth[i], meta_rng) for i, spec in enumerate(specs))
-        rngs = map(np.random.default_rng, children[1:])
         self.paths = [
             _GridPath(spec, model, rng, statistic, trace) if spec.is_composite else _PairPath(spec, model, rng, trace)
             for spec, model, rng in zip(specs, self.truth_models, rngs)
         ]
 
 
-def apply_switching_delay(
-    previous: set[int] | frozenset[int] | tuple[int, ...],
-    new: Sequence[int],
-    specs: Sequence[ProcessSpec],
-) -> int:
-    """Delay units consumed by every process entering the probed set
-    this instant; simultaneous entries add."""
-    return sum(specs[pid - 1].switch_delay for pid in new if pid not in previous)
+# numpy's SeedSequence hash constants, which its RNG policy (NEP 19) fixes
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+@cache
+def _state_words_type() -> type:
+    """A numpy ``ISeedSequence`` that hands a bit generator its state
+    words as they are; built at the first seeding, with numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateWords(ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=None) -> np.ndarray:
+            return self.words
+
+    return StateWords
+
+
+def _child_generators(seed: np.random.SeedSequence, n: int) -> list[np.random.Generator]:
+    """The generators of seed's children 0..n-1 by spawn-key extension:
+    default_rng(SeedSequence(seed.entropy, spawn_key=seed.spawn_key +
+    (i,))), without .spawn(), which mutates the parent and would break
+    seed-object reuse. For integer entropy and spawn key the children's
+    state words come from one shared hash (``_child_states``); other
+    seeds go through SeedSequence."""
+    # imported here, not with the module: loading numpy.random is a
+    # noticeable share of a command's start-up that no run needs before
+    # its first episode
+    from numpy.random import PCG64, Generator, SeedSequence, default_rng
+
+    entropy, key = seed.entropy, tuple(seed.spawn_key)
+    if seed.pool_size == 4 and all(isinstance(part, int) for part in (entropy, *key)):
+        state_words = _state_words_type()
+        return [Generator(PCG64(state_words(words))) for words in _child_states(entropy, key, n)]
+    return [default_rng(SeedSequence(entropy=entropy, spawn_key=key + (i,))) for i in range(n)]
+
+
+def _uint32_words(n: int) -> list[int]:
+    """A nonnegative int as SeedSequence reads it: 32-bit words, least
+    significant first; [0] for 0."""
+    return [n >> shift & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _hash_constants(start: int, mult: int, count: int):
+    """The hash constant before and after each of count steps, as columns."""
+    before, after = [], []
+    for _ in range(count):
+        before.append(start)
+        start = start * mult & _MASK32
+        after.append(start)
+    return np.array(before, np.uint32)[:, None], np.array(after, np.uint32)[:, None]
+
+
+def _child_states(entropy: int, key: tuple[int, ...], n: int) -> np.ndarray:
+    """Row i holds the four uint64 words SeedSequence(entropy,
+    spawn_key=key + (i,)).generate_state(4, np.uint64) gives, in its
+    arithmetic: the entropy, padded to the pool's 4 words as a spawn key
+    makes it, and the key are mixed into the pool once, in 32-bit Python
+    ints; the child index, the last word and the only one that differs,
+    is mixed in over 0..n-1 at once, and the 8-word output hash with it."""
+    run = _uint32_words(entropy)
+    words = run + [0] * (4 - len(run)) + [w for part in key for w in _uint32_words(part)]
+    hash_const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = (_MIX_L * x - _MIX_R * y) & _MASK32
+        return r ^ r >> 16
+
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        pool = [mix(p, hashmix(w)) for p in pool]
+    before, after = _hash_constants(hash_const, _MULT_A, 4)
+    v = np.arange(n, dtype=np.uint32) ^ before  # row d: the index hashed for pool word d
+    v *= after
+    v ^= v >> 16
+    v = np.array([_MIX_L * p & _MASK32 for p in pool], np.uint32)[:, None] - np.uint32(_MIX_R) * v
+    v ^= v >> 16
+    before, after = _hash_constants(_INIT_B, _MULT_B, 8)
+    out = np.concatenate((v, v)) ^ before  # the output cycles the pool twice
+    out *= after
+    out ^= out >> 16
+    # word pairs read little-endian, as SeedSequence joins them
+    return np.ascontiguousarray(out.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
 
 
 def initial_priority(spec: ProcessSpec) -> float:
@@ -545,6 +646,59 @@ def _over_cap(time_cap: int, undecided: int) -> SimulationError:
     return SimulationError(f"episode exceeded {time_cap} time units with {undecided} processes undecided")
 
 
+def _open_loop_lanes(
+    walks: list, delays: list[int], pstate: PolicyState, m: int, samples: list[int], stop_times: list[int], time_cap: int
+) -> tuple[int, int, int, tuple[int, ...]]:
+    """An untraced open-loop run at M > 1 up to the pass that leaves at
+    most one id active, as the pass loop runs it. Open loop probes the
+    first M active ids of its frozen order, so its selection changes only
+    at a declaration: a lane holds one probed id from the pass it enters,
+    charged its delay, to its declaration, scanned in one call that is
+    bounded by the time left under the cap, so it folds no further than
+    the pass loop would. A heap of the passes that end the lanes gives the
+    next event; lanes that end at one pass do so in selection order. Each
+    event does the pass loop's read of that step, so a step whose
+    observation raises raises there. Returns the clock, the delay units,
+    the idle slots and the ids probed at the last pass."""
+    order = pstate.top(len(pstate.active))
+    active = pstate.active
+    # per lane: the pass of its last step, its rank in order, and its step
+    # position less the pass (it takes one step per pass)
+    lanes: list[tuple[int, int, int]] = []
+    entered = p = total_delay = idle_slots = 0  # the clock after pass p is p + total_delay
+    while len(active) > 1:
+        # the next pass: free slots take the next ids of the order
+        first, entered = entered, min(entered + m - len(lanes), len(order))
+        total_delay += sum([delays[pid - 1] for pid in order[first:entered]])
+        p += 1
+        if p + total_delay > time_cap:
+            raise _over_cap(time_cap, len(active))
+        for rank in range(first, entered):
+            i = order[rank] - 1
+            try:
+                steps, verdict, _ = walks[i].advance(samples[i], time_cap + 1 - p - total_delay, -math.inf, time_cap)
+            except ValueError:  # the read of the step after the folded ones raises
+                steps, verdict = len(walks[i].series) - samples[i], None
+            if verdict is _CONTINUE:
+                steps += 1  # the pass after its last step under the cap overruns it
+            heappush(lanes, (p + steps - 1, rank, samples[i] + 1 - p))
+        end = lanes[0][0]
+        idle_slots += (m - len(lanes)) * (end + 1 - p)
+        p = end
+        if p + total_delay > time_cap:
+            raise _over_cap(time_cap, len(active))
+        while lanes and lanes[0][0] == end:
+            _, rank, offset = heappop(lanes)
+            i = order[rank] - 1
+            samples[i] = offset + end
+            walks[i].step(samples[i] - 1, time_cap)
+            stop_times[i] = p + total_delay
+            pstate.declare(i + 1)
+    for _, rank, offset in lanes:
+        samples[order[rank] - 1] = offset + p
+    return p + total_delay, total_delay, idle_slots, tuple(order[rank] for _, rank, _ in lanes)
+
+
 def run_episode(paths: EpisodePaths, policy: PolicyConfig, time_cap: int = TIME_CAP) -> EpisodeResult:
     """Simulate one episode to the last declaration under policy, reading
     the episode's paths, which other policies may have read already; a
@@ -566,16 +720,19 @@ def run_episode(paths: EpisodePaths, policy: PolicyConfig, time_cap: int = TIME_
 
     stop_times = [0] * k
     samples = [0] * k  # each process's step position on its path
+    delays = [spec.switch_delay for spec in specs]
     t = 0
     total_delay = 0
     idle_slots = 0
-    prev_sel: set[int] = set()
+    prev_sel: tuple[int, ...] = ()
     trace: list[TraceStep] | None = [] if paths.trace else None
+    if not cl and m > 1 and trace is None:
+        t, total_delay, idle_slots, prev_sel = _open_loop_lanes(walks, delays, pstate, m, samples, stop_times, time_cap)
 
     # The pass loop: one decision per instant, for traced runs and for the
     # instants that probe more than one id. Each pass selects, charges the
-    # entering delays and one sampling unit, then takes one observation of
-    # every selected process.
+    # entering delays and one sampling unit, then reads one step of every
+    # selected process.
     while active and (trace is not None or m > 1 and len(active) > 1):
         now = t + 1
         while nxt < now:
@@ -585,7 +742,7 @@ def run_episode(paths: EpisodePaths, policy: PolicyConfig, time_cap: int = TIME_
             pstate.rr_cursor = sel[-1]
         else:
             sel = pstate.top(m)
-        delta = apply_switching_delay(prev_sel, sel, specs)
+        delta = sum([delays[pid - 1] for pid in sel if pid not in prev_sel])  # simultaneous entries add
         t += delta + 1
         total_delay += delta
         idle_slots += m - len(sel)
@@ -593,7 +750,7 @@ def run_episode(paths: EpisodePaths, policy: PolicyConfig, time_cap: int = TIME_
             raise _over_cap(time_cap, len(active))
         for pid in sel:
             i = pid - 1
-            _, verdict, value = walks[i].advance(samples[i], 1, -math.inf, time_cap)
+            verdict, value = walks[i].step(samples[i], time_cap)
             samples[i] += 1
             if verdict is not _CONTINUE:
                 stop_times[i] = t
@@ -601,13 +758,13 @@ def run_episode(paths: EpisodePaths, policy: PolicyConfig, time_cap: int = TIME_
             elif cl:
                 pstate.rerank(pid, value)
 
-        prev_sel = set(sel)
+        prev_sel = sel
         if trace is not None:
             trace.append(
                 TraceStep(
                     instant=now,
                     delay=delta,
-                    selected=tuple(sel),
+                    selected=sel,
                     observations=tuple(walks[pid - 1].observations[samples[pid - 1] - 1] for pid in sel),
                     beliefs=tuple(path.belief(n) for path, n in zip(walks, samples)),
                     indices=tuple(0.0 if path.end == n else path.priority(n) for path, n in zip(walks, samples)),
@@ -624,7 +781,7 @@ def run_episode(paths: EpisodePaths, policy: PolicyConfig, time_cap: int = TIME_
     # ids, all of which are frozen meanwhile. An exploration instant that
     # picks the probed id falls inside the stretch; one that picks another
     # id starts that id's stretch.
-    probed = next(iter(prev_sel & active), 0)  # the id probed last; 0 for none
+    probed = next((pid for pid in prev_sel if pid in active), 0)  # the id probed last; 0 for none
     while active:
         # at the cap every selection overruns it: raise before reading the
         # instants up to it, one per time unit for a zeta near 1
@@ -639,7 +796,7 @@ def run_episode(paths: EpisodePaths, policy: PolicyConfig, time_cap: int = TIME_
         else:
             (pid,) = pstate.top(1)
         if pid != probed:
-            delta = specs[pid - 1].switch_delay
+            delta = delays[pid - 1]
             t += delta
             total_delay += delta
             probed = pid

