@@ -19,9 +19,11 @@ scan of the stored steps, with the same result as one decision per
 observation. Open loop's selection changes only at a declaration, so an
 untraced open-loop run at M > 1 runs as M lanes, each probed id scanned
 to its declaration in one call. Instants that probe several ids in
-closed loop read one step per probed id. An episode's K + 1 generators
-are seeded as numpy's SeedSequence would seed them, from one hash of the
-words their seeds share.
+closed loop read one step per probed id, whose key is held outside the
+ranking of the other active ids, so only a swap or a fill, an id
+entering or leaving the selection, touches the ranking. An episode's
+K + 1 generators are seeded as numpy's SeedSequence would seed them,
+from one hash of the words their seeds share.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from seqscan.composite import (
     size_terms,
 )
 from seqscan.models import Gaussian, ObservationModel, _category, finite_kl, log_density, sample_many
-from seqscan.policy import PolicyState, exploration_instants, rotation
+from seqscan.policy import PolicyState, _check_finite, exploration_instants, rotation
 from seqscan.sprt import SprtBoundaries, Verdict, expected_sample_sizes, update_llr, wald_boundaries
 
 TIME_CAP = 10_000_000
@@ -143,12 +145,16 @@ class ProcessSpec:
             return _GridTable(prior_log_odds(self.prior), bounds, tuple(b / d for b, d in terms), e_n_h0, e_n_h1)
         h0, h1 = self.model_h0, self.model_h1
         kl10 = finite_kl(h1, h0)
+        log_odds = prior_log_odds(self.prior)
+        e_n_h0, e_n_h1 = expected_sample_sizes(self.alpha, self.beta, finite_kl(h0, h1), kl10)
         return _PairTable(
-            prior_log_odds(self.prior),
+            log_odds,
             wald_boundaries(self.alpha, self.beta),
-            *expected_sample_sizes(self.alpha, self.beta, finite_kl(h0, h1), kl10),
+            e_n_h0,
+            e_n_h1,
             kl10,
             None if isinstance(h0, Gaussian) else {},
+            (self.prior, log_odds, self.cost_rate, e_n_h0, e_n_h1),
         )
 
 
@@ -162,6 +168,7 @@ class _PairTable:
     e_n_h1: float
     kl10: float  # finite_kl(model_h1, model_h0)
     increments: dict | None  # LLR increment by observation, filled on first sight; None for Gaussians
+    terms: tuple  # _pair_index's arguments but the LLR: prior, log_odds, cost rate, e_n_h0, e_n_h1
 
 
 @dataclass(frozen=True)
@@ -303,8 +310,7 @@ class _PairPath(_Path):
 
     def __init__(self, spec: ProcessSpec, model: ObservationModel, rng: np.random.Generator, trace: bool):
         super().__init__(spec, model, rng, 0.0, trace)
-        t = self.table
-        self.terms = (spec.prior, t.log_odds, spec.cost_rate, t.e_n_h0, t.e_n_h1)  # _pair_index's, but the LLR
+        self.terms = self.table.terms
 
     def increment(self, y: float) -> float:
         """The LLR increment of one observation, as both log-densities
@@ -512,7 +518,8 @@ class EpisodePaths:
             if len(truth) != k:
                 raise ValueError("forced truth length must match process count")
         else:
-            truth = tuple(bool(meta_rng.random() < spec.prior) for spec in specs)
+            # one draw for all, the same doubles as one scalar draw per process
+            truth = tuple([u < spec.prior for u, spec in zip(meta_rng.random(k).tolist(), specs)])
         self.specs = tuple(specs)
         self.trace = trace
         self.truth = truth
@@ -659,7 +666,8 @@ def _open_loop_lanes(
     next event; lanes that end at one pass do so in selection order. Each
     event does the pass loop's read of that step, so a step whose
     observation raises raises there. Returns the clock, the delay units,
-    the idle slots and the ids probed at the last pass."""
+    the idle slots and the id probed at the last pass if it is still
+    active, else 0."""
     order = pstate.top(len(pstate.active))
     active = pstate.active
     # per lane: the pass of its last step, its rank in order, and its step
@@ -696,7 +704,20 @@ def _open_loop_lanes(
             pstate.declare(i + 1)
     for _, rank, offset in lanes:
         samples[order[rank] - 1] = offset + p
-    return p + total_delay, total_delay, idle_slots, tuple(order[rank] for _, rank, _ in lanes)
+    return p + total_delay, total_delay, idle_slots, order[lanes[0][1]] if lanes else 0
+
+
+def _first_read_error(walks: list, order: list, samples: list[int], cl: bool, time_cap: int) -> ValueError | None:
+    """The error of the first of the pass loop's reads, in order, that
+    raises from the step positions in samples; None if none does."""
+    for _, neg in order:
+        try:
+            verdict, value = walks[-neg - 1].step(samples[-neg - 1], time_cap)
+            if cl and verdict is _CONTINUE:
+                _check_finite(-neg, value)
+        except ValueError as exc:
+            return exc
+    return None
 
 
 def run_episode(paths: EpisodePaths, policy: PolicyConfig, time_cap: int = TIME_CAP) -> EpisodeResult:
@@ -718,48 +739,76 @@ def run_episode(paths: EpisodePaths, policy: PolicyConfig, time_cap: int = TIME_
     # the first exploration instant not yet passed, and the one after it
     nxt, nxt2 = next(instants, math.inf), next(instants, math.inf)
 
+    isfinite = math.isfinite
     stop_times = [0] * k
     samples = [0] * k  # each process's step position on its path
     delays = [spec.switch_delay for spec in specs]
     t = 0
     total_delay = 0
     idle_slots = 0
-    prev_sel: tuple[int, ...] = ()
+    probed = 0  # the id probed last, if still active; 0 for none
     trace: list[TraceStep] | None = [] if paths.trace else None
     if not cl and m > 1 and trace is None:
-        t, total_delay, idle_slots, prev_sel = _open_loop_lanes(walks, delays, pstate, m, samples, stop_times, time_cap)
+        t, total_delay, idle_slots, probed = _open_loop_lanes(walks, delays, pstate, m, samples, stop_times, time_cap)
 
     # The pass loop: one decision per instant, for traced runs and for the
-    # instants that probe more than one id. Each pass selects, charges the
-    # entering delays and one sampling unit, then reads one step of every
-    # selected process.
+    # instants that probe more than one id. The probed ids' keys are held
+    # out of the ranking (``PolicyState.hold``): each pass settles them into
+    # the top M, or puts them back for a rotation, charges the entering
+    # delays and one sampling unit, then reads one step of every probed
+    # process and updates its key where it is held.
+    held: list[tuple[float, int]] = []
     while active and (trace is not None or m > 1 and len(active) > 1):
         now = t + 1
         while nxt < now:
             nxt, nxt2 = nxt2, next(instants, math.inf)
-        if nxt == now:
+        explored = nxt == now
+        if explored:
+            probing = [neg for _, neg in held]
+            pstate.release(held)
             sel = rotation(pstate, m)
             pstate.rr_cursor = sel[-1]
+            held = pstate.hold(sel)
+            entered = [pid for pid in sel if -pid not in probing]
         else:
-            sel = pstate.top(m)
-        delta = sum([delays[pid - 1] for pid in sel if pid not in prev_sel])  # simultaneous entries add
+            entered = pstate.settle(held, m)
+            if trace is not None:
+                held.sort(reverse=True)  # top(M)'s order
+        delta = sum([delays[pid - 1] for pid in entered])  # simultaneous entries add
         t += delta + 1
         total_delay += delta
-        idle_slots += m - len(sel)
+        idle_slots += m - len(held)
         if t > time_cap:
             raise _over_cap(time_cap, len(active))
-        for pid in sel:
-            i = pid - 1
-            verdict, value = walks[i].step(samples[i], time_cap)
-            samples[i] += 1
-            if verdict is not _CONTINUE:
-                stop_times[i] = t
-                pstate.declare(pid)
-            elif cl:
-                pstate.rerank(pid, value)
-
-        prev_sel = sel
+        read = []  # the keys of the probed ids still active after the reads
+        try:
+            for key in held:
+                i = -key[1] - 1
+                path = walks[i]
+                last = samples[i] + 1
+                if path.end is None and len(path.series) <= last:
+                    path.extend(last, time_cap)
+                if path.end == last:
+                    stop_times[i] = t
+                    pstate.declare(i + 1)
+                elif cl:
+                    value = path.priority(last)
+                    if not isfinite(value):
+                        _check_finite(i + 1, value)
+                    read.append((value, key[1]))
+                else:
+                    read.append(key)
+                samples[i] = last
+        except ValueError as exc:
+            # an untraced pass reads its ids in the order they were held;
+            # redo the reads from the pass's starting positions in the
+            # pass loop's order, so the first of them to raise raises
+            for done in held[: held.index(key)]:
+                samples[-done[1] - 1] -= 1
+            order = held if explored else sorted(held, reverse=True)
+            raise (_first_read_error(walks, order, samples, cl, time_cap) or exc) from None
         if trace is not None:
+            sel = tuple([-neg for _, neg in held])
             trace.append(
                 TraceStep(
                     instant=now,
@@ -771,6 +820,10 @@ def run_episode(paths: EpisodePaths, policy: PolicyConfig, time_cap: int = TIME_
                     stats=tuple(path.stat(n) for path, n in zip(walks, samples)),
                 )
             )
+        held = read
+    if held:  # at most one id is left active
+        probed = -held[0][1]
+        pstate.release(held)
 
     # The lone loop: once one id is probed per instant (from the start at
     # M = 1, at M > 1 once one id is left active), a run takes the probed
@@ -781,7 +834,6 @@ def run_episode(paths: EpisodePaths, policy: PolicyConfig, time_cap: int = TIME_
     # ids, all of which are frozen meanwhile. An exploration instant that
     # picks the probed id falls inside the stretch; one that picks another
     # id starts that id's stretch.
-    probed = next((pid for pid in prev_sel if pid in active), 0)  # the id probed last; 0 for none
     while active:
         # at the cap every selection overruns it: raise before reading the
         # instants up to it, one per time unit for a zeta near 1

@@ -56,12 +56,20 @@ class PolicyState:
     unique and ascend, so the best ids, ties to the lowest id, sit at the
     end, where moving a key shifts few others. The cursor starts at K so
     the first exploration instant selects process 1, and the first
-    M-probe rotation selects 1..M."""
+    M-probe rotation selects 1..M.
+
+    A caller that probes several ids per instant may hold their keys
+    outside the ranking (``hold``), update them there, and ``settle``
+    them into the top M, which touches the ranking only for an id that
+    enters or leaves the selection. While keys are held, the ranking
+    holds only the other active ids, so ``top``, ``floor_except`` and
+    ``rerank`` serve only after the held keys are put back
+    (``release``)."""
 
     k: int
     rr_cursor: int
-    _key: dict[int, tuple[float, int]]  # id -> its key in the ranking
-    _ranking: list[tuple[float, int]]
+    _key: dict[int, tuple[float, int]]  # id -> its key; a held id's is updated when it leaves the hold
+    _ranking: list[tuple[float, int]]  # the keys of the active ids not held
 
     @classmethod
     def fresh(cls, indices: Sequence[float]) -> "PolicyState":
@@ -105,10 +113,55 @@ class PolicyState:
         insort(ranking, key)
 
     def declare(self, pid: int) -> None:
-        """Drop an id from the active set and the ranking, if present."""
+        """Drop an id from the active set and, unless it is held, its key
+        from the ranking; an inactive id is ignored."""
         key = self._key.pop(pid, None)
         if key is not None:
-            del self._ranking[bisect_left(self._ranking, key)]
+            ranking = self._ranking
+            i = bisect_left(ranking, key)
+            if i < len(ranking) and ranking[i] == key:
+                del ranking[i]
+
+    def hold(self, pids: Sequence[int]) -> list[tuple[float, int]]:
+        """Lift active ids' keys out of the ranking; returns them in pids'
+        order."""
+        ranking, held = self._ranking, [self._key[pid] for pid in pids]
+        for key in held:
+            del ranking[bisect_left(ranking, key)]
+        return held
+
+    def release(self, held: list[tuple[float, int]]) -> None:
+        """Put held keys, as their holder updated them, back into the
+        ranking."""
+        for key in held:
+            self._key[-key[1]] = key
+            insort(self._ranking, key)
+
+    def settle(self, held: list[tuple[float, int]], m: int) -> list[int]:
+        """Turn held, the keys of at most m active ids, into those of the
+        top min(m, active) ids, as ``top`` would rank the whole set: free
+        slots take the best ranked keys, then while the least held key is
+        below the best ranked one, the two swap. An entering key is the
+        best ranked one, so it never leaves again, nor does a key that left
+        come back. Returns the ids that entered."""
+        ranking, entered = self._ranking, []
+        while len(held) < m and ranking:
+            key = ranking.pop()
+            held.append(key)
+            entered.append(-key[1])
+        if ranking:
+            # an entering key tops what is left of the ranking, so the
+            # least held key is always the next of the keys sorted here
+            held.sort()
+            for n, low in enumerate(held):
+                if not low < ranking[-1]:
+                    break
+                key = ranking.pop()
+                held[n] = key
+                entered.append(-key[1])
+                self._key[-low[1]] = low
+                insort(ranking, low)
+        return entered
 
 
 def _check_finite(pid: int, value: float) -> None:

@@ -25,7 +25,9 @@ from seqscan.engine import (
     PolicyKind,
     ProcessSpec,
     SimulationError,
+    TIME_CAP,
     _child_generators,
+    _draw_truth_model,
     _PairPath,
     initial_priority,
     lower_bound_oracle,
@@ -224,6 +226,20 @@ def test_child_generators_of_a_sequence_entropy_go_through_seed_sequence():
     for i, rng in enumerate(_child_generators(seed, 3)):
         expected = np.random.default_rng(np.random.SeedSequence(entropy=(1, 2**40), spawn_key=(3, i)))
         assert rng.bit_generator.state == expected.bit_generator.state
+
+
+def test_truth_drawn_at_once_equals_one_draw_per_process():
+    # one vector draw gives the scalar draws' doubles and leaves the truth
+    # generator where they leave it, so the grid truth models drawn next
+    # come out the same
+    specs = [simple_spec(prior=0.3), grid_spec(prior=0.6), simple_spec(prior=0.9), grid_spec(prior=0.1, weights=(0.3, 0.7))]
+    for entropy in range(20):
+        seed = np.random.SeedSequence(entropy, spawn_key=(2,))
+        paths = EpisodePaths(specs, seed)
+        meta_rng = _child_generators(seed, len(specs) + 1)[0]
+        truth = tuple(bool(meta_rng.random() < spec.prior) for spec in specs)
+        assert paths.truth == truth
+        assert paths.truth_models == tuple(_draw_truth_model(s, a, meta_rng) for s, a in zip(specs, truth))
 
 
 def test_importing_the_command_line_leaves_numpy_random_unloaded():
@@ -465,46 +481,96 @@ def test_time_cap_fires_at_the_same_instant_traced_or_not():
     assert finished == {True, False}
 
 
+# an infinite LLR increment of either sign: observation 0 is impossible
+# under model_h1 and 2 under model_h0, and 1 leaves the LLR sum at 0
+IMPOSSIBLE = ProcessSpec(
+    prior=0.5, cost_rate=1.0, alpha=1e-2, beta=1e-2,
+    model_h0=Categorical((0.6, 0.4, 0.0)), model_h1=Categorical((0.0, 0.4, 0.6)), switch_delay=1,
+)
+PASS_LOOP_POOL = [
+    simple_spec(alpha=0.05, beta=0.05, r0=10.0, r1=20.0),
+    simple_spec(alpha=1e-3, beta=1e-3, r0=10.0, r1=11.0, delay=1),
+    simple_spec(alpha=0.05, beta=0.05, r0=10.0, r1=20.0, delay=2),
+    simple_spec(alpha=1e-2, beta=1e-2, r0=10.0, r1=13.0, delay=1),
+    simple_spec(alpha=0.1, beta=0.1, r0=5.0, r1=9.0),
+    simple_spec(alpha=1e-2, beta=1e-2, r0=10.0, r1=15.0, delay=2),
+    simple_spec(alpha=0.2, beta=0.2, r0=2.0, r1=20.0, delay=1),
+    IMPOSSIBLE,
+]
+
+
+def _pass_loop_specs(seed, k):
+    return [PASS_LOOP_POOL[(seed + j // 2) % len(PASS_LOOP_POOL)] for j in range(k)]  # some ids tie
+
+
+def _untraced_replays_traced(specs, policy, seed, time_cap, forced_truth=None):
+    """Run traced and untraced; both raise errors of equal repr or give
+    equal results. Returns "finished" or the error's class name."""
+    runs = []
+    for trace in (True, False):
+        paths = EpisodePaths(specs, np.random.SeedSequence(seed), forced_truth=forced_truth, trace=trace)
+        try:
+            res = run_episode(paths, policy, time_cap=time_cap)
+        except (SimulationError, ValueError) as exc:
+            runs.append(repr(exc))
+        else:
+            res.trace = None
+            runs.append(res)
+    assert runs[0] == runs[1]
+    return runs[0].split("(")[0] if isinstance(runs[0], str) else "finished"
+
+
 def test_open_loop_lanes_equal_the_traced_pass_loop_at_every_time_cap():
     # untraced open loop at M > 1 runs each probed id to its declaration in
     # one scan; declarations at one pass, idle slots once fewer than M are
     # active, the hand-over to the lone loop (with the last id probed or
-    # not yet entered), the cap and an impossible observation (an infinite
-    # LLR increment of either sign) must all fall as the traced pass loop
-    # has them
-    impossible = ProcessSpec(
-        prior=0.5, cost_rate=1.0, alpha=1e-2, beta=1e-2,
-        model_h0=Categorical((0.6, 0.4, 0.0)), model_h1=Categorical((0.0, 0.4, 0.6)), switch_delay=1,
-    )
-    pool = [
-        simple_spec(alpha=0.05, beta=0.05, r0=10.0, r1=20.0),
-        simple_spec(alpha=1e-3, beta=1e-3, r0=10.0, r1=11.0, delay=1),
-        simple_spec(alpha=0.05, beta=0.05, r0=10.0, r1=20.0, delay=2),
-        simple_spec(alpha=1e-2, beta=1e-2, r0=10.0, r1=13.0, delay=1),
-        simple_spec(alpha=0.1, beta=0.1, r0=5.0, r1=9.0),
-        simple_spec(alpha=1e-2, beta=1e-2, r0=10.0, r1=15.0, delay=2),
-        simple_spec(alpha=0.2, beta=0.2, r0=2.0, r1=20.0, delay=1),
-        impossible,
-    ]
+    # not yet entered), the cap and an impossible observation must all
+    # fall as the traced pass loop has them
     outcomes = set()
-    for seed in range(len(pool)):
+    for seed in range(len(PASS_LOOP_POOL)):
         for k in range(3, 7):
-            specs = [pool[(seed + j // 2) % len(pool)] for j in range(k)]  # some ids tie in the order
+            specs = _pass_loop_specs(seed, k)
             for m in (2, 3):
                 for cap in range(1, 61):
-                    runs = []
-                    for trace in (True, False):
-                        paths = EpisodePaths(specs, np.random.SeedSequence(seed), trace=trace)
-                        try:
-                            res = run_episode(paths, PolicyConfig(PolicyKind.OL, m), time_cap=cap)
-                        except (SimulationError, ValueError) as exc:
-                            runs.append(repr(exc))
-                        else:
-                            res.trace = None
-                            runs.append(res)
-                    assert runs[0] == runs[1]
-                    outcomes.add(runs[0].split("(")[0] if isinstance(runs[0], str) else "finished")
+                    outcomes.add(_untraced_replays_traced(specs, PolicyConfig(PolicyKind.OL, m), seed, cap))
     assert outcomes == {"finished", "SimulationError", "ValueError"}
+
+
+def test_closed_loop_untraced_equals_the_traced_pass_loop_at_every_time_cap():
+    # untraced closed loop at M > 1 reads its held ids in no set order and
+    # hands the last active id to the lone loop; the selection a pass
+    # settles or rotates to, its entering delays, declarations at one
+    # pass, the cap and the error of an impossible observation must all
+    # fall as the traced run, which reads in the selection's order, has them
+    outcomes = set()
+    for seed in range(len(PASS_LOOP_POOL)):
+        for k in range(3, 8):
+            specs = _pass_loop_specs(seed, k)
+            for m in (2, 3):
+                for zeta in (1.05, 1.7, math.inf):
+                    for cap in (*range(1, 41), TIME_CAP):
+                        outcomes.add(_untraced_replays_traced(specs, PolicyConfig(PolicyKind.CL, m, zeta), seed, cap))
+    assert outcomes == {"finished", "SimulationError", "ValueError"}
+
+
+def test_two_impossible_reads_at_one_pass_raise_the_first_in_selection_order():
+    # ids 1 and 2 (abnormal, normal) keep equal indices until each meets
+    # an impossible observation, here both at their second step, of
+    # opposite signs; the selection reads id 1 first, the tie going to the
+    # lower id, while the untraced pass holds id 2's key before id 1's
+    specs, truth, seed = [IMPOSSIBLE, IMPOSSIBLE, simple_spec(cost=0.1)], (True, False, False), 15
+    walks = EpisodePaths(specs, np.random.SeedSequence(seed), forced_truth=truth).paths
+    errors = []
+    for path in walks[:2]:
+        with pytest.raises(ValueError) as exc:
+            for pos in range(100):
+                path.step(pos, TIME_CAP)
+        errors.append((pos, str(exc.value)))
+    assert errors == [(1, "LLR increment must be finite, got inf"), (1, "LLR increment must be finite, got -inf")]
+    policy = PolicyConfig(PolicyKind.CL, 2, math.inf)
+    assert _untraced_replays_traced(specs, policy, seed, TIME_CAP, truth) == "ValueError"
+    with pytest.raises(ValueError, match="got inf"):
+        run_episode(EpisodePaths(specs, np.random.SeedSequence(seed), forced_truth=truth), policy)
 
 
 def test_the_last_active_id_runs_through_exploration_instants_in_one_call(monkeypatch):
@@ -512,20 +578,22 @@ def test_the_last_active_id_runs_through_exploration_instants_in_one_call(monkey
     # untraced run scans it to its declaration in one call, however many
     # instants (about one in five steps near t = 1000) it spans: a lone
     # process at M = 1, and at M = 2 the process that outlives the other,
-    # after passes of one one-step read per probed id
+    # after passes of one read per probed id, each an index evaluation
+    # but the one that declares
     fast = simple_spec(alpha=0.05, beta=0.05, r0=10.0, r1=20.0)
     slow = simple_spec(alpha=1e-3, beta=1e-3, r0=10.0, r1=10.5)
-    calls, steps = [], []
-    advance, step = _PairPath.advance, _PairPath.step
+    calls, reads = [], []
+    advance, priority = _PairPath.advance, _PairPath.priority
     monkeypatch.setattr(_PairPath, "advance", lambda path, *args: calls.append(path) or advance(path, *args))
-    monkeypatch.setattr(_PairPath, "step", lambda path, *args: steps.append(path) or step(path, *args))
+    # step 0 is read only to rank the ids before the first pass
+    monkeypatch.setattr(_PairPath, "priority", lambda path, pos: pos and reads.append(path) or priority(path, pos))
     lone = run_episode(EpisodePaths([slow], np.random.SeedSequence(5)), PolicyConfig(PolicyKind.CL, 1, 1.005))
-    assert lone.final_time > 300 and len(calls) == 1 and not steps
+    assert lone.final_time > 300 and len(calls) == 1 and not reads
     calls.clear()
     paths = EpisodePaths([fast, slow], np.random.SeedSequence(5), forced_truth=(True, False))
     pair = run_episode(paths, PolicyConfig(PolicyKind.CL, 2, 1.005))
     assert pair.stop_times[1] - pair.stop_times[0] > 100
-    assert len(steps) == 2 * pair.samples[0] and len(calls) == 1
+    assert len(reads) == 2 * pair.samples[0] - 1 and len(calls) == 1
 
 
 @st.composite

@@ -334,6 +334,49 @@ def test_ranking_matches_full_sort_under_updates(initial, data):
         PolicyState.fresh([math.nan] * k)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    initial=st.lists(VALUES, min_size=1, max_size=12),
+    data=st.data(),
+)
+def test_settled_held_keys_are_the_top_m_under_updates(initial, data):
+    # the engine's passes: each held id gets a new value where it is held
+    # or is declared, then the held keys settle into the top m, or go back
+    # for a rotation whose picks are lifted out; settling must give a full
+    # sort's first m ids and report the ids that were not held before
+    k = len(initial)
+    m = data.draw(st.integers(1, k), label="m")
+    s = PolicyState.fresh(initial)
+    indices = list(initial)
+    active = set(range(1, k + 1))
+    held = []
+    while active and data.draw(st.booleans(), label="another pass"):
+        before = {-neg for _, neg in held}
+        if data.draw(st.booleans(), label="rotate"):
+            s.release(held)
+            picks = rotation(s, m)
+            s.rr_cursor = picks[-1]
+            held = s.hold(picks)
+            assert held == [(indices[pid - 1], -pid) for pid in picks]
+        else:
+            entered = s.settle(held, m)
+            expected = sorted(active, key=lambda q: (-indices[q - 1], q))[:m]
+            assert sorted(held, reverse=True) == [(indices[pid - 1], -pid) for pid in expected]
+            assert sorted(entered) == sorted(set(expected) - before)
+        read = []
+        for _, neg in held:
+            if data.draw(st.booleans(), label="declare"):
+                s.declare(-neg)
+                active.discard(-neg)
+            else:
+                indices[-neg - 1] = data.draw(VALUES, label="value")
+                read.append((indices[-neg - 1], neg))
+        held = read
+    s.release(held)
+    assert set(s.active) == active
+    assert s.top(k) == tuple(sorted(active, key=lambda q: (-indices[q - 1], q)))
+
+
 def pre_data_order(priors, costs, expected_sizes):
     """Open loop's order as the engine builds it: ids ranked by the pre-data
     priority prior * cost / expected size (initial_priority's index)."""
