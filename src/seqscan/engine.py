@@ -17,13 +17,15 @@ declaration, an exploration instant that picks another id, the probed
 index falling below the best other one) and runs there in one call, a
 scan of the stored steps, with the same result as one decision per
 observation. Open loop's selection changes only at a declaration, so an
-untraced open-loop run at M > 1 runs as M lanes, each probed id scanned
-to its declaration in one call. Instants that probe several ids in
-closed loop read one step per probed id, whose key is held outside the
-ranking of the other active ids, so only a swap or a fill, an id
-entering or leaving the selection, touches the ranking. An episode's
-K + 1 generators are seeded as numpy's SeedSequence would seed them,
-from one hash of the words their seeds share.
+open-loop run at M > 1 runs as M lanes, each probed id scanned to its
+declaration in one call. Instants that probe several ids in closed loop
+read one step per probed id, whose key is held outside the ranking of
+the other active ids, so only a swap or a fill, an id entering or
+leaving the selection, touches the ranking. A traced run takes the same
+loops, which log their blocks, and its trace is rebuilt from the log and
+the paths after the episode (``_trace``). An episode's K + 1 generators
+are seeded as numpy's SeedSequence would seed them, from one hash of the
+words their seeds share.
 """
 
 from __future__ import annotations
@@ -498,8 +500,8 @@ class EpisodePaths:
     samples to declaration do not depend on the policy, so every policy
     run on the seed reads the same paths, and each path is folded once,
     as far as the furthest reader. The paths serve one statistic; a
-    ``trace`` set keeps what a traced episode reads, and every run on it
-    is traced."""
+    ``trace`` set also keeps what a trace is rebuilt from (``_trace``),
+    and every run on it is traced."""
 
     def __init__(
         self,
@@ -654,20 +656,21 @@ def _over_cap(time_cap: int, undecided: int) -> SimulationError:
 
 
 def _open_loop_lanes(
-    walks: list, delays: list[int], pstate: PolicyState, m: int, samples: list[int], stop_times: list[int], time_cap: int
-) -> tuple[int, int, int, tuple[int, ...]]:
-    """An untraced open-loop run at M > 1 up to the pass that leaves at
-    most one id active, as the pass loop runs it. Open loop probes the
-    first M active ids of its frozen order, so its selection changes only
-    at a declaration: a lane holds one probed id from the pass it enters,
+    walks: list, delays: list[int], pstate: PolicyState, m: int, samples: list[int], stop_times: list[int],
+    time_cap: int, log: list | None
+) -> tuple[int, int, int, int]:
+    """An open-loop run at M > 1 up to the pass that leaves at most one id
+    active, as one read per pass gives it. Open loop probes the first M
+    active ids of its frozen order, so its selection changes only at a
+    declaration: a lane holds one probed id from the pass it enters,
     charged its delay, to its declaration, scanned in one call that is
     bounded by the time left under the cap, so it folds no further than
-    the pass loop would. A heap of the passes that end the lanes gives the
-    next event; lanes that end at one pass do so in selection order. Each
-    event does the pass loop's read of that step, so a step whose
-    observation raises raises there. Returns the clock, the delay units,
-    the idle slots and the id probed at the last pass if it is still
-    active, else 0."""
+    one read per pass would. A heap of the passes that end the lanes gives
+    the next event, and the passes up to it are one block of the log;
+    lanes that end at one pass do so in selection order. Each event reads
+    that step again, so a step whose observation raises raises there.
+    Returns the clock, the delay units, the idle slots and the id probed
+    at the last pass if it is still active, else 0."""
     order = pstate.top(len(pstate.active))
     active = pstate.active
     # per lane: the pass of its last step, its rank in order, and its step
@@ -677,7 +680,8 @@ def _open_loop_lanes(
     while len(active) > 1:
         # the next pass: free slots take the next ids of the order
         first, entered = entered, min(entered + m - len(lanes), len(order))
-        total_delay += sum([delays[pid - 1] for pid in order[first:entered]])
+        delta = sum([delays[pid - 1] for pid in order[first:entered]])
+        total_delay += delta
         p += 1
         if p + total_delay > time_cap:
             raise _over_cap(time_cap, len(active))
@@ -691,6 +695,9 @@ def _open_loop_lanes(
                 steps += 1  # the pass after its last step under the cap overruns it
             heappush(lanes, (p + steps - 1, rank, samples[i] + 1 - p))
         end = lanes[0][0]
+        if log is not None:
+            sel = tuple([order[rank] for rank in sorted([lane[1] for lane in lanes])])
+            log.append((p + total_delay - delta, delta, sel, end + 1 - p))
         idle_slots += (m - len(lanes)) * (end + 1 - p)
         p = end
         if p + total_delay > time_cap:
@@ -707,17 +714,41 @@ def _open_loop_lanes(
     return p + total_delay, total_delay, idle_slots, order[lanes[0][1]] if lanes else 0
 
 
-def _first_read_error(walks: list, order: list, samples: list[int], cl: bool, time_cap: int) -> ValueError | None:
+def _first_read_error(walks: list, order: list, samples: list[int], time_cap: int) -> ValueError | None:
     """The error of the first of the pass loop's reads, in order, that
     raises from the step positions in samples; None if none does."""
     for _, neg in order:
         try:
             verdict, value = walks[-neg - 1].step(samples[-neg - 1], time_cap)
-            if cl and verdict is _CONTINUE:
+            if verdict is _CONTINUE:
                 _check_finite(-neg, value)
         except ValueError as exc:
             return exc
     return None
+
+
+def _trace(walks: list, log: list) -> list[TraceStep]:
+    """A run's ``TraceStep``s, rebuilt from its paths and its log of blocks
+    (decision instant, delay charged, ids in selection order, instants):
+    each instant steps every id, the first charges the delay, and each
+    later one s is at instant + delay + s."""
+    trace, samples = [], [0] * len(walks)
+    for instant, delay, sel, count in log:
+        for s in range(count):
+            for pid in sel:
+                samples[pid - 1] += 1
+            trace.append(
+                TraceStep(
+                    instant=instant + delay + s if s else instant,
+                    delay=0 if s else delay,
+                    selected=sel,
+                    observations=tuple([walks[pid - 1].observations[samples[pid - 1] - 1] for pid in sel]),
+                    beliefs=tuple([path.belief(n) for path, n in zip(walks, samples)]),
+                    indices=tuple([0.0 if path.end == n else path.priority(n) for path, n in zip(walks, samples)]),
+                    stats=tuple([path.stat(n) for path, n in zip(walks, samples)]),
+                )
+            )
+    return trace
 
 
 def run_episode(paths: EpisodePaths, policy: PolicyConfig, time_cap: int = TIME_CAP) -> EpisodeResult:
@@ -747,18 +778,20 @@ def run_episode(paths: EpisodePaths, policy: PolicyConfig, time_cap: int = TIME_
     total_delay = 0
     idle_slots = 0
     probed = 0  # the id probed last, if still active; 0 for none
-    trace: list[TraceStep] | None = [] if paths.trace else None
-    if not cl and m > 1 and trace is None:
-        t, total_delay, idle_slots, probed = _open_loop_lanes(walks, delays, pstate, m, samples, stop_times, time_cap)
+    log: list | None = [] if paths.trace else None  # a traced run's blocks, for ``_trace``
+    if not cl and m > 1:
+        t, total_delay, idle_slots, probed = _open_loop_lanes(
+            walks, delays, pstate, m, samples, stop_times, time_cap, log
+        )
 
-    # The pass loop: one decision per instant, for traced runs and for the
-    # instants that probe more than one id. The probed ids' keys are held
-    # out of the ranking (``PolicyState.hold``): each pass settles them into
-    # the top M, or puts them back for a rotation, charges the entering
-    # delays and one sampling unit, then reads one step of every probed
-    # process and updates its key where it is held.
+    # The pass loop: one decision per instant, for the closed-loop instants
+    # that probe more than one id. The probed ids' keys are held out of the
+    # ranking (``PolicyState.hold``): each pass settles them into the top M,
+    # or puts them back for a rotation, charges the entering delays and one
+    # sampling unit, then reads one step of every probed process and
+    # updates its key where it is held.
     held: list[tuple[float, int]] = []
-    while active and (trace is not None or m > 1 and len(active) > 1):
+    while m > 1 and len(active) > 1:
         now = t + 1
         while nxt < now:
             nxt, nxt2 = nxt2, next(instants, math.inf)
@@ -772,7 +805,7 @@ def run_episode(paths: EpisodePaths, policy: PolicyConfig, time_cap: int = TIME_
             entered = [pid for pid in sel if -pid not in probing]
         else:
             entered = pstate.settle(held, m)
-            if trace is not None:
+            if log is not None:
                 held.sort(reverse=True)  # top(M)'s order
         delta = sum([delays[pid - 1] for pid in entered])  # simultaneous entries add
         t += delta + 1
@@ -780,6 +813,8 @@ def run_episode(paths: EpisodePaths, policy: PolicyConfig, time_cap: int = TIME_
         idle_slots += m - len(held)
         if t > time_cap:
             raise _over_cap(time_cap, len(active))
+        if log is not None:
+            log.append((now, delta, tuple([-neg for _, neg in held]), 1))
         read = []  # the keys of the probed ids still active after the reads
         try:
             for key in held:
@@ -791,35 +826,20 @@ def run_episode(paths: EpisodePaths, policy: PolicyConfig, time_cap: int = TIME_
                 if path.end == last:
                     stop_times[i] = t
                     pstate.declare(i + 1)
-                elif cl:
+                else:
                     value = path.priority(last)
                     if not isfinite(value):
                         _check_finite(i + 1, value)
                     read.append((value, key[1]))
-                else:
-                    read.append(key)
                 samples[i] = last
         except ValueError as exc:
-            # an untraced pass reads its ids in the order they were held;
-            # redo the reads from the pass's starting positions in the
-            # pass loop's order, so the first of them to raise raises
+            # the reads follow the held keys, in the selection's order only at
+            # an exploration pass or in a traced run; redo them from the pass's
+            # starting positions in that order, so the first to raise raises
             for done in held[: held.index(key)]:
                 samples[-done[1] - 1] -= 1
             order = held if explored else sorted(held, reverse=True)
-            raise (_first_read_error(walks, order, samples, cl, time_cap) or exc) from None
-        if trace is not None:
-            sel = tuple([-neg for _, neg in held])
-            trace.append(
-                TraceStep(
-                    instant=now,
-                    delay=delta,
-                    selected=sel,
-                    observations=tuple(walks[pid - 1].observations[samples[pid - 1] - 1] for pid in sel),
-                    beliefs=tuple(path.belief(n) for path, n in zip(walks, samples)),
-                    indices=tuple(0.0 if path.end == n else path.priority(n) for path, n in zip(walks, samples)),
-                    stats=tuple(path.stat(n) for path, n in zip(walks, samples)),
-                )
-            )
+            raise (_first_read_error(walks, order, samples, time_cap) or exc) from None
         held = read
     if held:  # at most one id is left active
         probed = -held[0][1]
@@ -847,12 +867,10 @@ def run_episode(paths: EpisodePaths, policy: PolicyConfig, time_cap: int = TIME_
             pstate.rr_cursor = pid
         else:
             (pid,) = pstate.top(1)
-        if pid != probed:
-            delta = delays[pid - 1]
-            t += delta
-            total_delay += delta
-            probed = pid
-        t += 1
+        delta = delays[pid - 1] if pid != probed else 0
+        t += delta + 1
+        total_delay += delta
+        probed = pid
         if t > time_cap:
             raise _over_cap(time_cap, len(active))
 
@@ -870,6 +888,8 @@ def run_episode(paths: EpisodePaths, policy: PolicyConfig, time_cap: int = TIME_
         n_max = (end if end <= time_cap else time_cap + 1) - t  # the builtin min costs more
         floor = pstate.floor_except(pid) if cl else -math.inf
         steps, verdict, value = walks[i].advance(samples[i], n_max, floor, time_cap)
+        if log is not None:
+            log.append((t - delta, delta, (pid,), steps))
         if t + steps > nxt:  # the stretch took the step at nxt, whose pick was pid
             pstate.rr_cursor = pid
         t += steps - 1
@@ -900,7 +920,7 @@ def run_episode(paths: EpisodePaths, policy: PolicyConfig, time_cap: int = TIME_
         false_alarms=fa,
         miss_detects=md,
         truth_models=paths.truth_models,
-        trace=trace,
+        trace=None if log is None else _trace(walks, log),
     )
 
 

@@ -37,6 +37,8 @@ from seqscan.models import KL_SATURATION, Categorical, Gaussian, Poisson, finite
 from seqscan.policy import PolicyState
 from seqscan.sprt import wald_boundaries
 
+from test_engine_reference import assert_matches_replay
+
 
 def simple_spec(prior=0.5, cost=1.0, alpha=1e-2, beta=1e-2, delay=0, r0=10.0, r1=15.0):
     return ProcessSpec(
@@ -445,40 +447,23 @@ def test_grid_boundaries_are_built_once_per_spec(monkeypatch):
     assert calls == [(1e-2, 1e-2), (1e-3, 1e-2)]
 
 
-def _untraced_equals_traced(specs, policy, seed, time_cap, statistic=StatisticKind.GLR):
-    """Run traced and untraced; both raise the same SimulationError or
-    give equal results. Returns whether the episode finished."""
-    outcomes = []
-    for trace in (True, False):
-        try:
-            paths = EpisodePaths(specs, np.random.SeedSequence(seed), statistic, trace=trace)
-            res = run_episode(paths, policy, time_cap=time_cap)
-        except SimulationError as exc:
-            outcomes.append(str(exc))
-        else:
-            res.trace = None
-            outcomes.append(res)
-    assert outcomes[0] == outcomes[1]
-    return not isinstance(outcomes[0], str)
-
-
 def test_time_cap_fires_at_the_same_instant_traced_or_not():
-    # untraced runs take a lone probe's observations in one stretch, which
-    # must stop at the cap; each cap either fails both runs with the same
-    # message (same undecided count) or lets both finish alike
+    # a lone probe's stretch must stop at the cap; each cap either fails
+    # the runs and the replay with the same message (same undecided count)
+    # or lets all three finish alike
     slow = simple_spec(alpha=1e-3, beta=1e-3, r0=10.0, r1=11.0, delay=1)
     fast = simple_spec(alpha=0.05, beta=0.05, r0=10.0, r1=20.0, delay=2)
-    finished = set()
-    # CL at zeta 1.005 explores at every instant up to about 200, so an
-    # untraced stretch runs through exploration instants into the cap
+    outcomes = set()
+    # CL at zeta 1.005 explores at every instant up to about 200, so a
+    # stretch runs through exploration instants into the cap
     for make in (*POLICIES.values(), lambda m: PolicyConfig(PolicyKind.CL, m, 1.005)):
         for m in (1, 2):
             policy = make(m)
             for cap in range(1, 61):
-                finished.add(_untraced_equals_traced([fast, slow], policy, 23, cap))
+                outcomes.add(assert_matches_replay([fast, slow], policy, 23, time_cap=cap))
                 if m == 1:
-                    finished.add(_untraced_equals_traced([fast], policy, 24, cap))
-    assert finished == {True, False}
+                    outcomes.add(assert_matches_replay([fast], policy, 24, time_cap=cap))
+    assert outcomes == {"finished", "SimulationError"}
 
 
 # an infinite LLR increment of either sign: observation 0 is impossible
@@ -503,53 +488,38 @@ def _pass_loop_specs(seed, k):
     return [PASS_LOOP_POOL[(seed + j // 2) % len(PASS_LOOP_POOL)] for j in range(k)]  # some ids tie
 
 
-def _untraced_replays_traced(specs, policy, seed, time_cap, forced_truth=None):
-    """Run traced and untraced; both raise errors of equal repr or give
-    equal results. Returns "finished" or the error's class name."""
-    runs = []
-    for trace in (True, False):
-        paths = EpisodePaths(specs, np.random.SeedSequence(seed), forced_truth=forced_truth, trace=trace)
-        try:
-            res = run_episode(paths, policy, time_cap=time_cap)
-        except (SimulationError, ValueError) as exc:
-            runs.append(repr(exc))
-        else:
-            res.trace = None
-            runs.append(res)
-    assert runs[0] == runs[1]
-    return runs[0].split("(")[0] if isinstance(runs[0], str) else "finished"
-
-
-def test_open_loop_lanes_equal_the_traced_pass_loop_at_every_time_cap():
-    # untraced open loop at M > 1 runs each probed id to its declaration in
-    # one scan; declarations at one pass, idle slots once fewer than M are
+def test_open_loop_lanes_match_the_reference_replay_at_every_time_cap():
+    # open loop at M > 1 runs each probed id to its declaration in one
+    # scan; declarations at one pass, idle slots once fewer than M are
     # active, the hand-over to the lone loop (with the last id probed or
     # not yet entered), the cap and an impossible observation must all
-    # fall as the traced pass loop has them
+    # fall as the step-by-step replay has them
     outcomes = set()
     for seed in range(len(PASS_LOOP_POOL)):
         for k in range(3, 7):
             specs = _pass_loop_specs(seed, k)
             for m in (2, 3):
                 for cap in range(1, 61):
-                    outcomes.add(_untraced_replays_traced(specs, PolicyConfig(PolicyKind.OL, m), seed, cap))
+                    outcomes.add(assert_matches_replay(specs, PolicyConfig(PolicyKind.OL, m), seed, time_cap=cap))
     assert outcomes == {"finished", "SimulationError", "ValueError"}
 
 
-def test_closed_loop_untraced_equals_the_traced_pass_loop_at_every_time_cap():
-    # untraced closed loop at M > 1 reads its held ids in no set order and
+def test_closed_loop_passes_match_the_reference_replay_at_every_time_cap():
+    # closed loop at M > 1 reads its held ids in no set order untraced and
     # hands the last active id to the lone loop; the selection a pass
     # settles or rotates to, its entering delays, declarations at one
     # pass, the cap and the error of an impossible observation must all
-    # fall as the traced run, which reads in the selection's order, has them
+    # fall as the step-by-step replay, which reads in the selection's
+    # order, has them
     outcomes = set()
     for seed in range(len(PASS_LOOP_POOL)):
         for k in range(3, 8):
             specs = _pass_loop_specs(seed, k)
             for m in (2, 3):
                 for zeta in (1.05, 1.7, math.inf):
+                    policy = PolicyConfig(PolicyKind.CL, m, zeta)
                     for cap in (*range(1, 41), TIME_CAP):
-                        outcomes.add(_untraced_replays_traced(specs, PolicyConfig(PolicyKind.CL, m, zeta), seed, cap))
+                        outcomes.add(assert_matches_replay(specs, policy, seed, time_cap=cap))
     assert outcomes == {"finished", "SimulationError", "ValueError"}
 
 
@@ -568,7 +538,7 @@ def test_two_impossible_reads_at_one_pass_raise_the_first_in_selection_order():
         errors.append((pos, str(exc.value)))
     assert errors == [(1, "LLR increment must be finite, got inf"), (1, "LLR increment must be finite, got -inf")]
     policy = PolicyConfig(PolicyKind.CL, 2, math.inf)
-    assert _untraced_replays_traced(specs, policy, seed, TIME_CAP, truth) == "ValueError"
+    assert assert_matches_replay(specs, policy, seed, forced_truth=truth) == "ValueError"
     with pytest.raises(ValueError, match="got inf"):
         run_episode(EpisodePaths(specs, np.random.SeedSequence(seed), forced_truth=truth), policy)
 
@@ -627,10 +597,10 @@ def grid_specs(draw):
     data=st.data(),
 )
 def test_grid_episode_untraced_equals_traced(specs, policy, statistic, seed, data):
-    # the traced run takes one observation per decision; the untraced one
-    # runs each lone probe to its next event
+    # both runs take each lone probe to its next event, and the traced
+    # one's rebuilt trace equals the replay's instant by instant
     config = POLICIES[policy](data.draw(st.integers(1, len(specs)), label="m"))
-    _untraced_equals_traced(specs, config, seed, time_cap=20_000, statistic=statistic)
+    assert assert_matches_replay(specs, config, seed, statistic, 20_000) in ("finished", "SimulationError")
 
 
 @st.composite

@@ -14,11 +14,14 @@ active ids of one full sort by pre-data priority for open loop,
 exploration instants ceil(zeta^l) from its own set rather than the
 schedule under test, and a round-robin rotation that rebuilds its
 eligible set for every pick. The engine must reproduce it exactly:
-every ``EpisodeResult`` field and every ``TraceStep`` compare with ``==``.
-Traced runs take one observation per decision; untraced runs take a lone
-probe's observations in stretches up to its next event, and their
-``EpisodeResult`` must equal the same replay. So must every policy run on
-one shared path set (``EpisodePaths``), in any order.
+every ``EpisodeResult`` field and every ``TraceStep`` compare with ``==``,
+and a run that fails must raise what the replay raises. Traced and
+untraced runs take the same loops: a lone probe's observations in
+stretches up to its next event, open loop at M > 1 in lanes to each
+declaration, closed loop at M > 1 one pass per instant; a traced run's
+trace is rebuilt from its log of those blocks, so every traced replay
+checks them instant by instant. Every policy run on one shared path set
+(``EpisodePaths``), in any order, must equal the replay too.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from seqscan.engine import (
     PolicyKind,
     ProcessSpec,
     SimulationError,
+    TIME_CAP,
     TraceStep,
     _pair_index,
     _pair_threshold,
@@ -127,9 +131,17 @@ def test_apply_switching_delay_rules():
 
 
 def reference_episode(
-    specs, policy: PolicyConfig, seed: np.random.SeedSequence, statistic: StatisticKind = StatisticKind.GLR
+    specs,
+    policy: PolicyConfig,
+    seed: np.random.SeedSequence,
+    statistic: StatisticKind = StatisticKind.GLR,
+    time_cap: int = TIME_CAP,
+    forced_truth=None,
 ) -> EpisodeResult:
-    """Episode replayed one observation at a time, traced."""
+    """Episode replayed one observation at a time, traced. A forced truth
+    skips the truth draws. It raises a SimulationError at the first
+    instant whose clock passes time_cap, and a ValueError at the first
+    impossible observation of an instant, in selection order."""
     k = len(specs)
     children = [
         np.random.SeedSequence(entropy=seed.entropy, spawn_key=tuple(seed.spawn_key) + (i,))
@@ -137,7 +149,10 @@ def reference_episode(
     ]
     meta_rng = np.random.default_rng(children[0])
     obs_rngs = [np.random.default_rng(c) for c in children[1:]]
-    truth = tuple(bool(meta_rng.random() < s.prior) for s in specs)
+    if forced_truth is None:
+        truth = tuple(bool(meta_rng.random() < s.prior) for s in specs)
+    else:
+        truth = tuple(bool(b) for b in forced_truth)
     truth_models = tuple(_truth_model(s, a, meta_rng) for s, a in zip(specs, truth))
 
     sum_llr = [0.0] * k
@@ -179,7 +194,8 @@ def reference_episode(
         spec = specs[i]
         if not spec.is_composite:
             inc = log_density(spec.model_h1, y) - log_density(spec.model_h0, y)
-            assert math.isfinite(inc)
+            if not math.isfinite(inc):
+                raise ValueError(f"LLR increment must be finite, got {inc}")
             sum_llr[i] += inc
             b = wald_boundaries(spec.alpha, spec.beta)
             if sum_llr[i] >= b.upper_b or sum_llr[i] <= b.lower_a:
@@ -265,6 +281,8 @@ def reference_episode(
         t += delta + 1
         total_delay += delta
         idle_slots += policy.m - len(sel)
+        if t > time_cap:
+            raise SimulationError(f"episode exceeded {time_cap} time units with {len(active)} processes undecided")
 
         observations = []
         for pid in sel:
@@ -441,6 +459,36 @@ def engine_episode(specs, policy, seed: int, statistic=StatisticKind.GLR, trace=
     return run_episode(EpisodePaths(specs, np.random.SeedSequence(seed), statistic, trace=trace), policy)
 
 
+def assert_matches_replay(
+    specs, policy, seed: int, statistic=StatisticKind.GLR, time_cap: int = TIME_CAP, forced_truth=None
+) -> str:
+    """The engine's traced run equals the replay, trace and all, compared
+    instant by instant first, and its untraced run equals it without the
+    trace; or all three raise errors of equal repr. Returns "finished" or
+    the error's class name."""
+
+    def run(trace: bool) -> EpisodeResult:
+        paths = EpisodePaths(specs, np.random.SeedSequence(seed), statistic, forced_truth, trace)
+        return run_episode(paths, policy, time_cap)
+
+    try:
+        expected = reference_episode(specs, policy, np.random.SeedSequence(seed), statistic, time_cap, forced_truth)
+    except (SimulationError, ValueError) as exc:
+        for trace in (True, False):
+            with pytest.raises(type(exc)) as raised:
+                run(trace)
+            assert repr(raised.value) == repr(exc)
+        return type(exc).__name__
+    traced = run(True)
+    assert traced.trace == expected.trace
+    assert traced == expected
+    plain = run(False)
+    assert plain.trace is None
+    expected.trace = None
+    assert plain == expected
+    return "finished"
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     specs=st.lists(pair_specs(), min_size=1, max_size=6),
@@ -449,15 +497,7 @@ def engine_episode(specs, policy, seed: int, statistic=StatisticKind.GLR, trace=
     data=st.data(),
 )
 def test_engine_matches_reference_replay(specs, policy, seed, data):
-    config = POLICIES[policy](data.draw(st.integers(1, len(specs)), label="m"))
-    expected = reference_episode(specs, config, np.random.SeedSequence(seed))
-    traced = engine_episode(specs, config, seed, trace=True)
-    assert traced.trace == expected.trace
-    assert traced == expected
-    plain = engine_episode(specs, config, seed)
-    assert plain.trace is None
-    expected.trace = None
-    assert plain == expected
+    assert_matches_replay(specs, POLICIES[policy](data.draw(st.integers(1, len(specs)), label="m")), seed)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -472,15 +512,7 @@ def test_identical_processes_match_reference_replay(spec, k, policy, seed, data)
     # identical specs start with equal indices and keep long runs of ties,
     # so the ranking's lowest-id tie-break and its removal of ids declared
     # in the middle of a run are compared against the full sort
-    specs = [spec] * k
-    config = POLICIES[policy](data.draw(st.integers(1, min(5, k)), label="m"))
-    expected = reference_episode(specs, config, np.random.SeedSequence(seed))
-    traced = engine_episode(specs, config, seed, trace=True)
-    assert traced.trace == expected.trace
-    assert traced == expected
-    plain = engine_episode(specs, config, seed)
-    expected.trace = None
-    assert plain == expected
+    assert_matches_replay([spec] * k, POLICIES[policy](data.draw(st.integers(1, min(5, k)), label="m")), seed)
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -490,15 +522,11 @@ def test_identical_processes_match_reference_replay(spec, k, policy, seed, data)
     seed=st.integers(0, 2**32 - 1),
 )
 def test_two_process_single_probe_stretches_match_reference_replay(specs, zeta, seed):
-    # K=2, M=1 with small error budgets: an untraced run takes each lone
-    # probe's observations in stretches of up to hundreds of steps, across
+    # K=2, M=1 with small error budgets: a run takes each lone probe's
+    # observations in stretches of up to hundreds of steps, across
     # refills of the observation buffer, ending at a declaration, the
     # next exploration instant or a crossing of the other process's index
-    config = PolicyConfig(kind=PolicyKind.CL, m=1, zeta=zeta)
-    expected = reference_episode(specs, config, np.random.SeedSequence(seed))
-    plain = engine_episode(specs, config, seed)
-    expected.trace = None
-    assert plain == expected
+    assert_matches_replay(specs, PolicyConfig(kind=PolicyKind.CL, m=1, zeta=zeta), seed)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -511,14 +539,10 @@ def test_two_process_single_probe_stretches_match_reference_replay(specs, zeta, 
 def test_lone_process_through_exploration_instants_matches_reference_replay(fast, slow, slow_first, seed):
     # K=2, M=1, zeta=1.005: exploration instants alternate the two ids
     # until the fast spec declares; from then on the slow one is the only
-    # active id, every exploration instant picks it, and an untraced run
-    # takes it to its declaration across many of them
+    # active id, every exploration instant picks it, and a run takes it to
+    # its declaration across many of them
     specs = [slow, fast] if slow_first else [fast, slow]
-    config = PolicyConfig(kind=PolicyKind.CL, m=1, zeta=1.005)
-    expected = reference_episode(specs, config, np.random.SeedSequence(seed))
-    plain = engine_episode(specs, config, seed)
-    expected.trace = None
-    assert plain == expected
+    assert_matches_replay(specs, PolicyConfig(kind=PolicyKind.CL, m=1, zeta=1.005), seed)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -531,11 +555,7 @@ def test_identical_pair_single_probe_stretches_match_reference_replay(spec, zeta
     # one spec used twice at K=2, M=1: equal pre-data indices, so a
     # stretch's floor is an index the probed spec itself takes (id 1
     # wins the tie) or the next float above it (id 2 loses it)
-    config = PolicyConfig(kind=PolicyKind.CL, m=1, zeta=zeta)
-    expected = reference_episode([spec, spec], config, np.random.SeedSequence(seed))
-    plain = engine_episode([spec, spec], config, seed)
-    expected.trace = None
-    assert plain == expected
+    assert_matches_replay([spec, spec], PolicyConfig(kind=PolicyKind.CL, m=1, zeta=zeta), seed)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -554,11 +574,7 @@ def test_lone_stretches_among_three_or_more_processes_match_reference_replay(spe
     # declared ids, entering delays push a stretch's first step past an
     # exploration instant, and an instant that picks another id starts
     # that id's stretch, on a path of another kind
-    config = PolicyConfig(kind=kind, m=m, zeta=zeta)
-    expected = reference_episode(specs, config, np.random.SeedSequence(seed))
-    plain = engine_episode(specs, config, seed)
-    expected.trace = None
-    assert plain == expected
+    assert_matches_replay(specs, PolicyConfig(kind=kind, m=m, zeta=zeta), seed)
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -572,12 +588,8 @@ def test_large_zeta_matches_reference_replay(specs, zeta, seed, data):
     # a zeta whose powers leave the float range a few instants past the
     # time cap: the engine reads no further than the instant after the
     # next one, as the reference reads up to the next
-    config = PolicyConfig(kind=PolicyKind.CL, m=data.draw(st.integers(1, len(specs)), label="m"), zeta=zeta)
-    expected = reference_episode(specs, config, np.random.SeedSequence(seed))
-    assert engine_episode(specs, config, seed, trace=True) == expected
-    plain = engine_episode(specs, config, seed)
-    expected.trace = None
-    assert plain == expected
+    m = data.draw(st.integers(1, len(specs)), label="m")
+    assert_matches_replay(specs, PolicyConfig(kind=PolicyKind.CL, m=m, zeta=zeta), seed)
 
 
 def _index_at(spec, llr: float) -> float:
@@ -650,15 +662,7 @@ def test_grid_engine_matches_reference_replay(statistic, policy, seed, data):
     positive = statistic is StatisticKind.ALR
     kinds = st.one_of(grid_specs(positive), grid_specs(positive), pair_specs())
     specs = data.draw(st.lists(kinds, min_size=1, max_size=5), label="specs")
-    config = POLICIES[policy](data.draw(st.integers(1, len(specs)), label="m"))
-    expected = reference_episode(specs, config, np.random.SeedSequence(seed), statistic)
-    traced = engine_episode(specs, config, seed, statistic, trace=True)
-    assert traced.trace == expected.trace
-    assert traced == expected
-    plain = engine_episode(specs, config, seed, statistic)
-    assert plain.trace is None
-    expected.trace = None
-    assert plain == expected
+    assert_matches_replay(specs, POLICIES[policy](data.draw(st.integers(1, len(specs)), label="m")), seed, statistic)
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -669,18 +673,14 @@ def test_grid_engine_matches_reference_replay(statistic, policy, seed, data):
     data=st.data(),
 )
 def test_two_grid_process_single_probe_stretches_match_reference_replay(statistic, zeta, seed, data):
-    # the grid form of the model-pair stretch test: untraced stretches of
-    # hundreds of steps across buffer refills, ending at a declaration, an
+    # the grid form of the model-pair stretch test: stretches of hundreds
+    # of steps across buffer refills, ending at a declaration, an
     # exploration instant or a crossing of the other index; one spec used
     # twice (equal pre-data indices) or prior 0 (index 0 throughout) makes
     # that crossing an exact tie
     spec = grid_specs(statistic is StatisticKind.ALR, near=True)
     specs = data.draw(st.one_of(st.lists(spec, min_size=2, max_size=2), spec.map(lambda s: [s, s])), label="specs")
-    config = PolicyConfig(kind=PolicyKind.CL, m=1, zeta=zeta)
-    expected = reference_episode(specs, config, np.random.SeedSequence(seed), statistic)
-    plain = engine_episode(specs, config, seed, statistic)
-    expected.trace = None
-    assert plain == expected
+    assert_matches_replay(specs, PolicyConfig(kind=PolicyKind.CL, m=1, zeta=zeta), seed, statistic)
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -694,15 +694,7 @@ def test_two_grid_process_single_probe_stretches_match_reference_replay(statisti
 def test_identical_grid_processes_match_reference_replay(spec, k, policy, seed, data):
     # one grid spec shared by every process: equal pre-data indices and
     # long runs of ties, as for identical model pairs
-    specs = [spec] * k
-    config = POLICIES[policy](data.draw(st.integers(1, min(5, k)), label="m"))
-    expected = reference_episode(specs, config, np.random.SeedSequence(seed))
-    traced = engine_episode(specs, config, seed, trace=True)
-    assert traced.trace == expected.trace
-    assert traced == expected
-    plain = engine_episode(specs, config, seed)
-    expected.trace = None
-    assert plain == expected
+    assert_matches_replay([spec] * k, POLICIES[policy](data.draw(st.integers(1, min(5, k)), label="m")), seed)
 
 
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
