@@ -21,11 +21,14 @@ open-loop run at M > 1 runs as M lanes, each probed id scanned to its
 declaration in one call. Instants that probe several ids in closed loop
 read one step per probed id, whose key is held outside the ranking of
 the other active ids, so only a swap or a fill, an id entering or
-leaving the selection, touches the ranking. A traced run takes the same
-loops, which log their blocks, and its trace is rebuilt from the log and
-the paths after the episode (``_trace``). An episode's K + 1 generators
-are seeded as numpy's SeedSequence would seed them, from one hash of the
-words their seeds share.
+leaving the selection, touches the ranking. Each such read looks up the
+index its path stores per step (a grid path's numbers); a model pair
+indexes every folded step short of the declaration once a read reaches
+past them, so a second policy reading the same steps computes none. A
+traced run takes the same loops, which log their blocks, and its trace
+is rebuilt from the log and the paths after the episode (``_trace``).
+An episode's K + 1 generators are seeded as numpy's SeedSequence would
+seed them, from one hash of the words their seeds share.
 """
 
 from __future__ import annotations
@@ -213,6 +216,7 @@ class EpisodeResult:
     trace: list[TraceStep] | None = None
 
 
+_ZERO = array("d", [0.0])
 _FIRST_CHUNK = 16
 _MAX_CHUNK = 512
 
@@ -260,25 +264,14 @@ class _Path:
     in the order single draws would give, and a number per step
     (``series``, step 0 before any observation), folded from them only as
     far as some reader asks, and never past the declaration (``end``, with
-    its ``verdict``) or a reader's time cap. When tracing, the
+    its ``verdict``) or a reader's time cap, and the stored index after
+    each step (``indices``; a grid's is its ``series``). When tracing, the
     observations are kept too. Each kind's ``fold(ys)`` appends the steps
     of ys in order, stopping at the declaration, and returns how many it
-    took."""
+    took. Each kind sets every slot in its own ``__init__``: an episode
+    builds K paths, and a ``super()`` chain would cost each of them."""
 
-    __slots__ = ("spec", "table", "model", "rng", "buf", "pos", "chunk", "series", "observations", "end", "verdict")
-
-    def __init__(self, spec: ProcessSpec, model: ObservationModel, rng: np.random.Generator, first: float, trace: bool):
-        self.spec = spec
-        self.table = spec.table
-        self.model = model
-        self.rng = rng
-        self.buf: list = []
-        self.pos = 0
-        self.chunk = _FIRST_CHUNK
-        self.series = array("d", [first])
-        self.observations: list | None = [] if trace else None
-        self.end: int | None = None
-        self.verdict = Verdict.CONTINUE
+    __slots__ = ("spec", "table", "model", "rng", "buf", "pos", "chunk", "series", "indices", "observations", "end", "verdict")
 
     def extend(self, last: int, cap: int) -> None:
         """Fold observations until the path holds step min(last, cap) or
@@ -305,14 +298,26 @@ class _Path:
 
 class _PairPath(_Path):
     """A model-pair path: the LLR sum after each observation. The sum is
-    the SPRT statistic and, added to the prior log-odds, the posterior;
-    the index is derived from it where a reader needs it."""
+    the SPRT statistic and, added to the prior log-odds, the posterior.
+    Only the pass loop stores the index of each folded step short of the
+    declaration (``indices``, () until ``fill_indices``); others compute it."""
 
     __slots__ = ("terms",)
 
     def __init__(self, spec: ProcessSpec, model: ObservationModel, rng: np.random.Generator, trace: bool):
-        super().__init__(spec, model, rng, 0.0, trace)
-        self.terms = self.table.terms
+        self.spec = spec
+        self.table = table = spec.table
+        self.terms = table.terms
+        self.model = model
+        self.rng = rng
+        self.buf: list | tuple = ()
+        self.pos = 0
+        self.chunk = _FIRST_CHUNK
+        self.series = _ZERO[:]
+        self.indices = ()
+        self.observations: list | None = [] if trace else None
+        self.end: int | None = None
+        self.verdict = _CONTINUE
 
     def increment(self, y: float) -> float:
         """The LLR increment of one observation, as both log-densities
@@ -359,7 +364,24 @@ class _PairPath(_Path):
             self.observations += ys[: len(sums)]
         return len(sums)
 
+    def fill_indices(self) -> None:
+        """Index the folded steps short of the declaration not yet indexed, in
+        ``_pair_index``'s and ``_sigmoid``'s float operations and order, inline."""
+        prior, log_odds, cost, e_n_h0, e_n_h1 = self.terms
+        self.indices = indices = self.indices or array("d")
+        for llr in self.series[len(indices) : self.end]:
+            if log_odds is None:
+                p = prior
+            elif (x := log_odds + llr) >= 0:
+                p = 1.0 / (1.0 + math.exp(-x))
+            else:
+                e = math.exp(x)
+                p = e / (1.0 + e)
+            indices.append(p * cost / (p * e_n_h1 + (1.0 - p) * e_n_h0))
+
     def priority(self, pos: int) -> float:
+        if pos < len(self.indices):  # stored by the pass loop; never stored here
+            return self.indices[pos]
         prior, log_odds, cost, e_n_h0, e_n_h1 = self.terms
         return _pair_index(prior, log_odds, self.series[pos], cost, e_n_h0, e_n_h1)
 
@@ -413,7 +435,17 @@ class _GridPath(_Path):
     def __init__(
         self, spec: ProcessSpec, model: ObservationModel, rng: np.random.Generator, statistic: StatisticKind, trace: bool
     ):
-        super().__init__(spec, model, rng, index(spec.prior, spec.cost_rate, spec.table.sizes[0]), trace)
+        self.spec = spec
+        self.table = table = spec.table
+        self.model = model
+        self.rng = rng
+        self.buf: list | tuple = ()
+        self.pos = 0
+        self.chunk = _FIRST_CHUNK
+        self.series = self.indices = array("d", [index(spec.prior, spec.cost_rate, table.sizes[0])])
+        self.observations: list | None = [] if trace else None
+        self.end: int | None = None
+        self.verdict = _CONTINUE
         self.statistic = statistic
         self.cum_ll = [0.0] * len(spec.grid)
         self.mle = 0
@@ -788,8 +820,8 @@ def run_episode(paths: EpisodePaths, policy: PolicyConfig, time_cap: int = TIME_
     # that probe more than one id. The probed ids' keys are held out of the
     # ranking (``PolicyState.hold``): each pass settles them into the top M,
     # or puts them back for a rotation, charges the entering delays and one
-    # sampling unit, then reads one step of every probed process and
-    # updates its key where it is held.
+    # sampling unit, then reads one step of every probed process, a lookup
+    # of its stored index, and updates its key where it is held.
     held: list[tuple[float, int]] = []
     while m > 1 and len(active) > 1:
         now = t + 1
@@ -807,7 +839,7 @@ def run_episode(paths: EpisodePaths, policy: PolicyConfig, time_cap: int = TIME_
             entered = pstate.settle(held, m)
             if log is not None:
                 held.sort(reverse=True)  # top(M)'s order
-        delta = sum([delays[pid - 1] for pid in entered])  # simultaneous entries add
+        delta = sum([delays[pid - 1] for pid in entered]) if entered else 0  # simultaneous entries add
         t += delta + 1
         total_delay += delta
         idle_slots += m - len(held)
@@ -827,7 +859,9 @@ def run_episode(paths: EpisodePaths, policy: PolicyConfig, time_cap: int = TIME_
                     stop_times[i] = t
                     pstate.declare(i + 1)
                 else:
-                    value = path.priority(last)
+                    if len(path.indices) <= last:
+                        path.fill_indices()
+                    value = path.indices[last]
                     if not isfinite(value):
                         _check_finite(i + 1, value)
                     read.append((value, key[1]))

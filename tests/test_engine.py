@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+from array import array
 from dataclasses import replace
 from pathlib import Path
 
@@ -548,22 +549,67 @@ def test_the_last_active_id_runs_through_exploration_instants_in_one_call(monkey
     # untraced run scans it to its declaration in one call, however many
     # instants (about one in five steps near t = 1000) it spans: a lone
     # process at M = 1, and at M = 2 the process that outlives the other,
-    # after passes of one read per probed id, each an index evaluation
-    # but the one that declares
+    # after passes of one read per probed id, each a read of the stored
+    # index but the one that declares
     fast = simple_spec(alpha=0.05, beta=0.05, r0=10.0, r1=20.0)
     slow = simple_spec(alpha=1e-3, beta=1e-3, r0=10.0, r1=10.5)
     calls, reads = [], []
-    advance, priority = _PairPath.advance, _PairPath.priority
+
+    class CountedIndices(array):
+        def __getitem__(self, pos):
+            if pos:  # step 0 is read only to rank the ids before the first pass
+                reads.append(pos)
+            return super().__getitem__(pos)
+
+    def counted(paths):
+        for path in paths.paths:
+            path.indices = CountedIndices("d", [path.priority(0)])
+        return paths
+
+    advance = _PairPath.advance
     monkeypatch.setattr(_PairPath, "advance", lambda path, *args: calls.append(path) or advance(path, *args))
-    # step 0 is read only to rank the ids before the first pass
-    monkeypatch.setattr(_PairPath, "priority", lambda path, pos: pos and reads.append(path) or priority(path, pos))
-    lone = run_episode(EpisodePaths([slow], np.random.SeedSequence(5)), PolicyConfig(PolicyKind.CL, 1, 1.005))
+    lone = run_episode(counted(EpisodePaths([slow], np.random.SeedSequence(5))), PolicyConfig(PolicyKind.CL, 1, 1.005))
     assert lone.final_time > 300 and len(calls) == 1 and not reads
     calls.clear()
-    paths = EpisodePaths([fast, slow], np.random.SeedSequence(5), forced_truth=(True, False))
+    paths = counted(EpisodePaths([fast, slow], np.random.SeedSequence(5), forced_truth=(True, False)))
     pair = run_episode(paths, PolicyConfig(PolicyKind.CL, 2, 1.005))
     assert pair.stop_times[1] - pair.stop_times[0] > 100
     assert len(reads) == 2 * pair.samples[0] - 1 and len(calls) == 1
+
+
+def _count_fills(monkeypatch) -> list:
+    fills, fill = [], _PairPath.fill_indices
+    monkeypatch.setattr(_PairPath, "fill_indices", lambda path: fills.append(path) or fill(path))
+    return fills
+
+
+def test_a_second_closed_loop_policy_reads_the_stored_index_and_fills_none(monkeypatch):
+    # a step's index does not depend on the policy: the first closed-loop
+    # run at M > 1 indexes the steps its passes read, in bulk, and a
+    # second one on the same paths, after open loop, only reads them
+    fills = _count_fills(monkeypatch)
+    spec = simple_spec(prior=0.1, r0=10.0, r1=12.0)
+    for k, m, seed in ((8, 2, 0), (20, 3, 1), (50, 5, 2)):
+        paths = EpisodePaths([spec] * k, np.random.SeedSequence(seed))
+        run_episode(paths, PolicyConfig(PolicyKind.CL, m))
+        assert fills
+        fills.clear()
+        run_episode(paths, PolicyConfig(PolicyKind.OL, m))
+        run_episode(paths, PolicyConfig(PolicyKind.CL, m, math.inf))
+        assert not fills
+
+
+def test_lone_probes_and_open_loop_lanes_never_fill_the_stored_index(monkeypatch):
+    # M = 1 runs (a fig5-like pair under dense exploration) and open loop
+    # at M > 1 compute each index they read and store none
+    fills = _count_fills(monkeypatch)
+    near = simple_spec(alpha=1e-3, beta=1e-3, r0=10.0, r1=11.0)
+    paths = EpisodePaths([near, near], np.random.SeedSequence(3))
+    for policy in (PolicyConfig(PolicyKind.CL, 1, 1.005), PolicyConfig(PolicyKind.CL, 1, math.inf), PolicyConfig(PolicyKind.OL)):
+        assert run_episode(paths, policy).final_time > 100
+    for m in (2, 3):
+        run_episode(EpisodePaths([simple_spec(prior=0.1)] * 12, np.random.SeedSequence(m)), PolicyConfig(PolicyKind.OL, m))
+    assert not fills
 
 
 @st.composite

@@ -597,6 +597,33 @@ def _index_at(spec, llr: float) -> float:
     return _pair_index(spec.prior, t.log_odds, llr, spec.cost_rate, t.e_n_h0, t.e_n_h1)
 
 
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    spec=pair_specs(),
+    abnormal=st.booleans(),
+    first=st.integers(0, 200),
+    more=st.integers(0, 400),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stored_index_equals_the_pair_index_at_every_step(spec, abnormal, first, more, seed):
+    # Poisson, Gaussian and Categorical pairs, sums falling or rising with
+    # the truth, cost 0 and the absorbing priors, which have no log-odds;
+    # a fill starts where the last one stopped and indexes every folded
+    # step but the declaration's, and a step's priority is the same
+    # whether or not the stored index covers it
+    path = EpisodePaths([spec], np.random.SeedSequence(seed), forced_truth=(abnormal,)).paths[0]
+    path.extend(first, TIME_CAP)
+    path.fill_indices()
+    path.extend(first + more, TIME_CAP)
+    steps = range(len(path.series))
+    computed = [path.priority(pos) for pos in steps]
+    path.fill_indices()
+    assert len(path.indices) == (len(path.series) if path.end is None else path.end)
+    assert list(path.indices) == [_index_at(spec, llr) for llr in path.series[: len(path.indices)]]
+    assert [_index_at(spec, llr) for llr in path.series] == computed
+    assert [path.priority(pos) for pos in steps] == computed
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     spec=pair_specs(),
