@@ -97,6 +97,9 @@ def _execute(cfg: ExperimentConfig, args, default_stem: str) -> int:
         raise ConfigError(f"cannot write CSV to {out}: it is a directory")
     if not out.parent.is_dir():
         raise ConfigError(f"cannot write CSV to {out}: {out.parent} is not a directory")
+    episodes_out = out.with_name(out.stem + "_episodes" + out.suffix)
+    if args.per_episode and episodes_out.is_dir():
+        raise ConfigError(f"cannot write CSV to {episodes_out}: it is a directory")
     summaries = run_experiment(
         cfg,
         scale=args.scale,
@@ -112,7 +115,6 @@ def _execute(cfg: ExperimentConfig, args, default_stem: str) -> int:
         )
     emit_csv(summaries, out)
     if args.per_episode:
-        episodes_out = out.with_name(out.stem + "_episodes" + out.suffix)
         emit_per_episode_csv(summaries, episodes_out)
         print(f"wrote {out} and {episodes_out} ({len(summaries)} batches)")
     else:

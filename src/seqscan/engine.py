@@ -11,22 +11,25 @@ test: its statistic after each observation, its verdict and its samples
 to declaration, whatever the policy. A policy only chooses which paths
 to read and when; every policy run on the paths reads them from its own
 step positions, so paired comparisons see the same data, a path is
-folded once, and replays stay bit-identical. Only a probed process's
-index moves, so a lone probe keeps its selection until an event (a
-declaration, an exploration instant that picks another id, the probed
-index falling below the best other one) and runs there in one call, a
-scan of the stored steps, with the same result as one decision per
-observation. Open loop's selection changes only at a declaration, so an
-open-loop run at M > 1 runs as M lanes, each probed id scanned to its
-declaration in one call. Instants that probe several ids in closed loop
-read one step per probed id, whose key is held outside the ranking of
-the other active ids, so only a swap or a fill, an id entering or
-leaving the selection, touches the ranking. Each such read looks up the
-index its path stores per step (a grid path's numbers); a model pair
-indexes every folded step short of the declaration once a read reaches
-past them, so a second policy reading the same steps computes none. A
-traced run takes the same loops, which log their blocks, and its trace
-is rebuilt from the log and the paths after the episode (``_trace``).
+folded once, and replays stay bit-identical. The two policy kinds run
+in loops of their own. Open loop's selection changes only at a
+declaration, so an open-loop run at every M runs as M lanes, each
+probed id scanned to its declaration in one call. Closed loop takes its
+instants that probe several ids one pass each, reading one step per
+probed id in the selection's order; a probed id's key is held outside
+the ranking of the other active ids, so only a swap or a fill, an id
+entering or leaving the selection, touches the ranking. Each such read
+looks up the index its path stores per step (a grid path's numbers); a
+model pair indexes every folded step short of the declaration once a
+read reaches past them, so a second policy reading the same steps
+computes none. Only a probed process's index moves, so closed loop's
+lone probe (at M = 1, or the last active id) keeps its selection until
+an event (a declaration, an exploration instant that picks another id,
+the probed index falling below the best other one) and runs there in
+one call, a scan of the stored steps, with the same result as one
+decision per observation. A traced run takes the same loops, which log
+their blocks, and its trace is rebuilt from the log and the paths after
+the episode (``_trace``).
 An episode's K + 1 generators are seeded as numpy's SeedSequence would
 seed them, from one hash of the words their seeds share.
 """
@@ -284,16 +287,6 @@ class _Path:
                 self.pos = 0
                 self.chunk = min(2 * self.chunk, _MAX_CHUNK)
             self.pos += self.fold(self.buf[self.pos : self.pos + cap + 1 - len(series)])
-
-    def step(self, pos: int, cap: int):
-        """The verdict and the index after the one step from pos, as
-        ``advance(pos, 1, -inf, cap)`` returns them."""
-        last = pos + 1
-        if self.end is None and len(self.series) <= last:
-            self.extend(last, cap)
-        if self.end == last:
-            return self.verdict, 0.0
-        return _CONTINUE, self.priority(last)
 
 
 class _PairPath(_Path):
@@ -690,26 +683,25 @@ def _over_cap(time_cap: int, undecided: int) -> SimulationError:
 def _open_loop_lanes(
     walks: list, delays: list[int], pstate: PolicyState, m: int, samples: list[int], stop_times: list[int],
     time_cap: int, log: list | None
-) -> tuple[int, int, int, int]:
-    """An open-loop run at M > 1 up to the pass that leaves at most one id
-    active, as one read per pass gives it. Open loop probes the first M
-    active ids of its frozen order, so its selection changes only at a
-    declaration: a lane holds one probed id from the pass it enters,
-    charged its delay, to its declaration, scanned in one call that is
-    bounded by the time left under the cap, so it folds no further than
-    one read per pass would. A heap of the passes that end the lanes gives
-    the next event, and the passes up to it are one block of the log;
-    lanes that end at one pass do so in selection order. Each event reads
-    that step again, so a step whose observation raises raises there.
-    Returns the clock, the delay units, the idle slots and the id probed
-    at the last pass if it is still active, else 0."""
+) -> tuple[int, int, int]:
+    """An open-loop run at any M to its last declaration, as one read per
+    pass gives it. Open loop probes the first M active ids of its frozen
+    order, so its selection changes only at a declaration: a lane holds
+    one probed id from the pass it enters, charged its delay, to its
+    declaration, scanned in one call that is bounded by the time left
+    under the cap, so it folds no further than one read per pass would. A
+    heap of the passes that end the lanes gives the next event, and the
+    passes up to it are one block of the log; lanes that end at one pass
+    do so in selection order. Each event reads that step again, so a step
+    whose observation raises raises there. Returns the clock, the delay
+    units and the idle slots."""
     order = pstate.top(len(pstate.active))
     active = pstate.active
     # per lane: the pass of its last step, its rank in order, and its step
     # position less the pass (it takes one step per pass)
     lanes: list[tuple[int, int, int]] = []
     entered = p = total_delay = idle_slots = 0  # the clock after pass p is p + total_delay
-    while len(active) > 1:
+    while active:
         # the next pass: free slots take the next ids of the order
         first, entered = entered, min(entered + m - len(lanes), len(order))
         delta = sum([delays[pid - 1] for pid in order[first:entered]])
@@ -738,25 +730,10 @@ def _open_loop_lanes(
             _, rank, offset = heappop(lanes)
             i = order[rank] - 1
             samples[i] = offset + end
-            walks[i].step(samples[i] - 1, time_cap)
+            walks[i].advance(samples[i] - 1, 1, -math.inf, time_cap)
             stop_times[i] = p + total_delay
             pstate.declare(i + 1)
-    for _, rank, offset in lanes:
-        samples[order[rank] - 1] = offset + p
-    return p + total_delay, total_delay, idle_slots, order[lanes[0][1]] if lanes else 0
-
-
-def _first_read_error(walks: list, order: list, samples: list[int], time_cap: int) -> ValueError | None:
-    """The error of the first of the pass loop's reads, in order, that
-    raises from the step positions in samples; None if none does."""
-    for _, neg in order:
-        try:
-            verdict, value = walks[-neg - 1].step(samples[-neg - 1], time_cap)
-            if verdict is _CONTINUE:
-                _check_finite(-neg, value)
-        except ValueError as exc:
-            return exc
-    return None
+    return p + total_delay, total_delay, idle_slots
 
 
 def _trace(walks: list, log: list) -> list[TraceStep]:
@@ -794,11 +771,12 @@ def run_episode(paths: EpisodePaths, policy: PolicyConfig, time_cap: int = TIME_
 
     # open loop ranks by the pre-data priorities and never reranks or
     # explores, so it probes the first M undeclared ids of that order,
-    # each to its declaration
+    # each to its declaration: it runs as lanes (``_open_loop_lanes``) and
+    # leaves no id active for the two loops below, which are closed loop's
     cl = policy.kind is PolicyKind.CL
     pstate = PolicyState.fresh([path.priority(0) for path in walks] if cl else [initial_priority(s) for s in specs])
     active = pstate.active  # a live view of the undeclared ids
-    instants = exploration_instants(policy.zeta if cl else math.inf)
+    instants = exploration_instants(policy.zeta)
     # the first exploration instant not yet passed, and the one after it
     nxt, nxt2 = next(instants, math.inf), next(instants, math.inf)
 
@@ -811,24 +789,23 @@ def run_episode(paths: EpisodePaths, policy: PolicyConfig, time_cap: int = TIME_
     idle_slots = 0
     probed = 0  # the id probed last, if still active; 0 for none
     log: list | None = [] if paths.trace else None  # a traced run's blocks, for ``_trace``
-    if not cl and m > 1:
-        t, total_delay, idle_slots, probed = _open_loop_lanes(
-            walks, delays, pstate, m, samples, stop_times, time_cap, log
-        )
+    if not cl:
+        t, total_delay, idle_slots = _open_loop_lanes(walks, delays, pstate, m, samples, stop_times, time_cap, log)
 
-    # The pass loop: one decision per instant, for the closed-loop instants
-    # that probe more than one id. The probed ids' keys are held out of the
-    # ranking (``PolicyState.hold``): each pass settles them into the top M,
-    # or puts them back for a rotation, charges the entering delays and one
-    # sampling unit, then reads one step of every probed process, a lookup
-    # of its stored index, and updates its key where it is held.
+    # The pass loop: one decision per instant, for the instants that probe
+    # more than one id. The probed ids' keys are held out of the ranking
+    # (``PolicyState.hold``): each pass settles them into the top M, sorted
+    # into ``top(M)``'s order, or puts them back for a rotation, charges the
+    # entering delays and one sampling unit, then reads one step of every
+    # probed process in the selection's order, so the first read to raise
+    # is the step-by-step run's, looks up its stored index and updates its
+    # key where it is held.
     held: list[tuple[float, int]] = []
     while m > 1 and len(active) > 1:
         now = t + 1
         while nxt < now:
             nxt, nxt2 = nxt2, next(instants, math.inf)
-        explored = nxt == now
-        if explored:
+        if nxt == now:
             probing = [neg for _, neg in held]
             pstate.release(held)
             sel = rotation(pstate, m)
@@ -837,8 +814,7 @@ def run_episode(paths: EpisodePaths, policy: PolicyConfig, time_cap: int = TIME_
             entered = [pid for pid in sel if -pid not in probing]
         else:
             entered = pstate.settle(held, m)
-            if log is not None:
-                held.sort(reverse=True)  # top(M)'s order
+            held.sort(reverse=True)  # top(M)'s order
         delta = sum([delays[pid - 1] for pid in entered]) if entered else 0  # simultaneous entries add
         t += delta + 1
         total_delay += delta
@@ -848,46 +824,37 @@ def run_episode(paths: EpisodePaths, policy: PolicyConfig, time_cap: int = TIME_
         if log is not None:
             log.append((now, delta, tuple([-neg for _, neg in held]), 1))
         read = []  # the keys of the probed ids still active after the reads
-        try:
-            for key in held:
-                i = -key[1] - 1
-                path = walks[i]
-                last = samples[i] + 1
-                if path.end is None and len(path.series) <= last:
-                    path.extend(last, time_cap)
-                if path.end == last:
-                    stop_times[i] = t
-                    pstate.declare(i + 1)
-                else:
-                    if len(path.indices) <= last:
-                        path.fill_indices()
-                    value = path.indices[last]
-                    if not isfinite(value):
-                        _check_finite(i + 1, value)
-                    read.append((value, key[1]))
-                samples[i] = last
-        except ValueError as exc:
-            # the reads follow the held keys, in the selection's order only at
-            # an exploration pass or in a traced run; redo them from the pass's
-            # starting positions in that order, so the first to raise raises
-            for done in held[: held.index(key)]:
-                samples[-done[1] - 1] -= 1
-            order = held if explored else sorted(held, reverse=True)
-            raise (_first_read_error(walks, order, samples, time_cap) or exc) from None
+        for key in held:
+            i = -key[1] - 1
+            path = walks[i]
+            last = samples[i] + 1
+            if path.end is None and len(path.series) <= last:
+                path.extend(last, time_cap)
+            if path.end == last:
+                stop_times[i] = t
+                pstate.declare(i + 1)
+            else:
+                if len(path.indices) <= last:
+                    path.fill_indices()
+                value = path.indices[last]
+                if not isfinite(value):
+                    _check_finite(i + 1, value)
+                read.append((value, key[1]))
+            samples[i] = last
         held = read
     if held:  # at most one id is left active
         probed = -held[0][1]
         pstate.release(held)
 
-    # The lone loop: once one id is probed per instant (from the start at
-    # M = 1, at M > 1 once one id is left active), a run takes the probed
-    # id's observations in stretches, one sampling unit each, until its
-    # selection could change: at its declaration, at the time cap, at an
-    # exploration instant whose round-robin pick is another id or (closed
-    # loop) when its index falls below the best index of the other active
-    # ids, all of which are frozen meanwhile. An exploration instant that
-    # picks the probed id falls inside the stretch; one that picks another
-    # id starts that id's stretch.
+    # The lone loop: once closed loop probes one id per instant (from the
+    # start at M = 1, at M > 1 once one id is left active), it takes the
+    # probed id's observations in stretches, one sampling unit each, until
+    # its selection could change: at its declaration, at the time cap, at an
+    # exploration instant whose round-robin pick is another id or when its
+    # index falls below the best index of the other active ids, all of which
+    # are frozen meanwhile. An exploration instant that picks the probed id
+    # falls inside the stretch; one that picks another id starts that id's
+    # stretch.
     while active:
         # at the cap every selection overruns it: raise before reading the
         # instants up to it, one per time unit for a zeta near 1
@@ -920,7 +887,7 @@ def run_episode(paths: EpisodePaths, policy: PolicyConfig, time_cap: int = TIME_
             end = nxt
         i = pid - 1
         n_max = (end if end <= time_cap else time_cap + 1) - t  # the builtin min costs more
-        floor = pstate.floor_except(pid) if cl else -math.inf
+        floor = pstate.floor_except(pid)
         steps, verdict, value = walks[i].advance(samples[i], n_max, floor, time_cap)
         if log is not None:
             log.append((t - delta, delta, (pid,), steps))
@@ -932,7 +899,7 @@ def run_episode(paths: EpisodePaths, policy: PolicyConfig, time_cap: int = TIME_
         if verdict is not _CONTINUE:
             stop_times[i] = t
             pstate.declare(pid)
-        elif cl:
+        else:
             pstate.rerank(pid, value)
 
     truth = paths.truth

@@ -490,23 +490,22 @@ def _pass_loop_specs(seed, k):
 
 
 def test_open_loop_lanes_match_the_reference_replay_at_every_time_cap():
-    # open loop at M > 1 runs each probed id to its declaration in one
-    # scan; declarations at one pass, idle slots once fewer than M are
-    # active, the hand-over to the lone loop (with the last id probed or
-    # not yet entered), the cap and an impossible observation must all
-    # fall as the step-by-step replay has them
+    # open loop at every M runs each probed id to its declaration in one
+    # scan, the last active id included; declarations at one pass, idle
+    # slots once fewer than M are active, the cap and an impossible
+    # observation must all fall as the step-by-step replay has them
     outcomes = set()
     for seed in range(len(PASS_LOOP_POOL)):
         for k in range(3, 7):
             specs = _pass_loop_specs(seed, k)
-            for m in (2, 3):
+            for m in (1, 2, 3):
                 for cap in range(1, 61):
                     outcomes.add(assert_matches_replay(specs, PolicyConfig(PolicyKind.OL, m), seed, time_cap=cap))
     assert outcomes == {"finished", "SimulationError", "ValueError"}
 
 
 def test_closed_loop_passes_match_the_reference_replay_at_every_time_cap():
-    # closed loop at M > 1 reads its held ids in no set order untraced and
+    # closed loop at M > 1 reads its held ids in the selection's order and
     # hands the last active id to the lone loop; the selection a pass
     # settles or rotates to, its entering delays, declarations at one
     # pass, the cap and the error of an impossible observation must all
@@ -528,14 +527,15 @@ def test_two_impossible_reads_at_one_pass_raise_the_first_in_selection_order():
     # ids 1 and 2 (abnormal, normal) keep equal indices until each meets
     # an impossible observation, here both at their second step, of
     # opposite signs; the selection reads id 1 first, the tie going to the
-    # lower id, while the untraced pass holds id 2's key before id 1's
+    # lower id: settling leaves id 2's key before id 1's, and the pass
+    # sorts them into the selection's order before it reads
     specs, truth, seed = [IMPOSSIBLE, IMPOSSIBLE, simple_spec(cost=0.1)], (True, False, False), 15
     walks = EpisodePaths(specs, np.random.SeedSequence(seed), forced_truth=truth).paths
     errors = []
     for path in walks[:2]:
         with pytest.raises(ValueError) as exc:
             for pos in range(100):
-                path.step(pos, TIME_CAP)
+                path.advance(pos, 1, -math.inf, TIME_CAP)
         errors.append((pos, str(exc.value)))
     assert errors == [(1, "LLR increment must be finite, got inf"), (1, "LLR increment must be finite, got -inf")]
     policy = PolicyConfig(PolicyKind.CL, 2, math.inf)

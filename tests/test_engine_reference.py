@@ -16,9 +16,9 @@ schedule under test, and a round-robin rotation that rebuilds its
 eligible set for every pick. The engine must reproduce it exactly:
 every ``EpisodeResult`` field and every ``TraceStep`` compare with ``==``,
 and a run that fails must raise what the replay raises. Traced and
-untraced runs take the same loops: a lone probe's observations in
-stretches up to its next event, open loop at M > 1 in lanes to each
-declaration, closed loop at M > 1 one pass per instant; a traced run's
+untraced runs take the same loops: open loop at every M in lanes to
+each declaration, closed loop at M > 1 one pass per instant and a lone
+probe's observations in stretches up to its next event; a traced run's
 trace is rebuilt from its log of those blocks, so every traced replay
 checks them instant by instant. Every policy run on one shared path set
 (``EpisodePaths``), in any order, must equal the replay too.
@@ -569,11 +569,12 @@ def test_identical_pair_single_probe_stretches_match_reference_replay(spec, zeta
     seed=st.integers(0, 2**32 - 1),
 )
 def test_lone_stretches_among_three_or_more_processes_match_reference_replay(specs, kind, zeta, m, seed):
-    # K = 3..6 of mixed kinds: at M = 1 every instant is a lone stretch, at
-    # M = 2 or 3 the last active id is. The round-robin cursor wraps past
-    # declared ids, entering delays push a stretch's first step past an
-    # exploration instant, and an instant that picks another id starts
-    # that id's stretch, on a path of another kind
+    # K = 3..6 of mixed kinds: in closed loop, at M = 1 every instant is a
+    # lone stretch, at M = 2 or 3 the last active id is; open loop runs as
+    # lanes at every M. The round-robin cursor wraps past declared ids,
+    # entering delays push a stretch's first step past an exploration
+    # instant, and an instant that picks another id starts that id's
+    # stretch, on a path of another kind
     assert_matches_replay(specs, PolicyConfig(kind=kind, m=m, zeta=zeta), seed)
 
 

@@ -816,19 +816,23 @@ def test_cli_missing_config_file(tmp_path, capsys):
     assert "nope.json" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("out", ["missing/f5.csv", "."])
+@pytest.mark.parametrize("out", ["missing/f5.csv", ".", "f5.csv"])
 @pytest.mark.parametrize("command", ["figures", "run"])
 def test_cli_rejects_an_unwritable_out_before_running(tmp_path, capsys, monkeypatch, command, out):
-    # an --out in a missing directory, or that is a directory, exits 2
-    # before the run: run_experiment raising shows that nothing ran
+    # an --out in a missing directory, or that is a directory, or whose
+    # per-episode file is a directory, exits 2 before the run:
+    # run_experiment raising shows that nothing ran
     def never(*args, **kwargs):
         raise AssertionError("ran before checking --out")
 
     monkeypatch.setattr("seqscan.cli.run_experiment", never)
+    (tmp_path / "f5_episodes.csv").mkdir()  # the per-episode file of --out f5.csv
     target = str(tmp_path / out)
+    refused = str(tmp_path / "f5_episodes.csv") if out == "f5.csv" else target
     source = ["fig5"] if command == "figures" else [str(_write_config(tmp_path, tiny_config()))]
     assert main([command, *source, "--scale", "100", "--per-episode", "--out", target]) == 2
-    assert f"cannot write CSV to {target}" in capsys.readouterr().err
+    assert f"cannot write CSV to {refused}" in capsys.readouterr().err
+    assert not (tmp_path / "f5.csv").exists()
 
 
 # --- twin model pairs and recipe bytes -----------------------------------
