@@ -11,25 +11,25 @@ test: its statistic after each observation, its verdict and its samples
 to declaration, whatever the policy. A policy only chooses which paths
 to read and when; every policy run on the paths reads them from its own
 step positions, so paired comparisons see the same data, a path is
-folded once, and replays stay bit-identical. The two policy kinds run
-in loops of their own. Open loop's selection changes only at a
-declaration, so an open-loop run at every M runs as M lanes, each
-probed id scanned to its declaration in one call. Closed loop takes its
-instants that probe several ids one pass each, reading one step per
-probed id in the selection's order; a probed id's key is held outside
-the ranking of the other active ids, so only a swap or a fill, an id
-entering or leaving the selection, touches the ranking. Each such read
-looks up the index its path stores per step (a grid path's numbers); a
-model pair indexes every folded step short of the declaration once a
-read reaches past them, so a second policy reading the same steps
-computes none. Only a probed process's index moves, so closed loop's
-lone probe (at M = 1, or the last active id) keeps its selection until
-an event (a declaration, an exploration instant that picks another id,
-the probed index falling below the best other one) and runs there in
-one call, a scan of the stored steps, with the same result as one
-decision per observation. A traced run takes the same loops, which log
-their blocks, and its trace is rebuilt from the log and the paths after
-the episode (``_trace``).
+folded once, and replays stay bit-identical. A spec's table holds what
+every episode shares, with the two keys fixed before any data. The two
+policy kinds run in loops of their own. Open loop walks a frozen order,
+the ids sorted once by their open-loop keys, so its selection changes
+only at a declaration: it runs as M lanes, each probed id scanned to its
+declaration in one call. Closed loop ranks the active ids, by their
+first keys at first. It takes each instant that probes several ids as
+one pass, reading one step per probed id in the selection's order; a
+probed id's key is held outside the ranking, so only an id entering or
+leaving the selection touches it. Each read looks up the index its path
+stores per step (a model pair indexes the folded steps short of the
+declaration once a read reaches past them, so a second policy computes
+none). Closed loop's lone probe (at M = 1, or the last active
+id) keeps its selection until an event (a declaration, an exploration
+instant that picks another id, the probed index falling below the best
+other one) and runs there in one call, a scan of the stored steps, with
+the same result as one decision per observation. A traced run takes the
+same loops, which log their blocks, and its trace is rebuilt from the
+log and the paths after the episode (``_trace``).
 An episode's K + 1 generators are seeded as numpy's SeedSequence would
 seed them, from one hash of the words their seeds share.
 """
@@ -48,7 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
-from seqscan.belief import _sigmoid, expected_detection_time, index, posterior, prior_log_odds
+from seqscan.belief import _sigmoid, posterior, prior_log_odds
 from seqscan.composite import (
     CompositeBoundaries,
     ParameterGrid,
@@ -142,7 +142,10 @@ class ProcessSpec:
     @cached_property
     def table(self) -> _PairTable | _GridTable:
         """The spec's fixed numbers, built on first use and kept for the
-        spec's lifetime, so every episode of a batch shares them."""
+        spec's lifetime, so every episode of a batch shares them, the two
+        indices fixed before any data (``keys``) among them; a key that is
+        not finite, which no ranking could order, raises."""
+        prior, cost, log_odds = self.prior, self.cost_rate, prior_log_odds(self.prior)
         if self.is_composite:
             bounds = composite_boundaries(self.alpha, self.beta)
             terms = size_terms(self.grid, bounds)
@@ -150,20 +153,21 @@ class ProcessSpec:
                 sum(w * terms[i][0] / terms[i][1] for i, w in self.truth_points(abnormal))
                 for abnormal in (False, True)
             )
-            return _GridTable(prior_log_odds(self.prior), bounds, tuple(b / d for b, d in terms), e_n_h0, e_n_h1)
-        h0, h1 = self.model_h0, self.model_h1
-        kl10 = finite_kl(h1, h0)
-        log_odds = prior_log_odds(self.prior)
-        e_n_h0, e_n_h1 = expected_sample_sizes(self.alpha, self.beta, finite_kl(h0, h1), kl10)
-        return _PairTable(
-            log_odds,
-            wald_boundaries(self.alpha, self.beta),
-            e_n_h0,
-            e_n_h1,
-            kl10,
-            None if isinstance(h0, Gaussian) else {},
-            (self.prior, log_odds, self.cost_rate, e_n_h0, e_n_h1),
-        )
+            sizes = tuple(b / d for b, d in terms)
+            first = prior * cost / sizes[0]  # index(prior, cost, sizes[0])
+        else:
+            h0, h1 = self.model_h0, self.model_h1
+            kl10 = finite_kl(h1, h0)
+            e_n_h0, e_n_h1 = expected_sample_sizes(self.alpha, self.beta, finite_kl(h0, h1), kl10)
+            first = _pair_index(prior, log_odds, 0.0, cost, e_n_h0, e_n_h1)
+        keys = (first, _pair_index(prior, None, 0.0, cost, e_n_h0, e_n_h1))
+        if not (math.isfinite(first) and math.isfinite(keys[1])):
+            raise ValueError(f"the indices before any data must be finite, got {keys}")
+        if self.is_composite:
+            return _GridTable(log_odds, bounds, sizes, e_n_h0, e_n_h1, keys)
+        increments = None if isinstance(h0, Gaussian) else {}
+        bounds, terms = wald_boundaries(self.alpha, self.beta), (prior, log_odds, cost, e_n_h0, e_n_h1)
+        return _PairTable(log_odds, bounds, e_n_h0, e_n_h1, kl10, increments, terms, keys)
 
 
 @dataclass(frozen=True)
@@ -177,6 +181,7 @@ class _PairTable:
     kl10: float  # finite_kl(model_h1, model_h0)
     increments: dict | None  # LLR increment by observation, filled on first sight; None for Gaussians
     terms: tuple  # _pair_index's arguments but the LLR: prior, log_odds, cost rate, e_n_h0, e_n_h1
+    keys: tuple[float, float]  # closed loop's: _pair_index at LLR 0; open loop's: the same with log_odds None
 
 
 @dataclass(frozen=True)
@@ -188,6 +193,7 @@ class _GridTable:
     sizes: tuple[float, ...]  # expected sample size b / d while each point is the estimate
     e_n_h0: float  # each region's truth mixture of those sizes, summed as w * b / d
     e_n_h1: float
+    keys: tuple[float, float]  # closed loop's: prior * cost / sizes[0]; open loop's: as a pair's, on these sizes
 
 
 @dataclass(frozen=True)
@@ -359,9 +365,9 @@ class _PairPath(_Path):
 
     def fill_indices(self) -> None:
         """Index the folded steps short of the declaration not yet indexed, in
-        ``_pair_index``'s and ``_sigmoid``'s float operations and order, inline."""
+        ``_pair_index``'s and ``_sigmoid``'s float operations, inline; step 0's is the first key."""
         prior, log_odds, cost, e_n_h0, e_n_h1 = self.terms
-        self.indices = indices = self.indices or array("d")
+        self.indices = indices = self.indices or array("d", self.table.keys[:1])
         for llr in self.series[len(indices) : self.end]:
             if log_odds is None:
                 p = prior
@@ -435,7 +441,7 @@ class _GridPath(_Path):
         self.buf: list | tuple = ()
         self.pos = 0
         self.chunk = _FIRST_CHUNK
-        self.series = self.indices = array("d", [index(spec.prior, spec.cost_rate, table.sizes[0])])
+        self.series = self.indices = array("d", table.keys[:1])
         self.observations: list | None = [] if trace else None
         self.end: int | None = None
         self.verdict = _CONTINUE
@@ -659,13 +665,6 @@ def _child_states(entropy: int, key: tuple[int, ...], n: int) -> np.ndarray:
     return np.ascontiguousarray(out.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
 
 
-def initial_priority(spec: ProcessSpec) -> float:
-    """Pre-data priority: prior times cost rate over the prior-weighted
-    expected sample size. Open loop ranks by it for the whole episode."""
-    t = spec.table
-    return index(spec.prior, spec.cost_rate, expected_detection_time(spec.prior, t.e_n_h0, t.e_n_h1))
-
-
 def _draw_truth_model(spec: ProcessSpec, abnormal: bool, meta_rng: np.random.Generator):
     if not spec.is_composite:
         return spec.model_h1 if abnormal else spec.model_h0
@@ -681,36 +680,36 @@ def _over_cap(time_cap: int, undecided: int) -> SimulationError:
 
 
 def _open_loop_lanes(
-    walks: list, delays: list[int], pstate: PolicyState, m: int, samples: list[int], stop_times: list[int],
+    walks: list, delays: list[int], specs: Sequence, m: int, samples: list[int], stop_times: list[int],
     time_cap: int, log: list | None
 ) -> tuple[int, int, int]:
     """An open-loop run at any M to its last declaration, as one read per
-    pass gives it. Open loop probes the first M active ids of its frozen
-    order, so its selection changes only at a declaration: a lane holds
-    one probed id from the pass it enters, charged its delay, to its
-    declaration, scanned in one call that is bounded by the time left
-    under the cap, so it folds no further than one read per pass would. A
-    heap of the passes that end the lanes gives the next event, and the
-    passes up to it are one block of the log; lanes that end at one pass
-    do so in selection order. Each event reads that step again, so a step
-    whose observation raises raises there. Returns the clock, the delay
-    units and the idle slots."""
-    order = pstate.top(len(pstate.active))
-    active = pstate.active
+    pass gives it. Open loop probes the first M undeclared ids of a frozen
+    order, the ids sorted once by their open-loop keys, descending, ties to
+    the lowest id, so a lane holds one probed id from the pass it enters,
+    charged its delay, to its declaration, scanned in one call bounded by
+    the time left under the cap, so it folds no further than one read per
+    pass would. A heap of the passes that end the lanes gives the next
+    event, and the passes up to it are one block of the log; lanes that end
+    at one pass do so in selection order. Each event reads that step again,
+    so a step whose observation raises raises there. Returns the clock, the
+    delay units and the idle slots."""
+    order = sorted(range(len(specs)), key=lambda i: specs[i].table.keys[1], reverse=True)  # stable: ties keep id order
+    undecided = len(order)
     # per lane: the pass of its last step, its rank in order, and its step
     # position less the pass (it takes one step per pass)
     lanes: list[tuple[int, int, int]] = []
     entered = p = total_delay = idle_slots = 0  # the clock after pass p is p + total_delay
-    while active:
+    while undecided:
         # the next pass: free slots take the next ids of the order
         first, entered = entered, min(entered + m - len(lanes), len(order))
-        delta = sum([delays[pid - 1] for pid in order[first:entered]])
+        delta = sum([delays[i] for i in order[first:entered]])
         total_delay += delta
         p += 1
         if p + total_delay > time_cap:
-            raise _over_cap(time_cap, len(active))
+            raise _over_cap(time_cap, undecided)
         for rank in range(first, entered):
-            i = order[rank] - 1
+            i = order[rank]
             try:
                 steps, verdict, _ = walks[i].advance(samples[i], time_cap + 1 - p - total_delay, -math.inf, time_cap)
             except ValueError:  # the read of the step after the folded ones raises
@@ -720,19 +719,19 @@ def _open_loop_lanes(
             heappush(lanes, (p + steps - 1, rank, samples[i] + 1 - p))
         end = lanes[0][0]
         if log is not None:
-            sel = tuple([order[rank] for rank in sorted([lane[1] for lane in lanes])])
+            sel = tuple([order[rank] + 1 for rank in sorted([lane[1] for lane in lanes])])
             log.append((p + total_delay - delta, delta, sel, end + 1 - p))
         idle_slots += (m - len(lanes)) * (end + 1 - p)
         p = end
         if p + total_delay > time_cap:
-            raise _over_cap(time_cap, len(active))
+            raise _over_cap(time_cap, undecided)
         while lanes and lanes[0][0] == end:
             _, rank, offset = heappop(lanes)
-            i = order[rank] - 1
+            i = order[rank]
             samples[i] = offset + end
             walks[i].advance(samples[i] - 1, 1, -math.inf, time_cap)
             stop_times[i] = p + total_delay
-            pstate.declare(i + 1)
+            undecided -= 1
     return p + total_delay, total_delay, idle_slots
 
 
@@ -769,28 +768,24 @@ def run_episode(paths: EpisodePaths, policy: PolicyConfig, time_cap: int = TIME_
     if m > k:
         raise ValueError(f"probe budget {m} exceeds process count {k}")
 
-    # open loop ranks by the pre-data priorities and never reranks or
-    # explores, so it probes the first M undeclared ids of that order,
-    # each to its declaration: it runs as lanes (``_open_loop_lanes``) and
-    # leaves no id active for the two loops below, which are closed loop's
-    cl = policy.kind is PolicyKind.CL
-    pstate = PolicyState.fresh([path.priority(0) for path in walks] if cl else [initial_priority(s) for s in specs])
-    active = pstate.active  # a live view of the undeclared ids
-    instants = exploration_instants(policy.zeta)
-    # the first exploration instant not yet passed, and the one after it
-    nxt, nxt2 = next(instants, math.inf), next(instants, math.inf)
-
     isfinite = math.isfinite
     stop_times = [0] * k
     samples = [0] * k  # each process's step position on its path
     delays = [spec.switch_delay for spec in specs]
-    t = 0
-    total_delay = 0
-    idle_slots = 0
     probed = 0  # the id probed last, if still active; 0 for none
     log: list | None = [] if paths.trace else None  # a traced run's blocks, for ``_trace``
-    if not cl:
-        t, total_delay, idle_slots = _open_loop_lanes(walks, delays, pstate, m, samples, stop_times, time_cap, log)
+    if policy.kind is PolicyKind.OL:
+        # open loop runs as lanes down its frozen order and leaves no id for
+        # the two loops below, which are closed loop's and rank the active ids
+        t, total_delay, idle_slots = _open_loop_lanes(walks, delays, specs, m, samples, stop_times, time_cap, log)
+        active = ()
+    else:
+        t = total_delay = idle_slots = 0
+        pstate = PolicyState.fresh([spec.table.keys[0] for spec in specs])
+        active = pstate.active  # a live view of the undeclared ids
+        instants = exploration_instants(policy.zeta)
+        # the first exploration instant not yet passed, and the one after it
+        nxt, nxt2 = next(instants, math.inf), next(instants, math.inf)
 
     # The pass loop: one decision per instant, for the instants that probe
     # more than one id. The probed ids' keys are held out of the ranking

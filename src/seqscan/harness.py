@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from seqscan.belief import expected_detection_time, index
 from seqscan.composite import ParameterGrid, Region, StatisticKind
 from seqscan.engine import (
     TIME_CAP,
@@ -26,7 +25,7 @@ from seqscan.engine import (
     PolicyConfig,
     PolicyKind,
     ProcessSpec,
-    initial_priority,
+    _pair_index,
     lower_bound_oracle,
     run_episode,
 )
@@ -414,13 +413,15 @@ def validate_config(cfg: ExperimentConfig) -> tuple[tuple[ProcessSpec, ...], ...
             where = f"sweep point {v}: process {pid}"
             if spec.is_composite:
                 _validate_grid_decidable(spec, where)
-                continue
             try:
-                spec.table  # Wald's sizes need a positive divergence either way
+                spec.table  # the numbers every episode shares, checked as they are built
             except TypeError as exc:  # models of different families or category counts
                 raise ConfigError(f"{where}: {exc}") from exc
             except ValueError as exc:
-                raise ConfigError(f"{where}: its two models cannot be told apart ({exc})") from exc
+                pair = () if spec.is_composite else (spec.model_h0, spec.model_h1)
+                if pair and 0.0 in (finite_kl(*pair), finite_kl(*pair[::-1])):  # no drift: no episode could end
+                    raise ConfigError(f"{where}: its two models cannot be told apart ({exc})") from exc
+                raise ConfigError(f"{where}: {exc}") from exc
     return point_sets
 
 
@@ -506,18 +507,17 @@ _GENERATORS = {
 def match_error_budget(
     template: ProcessSpec, target_priority: float, lo: float = 1e-15, hi: float = 0.499
 ) -> float:
-    """Symmetric error budget e with initial_priority(template at
-    alpha=beta=e) equal to target_priority, by bisection in log e. The
-    priority grows with e, so the root is unique. A model-pair template's
-    priority is computed by the functions initial_priority calls, in the
-    same order, without building a spec per step."""
+    """Symmetric error budget e at which the open-loop key of a model-pair
+    template with alpha = beta = e (its table's ``keys[1]``) equals
+    target_priority, by bisection in log e. The key grows with e, so the
+    root is unique. Each step computes the key as the table does, without
+    building a spec."""
     if not target_priority > 0:
         raise ConfigError(f"target priority must be positive, got {target_priority}")
     kl01, kl10 = finite_kl(template.model_h0, template.model_h1), finite_kl(template.model_h1, template.model_h0)
 
     def priority(e: float) -> float:
-        sizes = expected_sample_sizes(e, e, kl01, kl10)
-        return index(template.prior, template.cost_rate, expected_detection_time(template.prior, *sizes))
+        return _pair_index(template.prior, None, 0.0, template.cost_rate, *expected_sample_sizes(e, e, kl01, kl10))
 
     if priority(hi) < target_priority or priority(lo) > target_priority:
         raise ConfigError(
@@ -556,7 +556,7 @@ def materialize_processes(cfg: ExperimentConfig, sweep_value: float) -> tuple[Pr
             e = sweep_value
             if cfg.alpha_match is not None:
                 first = replace(specs[0], alpha=e, beta=e)
-                target = initial_priority(first) / cfg.alpha_match["index_ratio"]
+                target = first.table.keys[1] / cfg.alpha_match["index_ratio"]
                 e2 = match_error_budget(specs[1], target)
                 specs = (first, replace(specs[1], alpha=e2, beta=e2)) + specs[2:]
             else:

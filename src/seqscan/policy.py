@@ -1,9 +1,9 @@
-"""Probe selection: the top-M ids of an index ranking (``PolicyState.top``),
-except at the exponentially sparse exploration instants ceil(zeta^l)
-(``exploration_instants``), which take the next M ids of a round-robin
-``rotation``. Closed loop reranks a probed id after each observation;
-open loop ranks once by the pre-data priorities and never explores, so
-the same selection walks its fixed order.
+"""Closed loop's probe selection: the top-M ids of an index ranking
+(``PolicyState.top``), except at the exponentially sparse exploration
+instants ceil(zeta^l) (``exploration_instants``), which take the next M
+ids of a round-robin ``rotation``; a probed id is reranked after each
+observation. Open loop keeps no ranking: it walks an order frozen before
+any data (``engine._open_loop_lanes``).
 
 Process ids are 1-based throughout this module; the round-robin
 arithmetic r = ((cursor + u) mod K) + 1 is taken verbatim from the
@@ -49,14 +49,14 @@ def _ceil_powers(zeta: float) -> Iterator[int]:
 
 @dataclass
 class PolicyState:
-    """Active (undeclared) ids ranked by index, and the last round-robin
-    pick. Only a probed id gets a new index, so the ranking is a sorted
-    list that each update changes by one key, found by bisection,
-    instead of a scan of every active id. The keys (index, -id) are
-    unique and ascend, so the best ids, ties to the lowest id, sit at the
-    end, where moving a key shifts few others. The cursor starts at K so
-    the first exploration instant selects process 1, and the first
-    M-probe rotation selects 1..M.
+    """Closed loop's active (undeclared) ids ranked by index, and the last
+    round-robin pick; open loop builds none. Only a probed id gets a new
+    index, so the ranking is a sorted list that each update changes by one
+    key, found by bisection, instead of a scan of every active id. The
+    keys (index, -id) are unique and ascend, so the best ids, ties to the
+    lowest id, sit at the end, where moving a key shifts few others. The
+    cursor starts at K so the first exploration instant selects process 1,
+    and the first M-probe rotation selects 1..M.
 
     A caller that probes several ids per instant may hold their keys
     outside the ranking (``hold``), update them there, and ``settle``

@@ -76,7 +76,8 @@ def expected_sample_sizes(
     """Wald's approximate mean sample sizes (under H0, under H1).
 
     d01 and d10 are the KL divergences D(f0||f1) and D(f1||f0); both
-    must be positive and finite (clamp infinite divergences upstream).
+    must be positive and finite (clamp infinite divergences upstream). A
+    size rounded to 0 or below, as by budgets summing to just under 1, raises.
     """
     _check_error_budgets(alpha, beta)
     if not (math.isfinite(d01) and d01 > 0 and math.isfinite(d10) and d10 > 0):
@@ -85,4 +86,6 @@ def expected_sample_sizes(
     log_reject = math.log((1.0 - beta) / alpha)
     e_n_h0 = ((1.0 - alpha) * log_accept - alpha * log_reject) / d01
     e_n_h1 = ((1.0 - beta) * log_reject - beta * log_accept) / d10
+    if not (e_n_h0 > 0 and e_n_h1 > 0):
+        raise ValueError(f"expected sample sizes must be positive, got ({e_n_h0}, {e_n_h1})")
     return e_n_h0, e_n_h1

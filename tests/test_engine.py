@@ -30,12 +30,10 @@ from seqscan.engine import (
     _child_generators,
     _draw_truth_model,
     _PairPath,
-    initial_priority,
     lower_bound_oracle,
     run_episode,
 )
 from seqscan.models import KL_SATURATION, Categorical, Gaussian, Poisson, finite_kl
-from seqscan.policy import PolicyState
 from seqscan.sprt import wald_boundaries
 
 from test_engine_reference import assert_matches_replay
@@ -286,10 +284,28 @@ def test_exploration_instants_rotate_in_trace():
         assert by_instant[2].selected == (1,)
 
 
+def test_open_loop_builds_no_ranking(monkeypatch):
+    # open loop walks a frozen order, its tables' open-loop keys sorted
+    # once per episode, so no open-loop run builds closed loop's ranking;
+    # repeated specs tie, and the order keeps the lowest id first
+    def refuse(cls, indices):
+        raise AssertionError("open loop built a ranking")
+
+    monkeypatch.setattr("seqscan.engine.PolicyState.fresh", classmethod(refuse))
+    specs = [simple_spec(prior=0.2), simple_spec(cost=3.0), grid_spec(weights=(0.3, 0.7)),
+             simple_spec(cost=3.0), simple_spec(prior=0.1, cost=2.0, delay=2)]
+    for m in (1, 3):
+        for seed in range(4):
+            assert assert_matches_replay(specs, PolicyConfig(PolicyKind.OL, m), seed) == "finished"
+    with pytest.raises(AssertionError, match="built a ranking"):
+        run_episode(EpisodePaths(specs, np.random.SeedSequence(0)), PolicyConfig(PolicyKind.CL, 3))
+
+
 def test_open_loop_probes_to_completion_in_order():
     specs = [simple_spec(prior=0.5, cost=1.0), simple_spec(prior=0.5, cost=3.0),
              simple_spec(prior=0.5, cost=2.0)]
-    order = PolicyState.fresh([initial_priority(s) for s in specs]).top(3)
+    # open loop's frozen order: the open-loop keys, descending
+    order = tuple(sorted((1, 2, 3), key=lambda pid: -specs[pid - 1].table.keys[1]))
     assert order == (2, 3, 1)
     res = run_episode(EpisodePaths(specs, np.random.SeedSequence(13), trace=True), PolicyConfig(kind=PolicyKind.OL))
     seen = [step.selected[0] for step in res.trace if step.selected]
@@ -428,7 +444,8 @@ def test_grid_table_equals_the_per_call_formulas():
         for prior in (spec.prior, 0.3, 0.7, 0.0, 1.0):
             at = replace(spec, prior=prior)
             assert at.table.sizes == tuple(_former_point_size(at, i) for i in range(len(at.grid)))
-            assert initial_priority(at) == _former_initial_priority(at)
+            assert at.table.keys[1] == _former_initial_priority(at)
+            assert at.table.keys[0] == index(at.prior, at.cost_rate, at.table.sizes[0])
 
 
 def test_grid_boundaries_are_built_once_per_spec(monkeypatch):
@@ -679,7 +696,7 @@ def test_open_loop_probes_the_first_active_ids_of_the_pre_data_order(pool, picks
     m = min(m, len(specs))
     paths = EpisodePaths(specs, np.random.SeedSequence(seed), statistic, trace=True)
     res = run_episode(paths, PolicyConfig(kind=PolicyKind.OL, m=m))
-    order = sorted(range(1, len(specs) + 1), key=lambda pid: (-initial_priority(specs[pid - 1]), pid))
+    order = sorted(range(1, len(specs) + 1), key=lambda pid: (-specs[pid - 1].table.keys[1], pid))
     for step in res.trace:
         active = [pid for pid in order if res.stop_times[pid - 1] >= step.instant]
         assert step.selected == tuple(active[:m])

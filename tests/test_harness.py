@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +24,6 @@ from seqscan.harness import (
     emit_csv,
     emit_per_episode_csv,
     figure_config,
-    initial_priority,
     match_error_budget,
     materialize_processes,
     parse_config,
@@ -383,8 +383,8 @@ def test_c_e_sweep_sets_budgets():
 def test_alpha_match_halves_initial_priority():
     cfg = figure_config("fig5")
     specs = materialize_processes(cfg, 1e-2)
-    g1 = initial_priority(specs[0])
-    g2 = initial_priority(specs[1])
+    g1 = specs[0].table.keys[1]
+    g2 = specs[1].table.keys[1]
     assert g1 == pytest.approx(2.0 * g2, rel=1e-9)
     assert specs[0].alpha == 1e-2
     assert 0 < specs[1].alpha < specs[0].alpha
@@ -857,6 +857,11 @@ def test_validate_rejects_twin_model_pairs():
 
 
 _TWIN = "process 1: its two models cannot be told apart"
+# models that can be told apart, but whose numbers no episode could run on
+_OVERFLOW = {"kind": "identical", "rate0": 1.0, "rate1": 1000.0, "cost": 1e308}
+_UNDERFLOW = {"kind": "two_tier", "alpha": 0.6, "beta": 0.3999999999999999}
+_KEYS = r"process 1: the indices before any data must be finite, got \(inf, inf\)"
+_SIZES = r"process 1: expected sample sizes must be positive"
 
 
 @pytest.mark.parametrize(
@@ -867,6 +872,9 @@ _TWIN = "process 1: its two models cannot be told apart"
         ({"kind": "identical", "rate1": 10.0}, _TWIN),
         ({"kind": "two_tier", "ratio": 1.0}, _TWIN),
         ({"kind": "two_tier", "ratio": 0.8}, None),
+        (_OVERFLOW, _KEYS),
+        (_UNDERFLOW, _SIZES),
+        ({"kind": "identical", "alpha": 0.5, "beta": 0.4999999999999999}, _SIZES),
     ],
 )
 def test_validate_rejects_twin_generators(generator, pattern):
@@ -987,6 +995,15 @@ def test_cli_rejects_non_integral_counts_and_non_boolean_truth(
     assert message in err and "Traceback" not in err
 
 
+def test_validate_rejects_a_grid_spec_whose_first_index_overflows():
+    # the grid's table, as every episode would build it, is built at validation
+    grid = ParameterGrid(models=(Poisson(1.0), Poisson(1000.0)), regions=(Region.THETA0, Region.THETA1))
+    spec = ProcessSpec(prior=0.5, cost_rate=1e308, alpha=1e-2, beta=1e-2, grid=grid)
+    cfg = tiny_config(generator=None, processes=(spec,), sweep_variable="c_e", sweep_values=(10.0,), statistic="GLR")
+    with pytest.raises(ConfigError, match=r"process 1: the indices before any data must be finite, got \(inf, "):
+        validate_config(cfg)
+
+
 def test_integral_float_counts_pass():
     raw = _explicit_raw()
     raw.update(episodes=4.0, m=2.0, master_seed=3.0)
@@ -1001,7 +1018,7 @@ def _bisect_200_steps(template, target, lo=1e-15, hi=0.499):
     llo, lhi = math.log(lo), math.log(hi)
     for _ in range(200):
         mid = 0.5 * (llo + lhi)
-        if initial_priority(replace(template, alpha=math.exp(mid), beta=math.exp(mid))) < target:
+        if replace(template, alpha=math.exp(mid), beta=math.exp(mid)).table.keys[1] < target:
             llo = mid
         else:
             lhi = mid
@@ -1012,7 +1029,7 @@ def test_match_error_budget_equals_200_steps_on_fig5():
     cfg = figure_config("fig5")
     first, second = cfg.processes
     for v in cfg.sweep_values:
-        target = initial_priority(replace(first, alpha=v, beta=v)) / 2.0
+        target = replace(first, alpha=v, beta=v).table.keys[1] / 2.0
         assert match_error_budget(second, target) == _bisect_200_steps(second, target)
 
 
@@ -1028,7 +1045,7 @@ def test_match_error_budget_equals_200_steps_on_fig5():
 def test_match_error_budget_equals_200_steps(rate, ratio, prior, cost, budget, scale):
     template = ProcessSpec(prior=prior, cost_rate=cost, alpha=1e-2, beta=1e-2,
                            model_h0=Poisson(rate), model_h1=Poisson(rate * ratio))
-    target = scale * initial_priority(replace(template, alpha=budget, beta=budget))
+    target = scale * replace(template, alpha=budget, beta=budget).table.keys[1]
     try:
         found = match_error_budget(template, target)
     except ConfigError:  # no budget in range reaches the target
@@ -1043,6 +1060,16 @@ def test_cli_rejects_twin_model_pair(tmp_path, capsys):
     assert "process 2" in capsys.readouterr().err
     assert main(["run", str(path), "--out", str(out)]) == 2
     assert "process 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("generator,pattern", [(_OVERFLOW, _KEYS), (_UNDERFLOW, _SIZES)])
+def test_cli_refuses_process_sets_no_episode_can_run(tmp_path, capsys, generator, pattern):
+    path = _write_config(tmp_path, tiny_config(generator=generator))
+    out = tmp_path / "refused.csv"
+    for args in (["validate", str(path)], ["run", str(path), "--out", str(out)]):
+        assert main(args) == 2
+        assert re.search(pattern, capsys.readouterr().err)
     assert not out.exists()
 
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqscan.belief import expected_detection_time, index
-from seqscan.engine import ProcessSpec, initial_priority
+from seqscan.engine import ProcessSpec
 from seqscan.models import Poisson
 from seqscan.policy import PolicyState, exploration_instants, rotation
 
@@ -378,10 +378,11 @@ def test_settled_held_keys_are_the_top_m_under_updates(initial, data):
 
 
 def pre_data_order(priors, costs, expected_sizes):
-    """Open loop's order as the engine builds it: ids ranked by the pre-data
-    priority prior * cost / expected size (initial_priority's index)."""
+    """Open loop's frozen order: ids sorted by the pre-data index prior *
+    cost / expected size (a table's open-loop key), descending, ties to the
+    lowest id."""
     values = [index(p, c, e) for p, c, e in zip(priors, costs, expected_sizes)]
-    return PolicyState.fresh(values).top(len(values))
+    return tuple(sorted(range(1, len(values) + 1), key=lambda pid: -values[pid - 1]))
 
 
 def test_ol_order_examples():
@@ -392,7 +393,7 @@ def test_ol_order_examples():
     assert pre_data_order([0.5, 0.5], [2.0, 2.0], [4.0, 4.0]) == (1, 2)
     with pytest.raises(ValueError):
         pre_data_order([0.5], [1.0], [0.0])
-    # initial_priority is that index over a spec's prior-weighted expected size
+    # the open-loop key is that index over a spec's prior-weighted expected size
     specs = [
         ProcessSpec(prior=0.5, cost_rate=c, alpha=1e-2, beta=1e-2,
                     model_h0=Poisson(10.0), model_h1=Poisson(15.0))
@@ -400,4 +401,4 @@ def test_ol_order_examples():
     ]
     for spec in specs:
         expected = expected_detection_time(0.5, spec.table.e_n_h0, spec.table.e_n_h1)
-        assert initial_priority(spec) == index(0.5, spec.cost_rate, expected)
+        assert spec.table.keys[1] == index(0.5, spec.cost_rate, expected)

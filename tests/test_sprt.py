@@ -94,6 +94,14 @@ def test_expected_sample_sizes_reject_bad_divergences():
         expected_sample_sizes(1e-2, 1e-2, 1.0, math.inf)
 
 
+def test_expected_sample_sizes_reject_sizes_rounded_to_zero_or_below():
+    # budgets summing to just under 1 leave log ratios a few ulps from 0,
+    # and the sizes' differences of them round to zero or change sign
+    for alpha, beta in ((0.6, 0.3999999999999999), (0.5, 0.4999999999999999)):
+        with pytest.raises(ValueError, match="expected sample sizes must be positive"):
+            expected_sample_sizes(alpha, beta, 1.0, 1.0)
+
+
 def test_sum_llr_ignores_unprobed_instants():
     # interleave two processes; each LLR sum must match the one built
     # from that process's observations alone
