@@ -17,17 +17,17 @@ policy kinds run in loops of their own. Open loop walks a frozen order,
 the ids sorted once by their open-loop keys, so its selection changes
 only at a declaration: it runs as M lanes, each probed id scanned to its
 declaration in one call. Closed loop ranks the active ids, by their
-first keys at first. It takes each instant that probes several ids as
-one pass, reading one step per probed id in the selection's order; a
-probed id's key is held outside the ranking, so only an id entering or
-leaving the selection touches it. Each read looks up the index its path
-stores per step (a model pair indexes the folded steps short of the
-declaration once a read reaches past them, so a second policy computes
-none). Closed loop's lone probe (at M = 1, or the last active
+first keys at first, in one loop of blocks at every M: the selected
+ids' keys are held outside the ranking, so only an id entering or
+leaving the selection touches it. A block of several ids is one pass,
+one step per id in the selection's order, each read a lookup of the
+index its path stores per step (a model pair indexes the folded steps
+short of the declaration once a read reaches past them, so a second
+policy computes none). A block of one id (at M = 1, or the last active
 id) keeps its selection until an event (a declaration, an exploration
-instant that picks another id, the probed index falling below the best
-other one) and runs there in one call, a scan of the stored steps, with
-the same result as one decision per observation. A traced run takes the
+instant that picks another id, its index falling below the best ranked
+one) and runs there in one call, a scan of the stored steps, with the
+same result as one decision per observation. A traced run takes the
 same loops, which log their blocks, and its trace is rebuilt from the
 log and the paths after the episode (``_trace``).
 An episode's K + 1 generators are seeded as numpy's SeedSequence would
@@ -298,8 +298,8 @@ class _Path:
 class _PairPath(_Path):
     """A model-pair path: the LLR sum after each observation. The sum is
     the SPRT statistic and, added to the prior log-odds, the posterior.
-    Only the pass loop stores the index of each folded step short of the
-    declaration (``indices``, () until ``fill_indices``); others compute it."""
+    Only a closed-loop pass stores the index of each folded step short of
+    the declaration (``indices``, () until ``fill_indices``); others compute it."""
 
     __slots__ = ("terms",)
 
@@ -379,7 +379,7 @@ class _PairPath(_Path):
             indices.append(p * cost / (p * e_n_h1 + (1.0 - p) * e_n_h0))
 
     def priority(self, pos: int) -> float:
-        if pos < len(self.indices):  # stored by the pass loop; never stored here
+        if pos < len(self.indices):  # stored by a pass; never stored here
             return self.indices[pos]
         prior, log_odds, cost, e_n_h0, e_n_h1 = self.terms
         return _pair_index(prior, log_odds, self.series[pos], cost, e_n_h0, e_n_h1)
@@ -392,7 +392,7 @@ class _PairPath(_Path):
 
     def advance(self, pos: int, n_max: int, floor: float, cap: int):
         """From step pos, take steps until the declaration, n_max steps or
-        the index falling below floor (``PolicyState.floor_except``);
+        the index falling below floor (``PolicyState.floor``);
         return the steps taken, the verdict and the index after the last
         step (0.0 once declared). Past the first step, the index is
         computed only below the floor's LLR threshold and at the last
@@ -772,11 +772,10 @@ def run_episode(paths: EpisodePaths, policy: PolicyConfig, time_cap: int = TIME_
     stop_times = [0] * k
     samples = [0] * k  # each process's step position on its path
     delays = [spec.switch_delay for spec in specs]
-    probed = 0  # the id probed last, if still active; 0 for none
     log: list | None = [] if paths.trace else None  # a traced run's blocks, for ``_trace``
     if policy.kind is PolicyKind.OL:
         # open loop runs as lanes down its frozen order and leaves no id for
-        # the two loops below, which are closed loop's and rank the active ids
+        # the loop below, which is closed loop's and ranks the active ids
         t, total_delay, idle_slots = _open_loop_lanes(walks, delays, specs, m, samples, stop_times, time_cap, log)
         active = ()
     else:
@@ -787,69 +786,23 @@ def run_episode(paths: EpisodePaths, policy: PolicyConfig, time_cap: int = TIME_
         # the first exploration instant not yet passed, and the one after it
         nxt, nxt2 = next(instants, math.inf), next(instants, math.inf)
 
-    # The pass loop: one decision per instant, for the instants that probe
-    # more than one id. The probed ids' keys are held out of the ranking
-    # (``PolicyState.hold``): each pass settles them into the top M, sorted
-    # into ``top(M)``'s order, or puts them back for a rotation, charges the
-    # entering delays and one sampling unit, then reads one step of every
-    # probed process in the selection's order, so the first read to raise
-    # is the step-by-step run's, looks up its stored index and updates its
-    # key where it is held.
+    # Closed loop: one block per selection. The selected ids' keys are held
+    # out of the ranking (``held``, in selection order): a block rotates
+    # them on an exploration instant (``PolicyState.rotate``) and otherwise
+    # settles them into the top M, sorted key-descending; so only an id
+    # entering or leaving the selection touches the ranking. It charges the
+    # entering delays and one sampling unit. A block of several ids is one
+    # pass: it reads one step of every selected process in the selection's
+    # order, so the first read to raise is the step-by-step run's, and looks
+    # up its stored index. A block of one id (at M = 1, or the last active
+    # id) is a stretch: it takes the id's observations, one sampling unit
+    # each, until its selection could change: at its declaration, at the
+    # time cap, at an exploration instant whose round-robin pick is another
+    # id or when its index falls below the best ranked one, all of which are
+    # frozen meanwhile. An exploration instant that picks the id falls
+    # inside the stretch; one that picks another id starts that id's block.
+    # Each block leaves the keys of its ids still active in held.
     held: list[tuple[float, int]] = []
-    while m > 1 and len(active) > 1:
-        now = t + 1
-        while nxt < now:
-            nxt, nxt2 = nxt2, next(instants, math.inf)
-        if nxt == now:
-            probing = [neg for _, neg in held]
-            pstate.release(held)
-            sel = rotation(pstate, m)
-            pstate.rr_cursor = sel[-1]
-            held = pstate.hold(sel)
-            entered = [pid for pid in sel if -pid not in probing]
-        else:
-            entered = pstate.settle(held, m)
-            held.sort(reverse=True)  # top(M)'s order
-        delta = sum([delays[pid - 1] for pid in entered]) if entered else 0  # simultaneous entries add
-        t += delta + 1
-        total_delay += delta
-        idle_slots += m - len(held)
-        if t > time_cap:
-            raise _over_cap(time_cap, len(active))
-        if log is not None:
-            log.append((now, delta, tuple([-neg for _, neg in held]), 1))
-        read = []  # the keys of the probed ids still active after the reads
-        for key in held:
-            i = -key[1] - 1
-            path = walks[i]
-            last = samples[i] + 1
-            if path.end is None and len(path.series) <= last:
-                path.extend(last, time_cap)
-            if path.end == last:
-                stop_times[i] = t
-                pstate.declare(i + 1)
-            else:
-                if len(path.indices) <= last:
-                    path.fill_indices()
-                value = path.indices[last]
-                if not isfinite(value):
-                    _check_finite(i + 1, value)
-                read.append((value, key[1]))
-            samples[i] = last
-        held = read
-    if held:  # at most one id is left active
-        probed = -held[0][1]
-        pstate.release(held)
-
-    # The lone loop: once closed loop probes one id per instant (from the
-    # start at M = 1, at M > 1 once one id is left active), it takes the
-    # probed id's observations in stretches, one sampling unit each, until
-    # its selection could change: at its declaration, at the time cap, at an
-    # exploration instant whose round-robin pick is another id or when its
-    # index falls below the best index of the other active ids, all of which
-    # are frozen meanwhile. An exploration instant that picks the probed id
-    # falls inside the stretch; one that picks another id starts that id's
-    # stretch.
     while active:
         # at the cap every selection overruns it: raise before reading the
         # instants up to it, one per time unit for a zeta near 1
@@ -858,18 +811,43 @@ def run_episode(paths: EpisodePaths, policy: PolicyConfig, time_cap: int = TIME_
         while nxt <= t:
             nxt, nxt2 = nxt2, next(instants, math.inf)
         explored = nxt == t + 1
-        if explored:
-            (pid,) = rotation(pstate, 1)
-            pstate.rr_cursor = pid
-        else:
-            (pid,) = pstate.top(1)
-        delta = delays[pid - 1] if pid != probed else 0
+        entered = pstate.rotate(held, m) if explored else pstate.settle(held, m)
+        delta = 0
+        for pid in entered:
+            delta += delays[pid - 1]  # simultaneous entries add
         t += delta + 1
         total_delay += delta
-        probed = pid
         if t > time_cap:
             raise _over_cap(time_cap, len(active))
 
+        if len(held) > 1:
+            if not explored:
+                held.sort(reverse=True)  # the top M's order
+            idle_slots += m - len(held)
+            if log is not None:
+                log.append((t - delta, delta, tuple([-neg for _, neg in held]), 1))
+            read = []  # the keys of the selected ids still active after the reads
+            for key in held:
+                i = -key[1] - 1
+                path = walks[i]
+                last = samples[i] + 1
+                if path.end is None and len(path.series) <= last:
+                    path.extend(last, time_cap)
+                if path.end == last:
+                    stop_times[i] = t
+                    pstate.declare(i + 1)
+                else:
+                    if len(path.indices) <= last:
+                        path.fill_indices()
+                    value = path.indices[last]
+                    if not isfinite(value):
+                        _check_finite(i + 1, value)
+                    read.append((value, key[1]))
+                samples[i] = last
+            held = read
+            continue
+
+        pid = -held[0][1]
         while nxt <= t:  # now the first exploration instant after the stretch's first step
             nxt, nxt2 = nxt2, next(instants, math.inf)
         if len(active) == 1:
@@ -882,8 +860,7 @@ def run_episode(paths: EpisodePaths, policy: PolicyConfig, time_cap: int = TIME_
             end = nxt
         i = pid - 1
         n_max = (end if end <= time_cap else time_cap + 1) - t  # the builtin min costs more
-        floor = pstate.floor_except(pid)
-        steps, verdict, value = walks[i].advance(samples[i], n_max, floor, time_cap)
+        steps, verdict, value = walks[i].advance(samples[i], n_max, pstate.floor(pid), time_cap)
         if log is not None:
             log.append((t - delta, delta, (pid,), steps))
         if t + steps > nxt:  # the stretch took the step at nxt, whose pick was pid
@@ -894,8 +871,11 @@ def run_episode(paths: EpisodePaths, policy: PolicyConfig, time_cap: int = TIME_
         if verdict is not _CONTINUE:
             stop_times[i] = t
             pstate.declare(pid)
+            held = []
         else:
-            pstate.rerank(pid, value)
+            if not isfinite(value):
+                _check_finite(pid, value)
+            held = [(value, -pid)]
 
     truth = paths.truth
     declared = tuple(path.verdict is Verdict.DECLARE_ABNORMAL for path in walks)

@@ -1,9 +1,10 @@
-"""Closed loop's probe selection: the top-M ids of an index ranking
-(``PolicyState.top``), except at the exponentially sparse exploration
-instants ceil(zeta^l) (``exploration_instants``), which take the next M
-ids of a round-robin ``rotation``; a probed id is reranked after each
-observation. Open loop keeps no ranking: it walks an order frozen before
-any data (``engine._open_loop_lanes``).
+"""Closed loop's probe selection: the M ids of largest index, which the
+selected ids' keys settle into (``PolicyState.settle``), except at the
+exponentially sparse exploration instants ceil(zeta^l)
+(``exploration_instants``), which take the next M ids of a round-robin
+``rotation`` (``PolicyState.rotate``); a selected id's key is updated
+where it is held. Open loop keeps no ranking: it walks an order frozen
+before any data (``engine._open_loop_lanes``).
 
 Process ids are 1-based throughout this module; the round-robin
 arithmetic r = ((cursor + u) mod K) + 1 is taken verbatim from the
@@ -49,22 +50,16 @@ def _ceil_powers(zeta: float) -> Iterator[int]:
 
 @dataclass
 class PolicyState:
-    """Closed loop's active (undeclared) ids ranked by index, and the last
-    round-robin pick; open loop builds none. Only a probed id gets a new
-    index, so the ranking is a sorted list that each update changes by one
-    key, found by bisection, instead of a scan of every active id. The
-    keys (index, -id) are unique and ascend, so the best ids, ties to the
-    lowest id, sit at the end, where moving a key shifts few others. The
-    cursor starts at K so the first exploration instant selects process 1,
-    and the first M-probe rotation selects 1..M.
-
-    A caller that probes several ids per instant may hold their keys
-    outside the ranking (``hold``), update them there, and ``settle``
-    them into the top M, which touches the ranking only for an id that
-    enters or leaves the selection. While keys are held, the ranking
-    holds only the other active ids, so ``top``, ``floor_except`` and
-    ``rerank`` serve only after the held keys are put back
-    (``release``)."""
+    """Closed loop's active (undeclared) ids, their keys (index, -id), and
+    the last round-robin pick; open loop builds none. The caller holds the
+    selected ids' keys in a list of its own (``held``) and updates them
+    there; the ranking is a sorted list of the other active ids' keys. The
+    keys are unique and ascend, so the best ids, ties to the lowest id, sit
+    at the end, and ``settle`` and ``rotate`` touch the ranking only for an
+    id that enters or leaves the selection, by bisection, instead of
+    ranking every active id. A declared id is a held one, so its key is in
+    no ranking. The cursor starts at K so the first exploration instant
+    selects process 1, and the first M-probe rotation selects 1..M."""
 
     k: int
     rr_cursor: int
@@ -73,7 +68,8 @@ class PolicyState:
 
     @classmethod
     def fresh(cls, indices: Sequence[float]) -> "PolicyState":
-        """All K = len(indices) ids active, ranked by their indices."""
+        """All K = len(indices) ids active, ranked by their indices, none
+        held."""
         k = len(indices)
         if k < 1:
             raise ValueError(f"need K >= 1, got K={k}")
@@ -87,63 +83,26 @@ class PolicyState:
         """The active ids, as a set-like view."""
         return self._key.keys()
 
-    def top(self, m: int) -> tuple[int, ...]:
-        """The m active ids of largest index, ties to the lowest id."""
-        return tuple([-neg_pid for _, neg_pid in self._ranking[-1 : -m - 1 : -1]])
-
-    def floor_except(self, pid: int) -> float:
-        """The index below which pid's key (index, -pid) falls under the
-        largest key of another active id: that key's index, or the next
-        float up when pid, the larger id, loses the tie; -inf if none."""
-        for value, neg_pid in self._ranking[-1:-3:-1]:
-            if neg_pid != -pid:
-                return math.nextafter(value, math.inf) if -pid < neg_pid else value
-        return -math.inf
-
-    def rerank(self, pid: int, value: float) -> None:
-        """Give an active id a new index and move its key."""
-        _check_finite(pid, value)
-        old = self._key.get(pid)
-        if old is None:
-            raise ValueError(f"process {pid} is not active")
-        ranking = self._ranking
-        del ranking[bisect_left(ranking, old)]
-        key = (value, -pid)
-        self._key[pid] = key
-        insort(ranking, key)
+    def floor(self, pid: int) -> float:
+        """The index below which held pid's key (index, -pid) falls under
+        the best ranked key: that key's index, or the next float up when
+        pid, the larger id, loses the tie; -inf for an empty ranking."""
+        if not self._ranking:
+            return -math.inf
+        value, neg_pid = self._ranking[-1]
+        return math.nextafter(value, math.inf) if -pid < neg_pid else value
 
     def declare(self, pid: int) -> None:
-        """Drop an id from the active set and, unless it is held, its key
-        from the ranking; an inactive id is ignored."""
-        key = self._key.pop(pid, None)
-        if key is not None:
-            ranking = self._ranking
-            i = bisect_left(ranking, key)
-            if i < len(ranking) and ranking[i] == key:
-                del ranking[i]
-
-    def hold(self, pids: Sequence[int]) -> list[tuple[float, int]]:
-        """Lift active ids' keys out of the ranking; returns them in pids'
-        order."""
-        ranking, held = self._ranking, [self._key[pid] for pid in pids]
-        for key in held:
-            del ranking[bisect_left(ranking, key)]
-        return held
-
-    def release(self, held: list[tuple[float, int]]) -> None:
-        """Put held keys, as their holder updated them, back into the
-        ranking."""
-        for key in held:
-            self._key[-key[1]] = key
-            insort(self._ranking, key)
+        """Drop a held id from the active set."""
+        del self._key[pid]
 
     def settle(self, held: list[tuple[float, int]], m: int) -> list[int]:
         """Turn held, the keys of at most m active ids, into those of the
-        top min(m, active) ids, as ``top`` would rank the whole set: free
-        slots take the best ranked keys, then while the least held key is
-        below the best ranked one, the two swap. An entering key is the
-        best ranked one, so it never leaves again, nor does a key that left
-        come back. Returns the ids that entered."""
+        min(m, active) ids of largest key: free slots take the best ranked
+        keys, then while the least held key is below the best ranked one,
+        the two swap. An entering key is the best ranked one, so it never
+        leaves again, nor does a key that left come back. Returns the ids
+        that entered."""
         ranking, entered = self._ranking, []
         while len(held) < m and ranking:
             key = ranking.pop()
@@ -161,6 +120,40 @@ class PolicyState:
                 entered.append(-key[1])
                 self._key[-low[1]] = low
                 insort(ranking, low)
+        return entered
+
+    def rotate(self, held: list[tuple[float, int]], m: int) -> list[int]:
+        """Turn held into the keys of the ``rotation``'s m picks, in its
+        order, and move the cursor to the last pick, with some id active: a
+        held key that is not picked goes back into the ranking, as its
+        holder updated it, and a pick that was not held leaves it. Returns
+        the ids that entered, as ``settle`` does."""
+        picks = rotation(self, m)
+        self.rr_cursor = picks[-1]
+        ranking, keys = self._ranking, self._key
+        if m == 1:  # the hot case, a lone probe: its key, if any, swaps with the pick's
+            (pid,) = picks
+            if held:
+                (key,) = held
+                if key[1] == -pid:
+                    return []
+                keys[-key[1]] = key
+                insort(ranking, key)
+            held[:] = [keys[pid]]
+            del ranking[bisect_left(ranking, held[0])]
+            return [pid]
+        entered, picked = [], []
+        for key in held:
+            keys[-key[1]] = key
+            if -key[1] not in picks:
+                insort(ranking, key)
+        for pid in picks:
+            key = keys[pid]
+            if key not in held:
+                entered.append(pid)
+                del ranking[bisect_left(ranking, key)]
+            picked.append(key)
+        held[:] = picked
         return entered
 
 

@@ -36,7 +36,7 @@ from seqscan.engine import (
 from seqscan.models import KL_SATURATION, Categorical, Gaussian, Poisson, finite_kl
 from seqscan.sprt import wald_boundaries
 
-from test_engine_reference import assert_matches_replay
+from test_engine_reference import assert_matches_replay, reference_episode
 
 
 def simple_spec(prior=0.5, cost=1.0, alpha=1e-2, beta=1e-2, delay=0, r0=10.0, r1=15.0):
@@ -523,8 +523,8 @@ def test_open_loop_lanes_match_the_reference_replay_at_every_time_cap():
 
 def test_closed_loop_passes_match_the_reference_replay_at_every_time_cap():
     # closed loop at M > 1 reads its held ids in the selection's order and
-    # hands the last active id to the lone loop; the selection a pass
-    # settles or rotates to, its entering delays, declarations at one
+    # runs the last active id as one-id blocks, stretches; the selection a
+    # pass settles or rotates to, its entering delays, declarations at one
     # pass, the cap and the error of an impossible observation must all
     # fall as the step-by-step replay, which reads in the selection's
     # order, has them
@@ -538,6 +538,54 @@ def test_closed_loop_passes_match_the_reference_replay_at_every_time_cap():
                     for cap in (*range(1, 41), TIME_CAP):
                         outcomes.add(assert_matches_replay(specs, policy, seed, time_cap=cap))
     assert outcomes == {"finished", "SimulationError", "ValueError"}
+
+
+def test_the_last_active_id_pays_its_delay_only_if_it_was_not_held():
+    # K = 3 at M = 2 with switch delays 1, 2 and 3; ids 1 and 2 are
+    # selected first. With ids 2 and 3 slow, id 2 is still held when id 3
+    # declares, so the stretch it is left to charges no delay; with ids 1
+    # and 2 fast, both declare at one pass while id 3 is ranked, so its
+    # stretch pays id 3's delay
+    fast = simple_spec(alpha=0.2, beta=0.2, r0=2.0, r1=20.0, delay=1)
+    slow, cheap = simple_spec(delay=2), simple_spec(cost=0.5, delay=3)
+    truth = (True, False, True)
+    for specs, last, delay in (([fast, slow, cheap], 2, 0), ([fast, replace(fast, switch_delay=2), cheap], 3, 3)):
+        for zeta in (1.05, math.inf):
+            assert assert_matches_replay(specs, PolicyConfig(PolicyKind.CL, 2, zeta), 0, forced_truth=truth) == "finished"
+        paths = EpisodePaths(specs, np.random.SeedSequence(0), forced_truth=truth, trace=True)
+        trace = run_episode(paths, PolicyConfig(PolicyKind.CL, 2, math.inf)).trace
+        n = next(n for n, step in enumerate(trace) if len(step.selected) == 1)
+        assert trace[n].selected == (last,) and trace[n].delay == delay
+        assert (last in trace[n - 1].selected) == (delay == 0)
+
+
+# keys before any data that are finite, but an index that overflows once
+# the posterior passes about 0.9: a cost of 1e308 over an H1 size of 0.29
+OVERFLOW = ProcessSpec(
+    prior=0.5, cost_rate=1e308, alpha=1e-6, beta=1e-2, model_h0=Gaussian(0.0, 1.0), model_h1=Gaussian(0.0, 10.0)
+)
+
+
+def test_an_index_that_overflows_raises_in_a_pass_and_at_a_stretch_end():
+    # a block refuses a non-finite index where it reads one: a pass (M = 2)
+    # at its read, a stretch (M = 1, each of its blocks one step between
+    # exploration instants here) at its end. The replay has no such check
+    # and ranks an infinite index first, so the run is checked against it
+    # up to the instant before the replay's index of the id is first
+    # infinite, and raises, traced or not, at that instant
+    assert all(math.isfinite(key) for key in OVERFLOW.table.keys)
+    other = simple_spec()
+    for specs, truth, m, seed, pid in (([OVERFLOW, other], (True, False), 2, 10, 1), ([other, OVERFLOW], (False, True), 1, 5, 2)):
+        policy = PolicyConfig(PolicyKind.CL, m, 1.05)
+        replay = reference_episode(specs, policy, np.random.SeedSequence(seed), forced_truth=truth)
+        step = next(step for step in replay.trace if not math.isfinite(step.indices[pid - 1]))
+        assert step.instant > 1 and pid in step.selected
+        assert assert_matches_replay(specs, policy, seed, time_cap=step.instant - 1, forced_truth=truth) == "SimulationError"
+        for trace in (False, True):
+            for cap in (step.instant, TIME_CAP):
+                paths = EpisodePaths(specs, np.random.SeedSequence(seed), forced_truth=truth, trace=trace)
+                with pytest.raises(ValueError, match=f"^index of process {pid} must be finite, got inf$"):
+                    run_episode(paths, policy, cap)
 
 
 def test_two_impossible_reads_at_one_pass_raise_the_first_in_selection_order():

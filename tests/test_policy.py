@@ -1,7 +1,8 @@
 """Selection tests: the exploration instants against a step-by-step scan
 of ceil(zeta^l), the round-robin rotation against a brute-force one with
-declared processes skipped, closed-loop argmax selection from the
-incrementally updated ranking, and the open-loop pre-data order."""
+declared processes skipped, closed-loop selection from the selected
+ids' keys held out of the incrementally updated ranking, settled into the
+top M or rotated, and the open-loop pre-data order."""
 
 from __future__ import annotations
 
@@ -24,16 +25,23 @@ def idx(*values, inactive=()):
     return [0.0 if i + 1 in inactive else float(v) for i, v in enumerate(values)]
 
 
-def ranked(values, active=None, rr_cursor=None):
-    """A policy state over len(values) ids ranked by values; ids outside
-    ``active`` are declared, and ``rr_cursor`` overrides the fresh cursor."""
-    s = PolicyState.fresh(values)
-    for pid in range(1, len(values) + 1):
-        if active is not None and pid not in active:
-            s.declare(pid)
-    if rr_cursor is not None:
-        s.rr_cursor = rr_cursor
-    return s
+def ranked(values, active=None, rr_cursor=None, held=()):
+    """A policy state over len(values) ids, built as ``fresh`` builds one
+    but with no id declared: the ids in ``active`` (all by default) are
+    ranked by values, but for the ``held`` ones, whose keys are left out
+    of the ranking for their holder, and ``rr_cursor`` overrides the fresh
+    cursor."""
+    k = len(values)
+    key = {pid: (values[pid - 1], -pid) for pid in (range(1, k + 1) if active is None else sorted(active))}
+    ranking = sorted([key[pid] for pid in key if pid not in held])
+    return PolicyState(k=k, rr_cursor=k if rr_cursor is None else rr_cursor, _key=key, _ranking=ranking)
+
+
+def settled(state, m):
+    """The top m ids of a state holding none, in selection order."""
+    held = []
+    state.settle(held, m)
+    return tuple([-neg for _, neg in sorted(held, reverse=True)])
 
 
 def instants_up_to(zeta, limit):
@@ -55,16 +63,17 @@ def brute_rotation(k, active, cursor, m):
     return tuple(sorted(active, key=lambda pid: (pid - cursor - 1) % k)[:m])
 
 
-def select(state, n, explores, m):
-    """Closed-loop selection at instant n as ``run_episode`` reads it: the
-    rotation, which then moves the cursor, on an exploration instant, the
-    top m otherwise."""
+def select(state, held, n, explores, m):
+    """Closed-loop selection at instant n as ``run_episode`` makes it, from
+    the keys held for the last selection: the rotation, which then moves
+    the cursor, on an exploration instant, the top m otherwise; returns
+    the ids in selection order."""
     if n in explores:
-        picks = rotation(state, m)
-        if picks:
-            state.rr_cursor = picks[-1]
-        return picks
-    return state.top(m)
+        state.rotate(held, m)
+    else:
+        state.settle(held, m)
+        held.sort(reverse=True)
+    return tuple([-neg for _, neg in held])
 
 
 def test_schedule_head_for_default_zeta():
@@ -132,16 +141,13 @@ def test_instants_end_where_the_powers_leave_the_float_range():
     assert list(exploration_instants(1e200)) == [math.ceil(1e200)]
 
 
-def test_floor_except_skips_only_the_given_id():
-    s = ranked(idx(3, 5, 5, 1))
-    assert s.floor_except(2) == 5.0
-    assert s.floor_except(3) == math.nextafter(5.0, math.inf)  # id 3 loses the tie to id 2
-    assert s.floor_except(4) == math.nextafter(5.0, math.inf)
-    s.declare(2)
-    s.declare(3)
-    s.declare(4)
-    assert s.floor_except(1) == -math.inf
-    assert s.floor_except(2) == math.nextafter(3.0, math.inf)
+def test_floor_reads_the_best_ranked_key():
+    values = idx(3, 5, 5, 1)
+    assert ranked(values, held={2}).floor(2) == 5.0
+    assert ranked(values, held={3}).floor(3) == math.nextafter(5.0, math.inf)  # id 3 loses the tie to id 2
+    assert ranked(values, held={4}).floor(4) == math.nextafter(5.0, math.inf)
+    assert ranked(values, active={1}, held={1}).floor(1) == -math.inf
+    assert ranked(values, active={1, 2}, held={2}).floor(2) == math.nextafter(3.0, math.inf)
 
 
 @settings(max_examples=200, deadline=None)
@@ -149,14 +155,14 @@ def test_floor_except_skips_only_the_given_id():
     values=st.lists(st.sampled_from([0.0, 5e-324, 0.25, 0.5, 1.0, 3.0]), min_size=2, max_size=6),
     data=st.data(),
 )
-def test_floor_except_matches_the_key_order(values, data):
-    # an index falls below the floor exactly when its key falls below the
-    # best other key, ties on the index going to the lower id
-    s = ranked(idx(*values))
+def test_floor_matches_the_key_order(values, data):
+    # a held id's index falls below the floor exactly when its key falls
+    # below the best other key, ties on the index going to the lower id
     pid = data.draw(st.integers(1, len(values)), label="pid")
+    s = ranked(idx(*values), held={pid})
     best = max((v, -q) for q, v in enumerate(values, start=1) if q != pid)
     for value in values + [math.nextafter(v, -math.inf) for v in values]:
-        assert (value < s.floor_except(pid)) == ((value, -pid) < best)
+        assert (value < s.floor(pid)) == ((value, -pid) < best)
 
 
 def test_round_robin_wrapped_successors():
@@ -168,10 +174,6 @@ def test_round_robin_wrapped_successors():
 
     s = ranked(idx(0, 0, 0), active={1}, rr_cursor=1)  # wraps all the way around
     assert rotation(s, 1) == (1,)
-
-    s = ranked(idx(0, 0, 0), active=set(), rr_cursor=1)
-    assert select(s, 1, {1}, 1) == ()
-    assert s.rr_cursor == 1
 
 
 def test_round_robin_pick_wraps_past_declared_ids_without_moving_the_cursor():
@@ -199,15 +201,15 @@ def test_round_robin_pick_is_the_next_single_rotation(k, data):
 
 
 def test_round_robin_first_instant_starts_at_one():
-    s = PolicyState.fresh(idx(0, 0, 0, 0, 0))
-    assert select(s, 2, {2, 3}, 1) == (1,)
-    assert select(s, 3, {2, 3}, 1) == (2,)
+    s, held = PolicyState.fresh(idx(0, 0, 0, 0, 0)), []
+    assert select(s, held, 2, {2, 3}, 1) == (1,)
+    assert select(s, held, 3, {2, 3}, 1) == (2,)
     assert rotation(PolicyState.fresh(idx(0, 0, 0, 0, 0, 0)), 3) == (1, 2, 3)
 
 
 def test_round_robin_multi_examples():
     s = ranked(idx(0, 0, 0, 0), active={1, 2, 3, 4}, rr_cursor=4)
-    assert select(s, 1, {1}, 2) == (1, 2)
+    assert select(s, [], 1, {1}, 2) == (1, 2)
     assert s.rr_cursor == 2
 
     s = ranked(idx(0, 0, 0, 0), active={3}, rr_cursor=4)
@@ -218,48 +220,55 @@ def test_round_robin_multi_examples():
 
 
 def test_select_cl_argmax_and_ties():
-    assert ranked(idx(0.3, 0.1, 0.7)).top(1) == (3,)
-    assert ranked(idx(0.3, 0.1, 0.7)).top(2) == (3, 1)
-    assert ranked(idx(0.1, 0.5, 0.2, 0.5)).top(1) == (2,)
+    assert settled(ranked(idx(0.3, 0.1, 0.7)), 1) == (3,)
+    assert settled(ranked(idx(0.3, 0.1, 0.7)), 2) == (3, 1)
+    assert settled(ranked(idx(0.1, 0.5, 0.2, 0.5)), 1) == (2,)
+    # a held key that ties the best ranked one stays when its id is lower
+    s, held = ranked(idx(0.1, 0.5, 0.2, 0.5), held={2}), [(0.5, -2)]
+    assert s.settle(held, 1) == [] and held == [(0.5, -2)]
+    s, held = ranked(idx(0.1, 0.5, 0.2, 0.5), held={4}), [(0.5, -4)]
+    assert s.settle(held, 1) == [2] and held == [(0.5, -2)]
 
 
 def test_select_cl_exploration_instant_rotates():
     explores = set(instants_up_to(1.7, 10))
-    s = ranked(idx(0.3, 0.1, 0.7))
-    assert select(s, 2, explores, 1) == (1,)
-    assert select(s, 3, explores, 1) == (2,)
+    s, held = ranked(idx(0.3, 0.1, 0.7)), []
+    assert select(s, held, 2, explores, 1) == (1,)
+    assert select(s, held, 3, explores, 1) == (2,)
     # non-exploration instant in between goes back to the argmax
-    assert select(s, 4, explores, 1) == (3,)
+    assert select(s, held, 4, explores, 1) == (3,)
 
 
 def test_select_cl_empty_and_small_active_sets():
     s = ranked(idx(0.3, 0.1, 0.7), active=set())
-    assert s.top(2) == ()
+    assert settled(s, 2) == ()
     assert rotation(s, 2) == ()
 
     s = ranked(idx(0.3, 0.1, 0.7), active={2})
-    assert s.top(2) == (2,)
+    assert settled(s, 2) == (2,)
     assert rotation(s, 2) == (2,)
 
 
 def test_declared_processes_are_never_selected():
     rng = np.random.default_rng(29)
     explores = set(instants_up_to(1.7, 300))
-    s = PolicyState.fresh(idx(*([0] * 6)))
+    s, held = PolicyState.fresh(idx(*([0] * 6))), []
     declared = set()
     for n in range(1, 300):
         if not s.active:
             break
-        values = idx(*rng.uniform(0.0, 1.0, size=6), inactive=declared)
-        for pid in s.active:
-            s.rerank(pid, values[pid - 1])
-        picks = select(s, n, explores, 2)
+        picks = select(s, held, n, explores, 2)
         assert declared.isdisjoint(picks)
         assert len(picks) == min(2, len(s.active))
-        if rng.random() < 0.05:
-            victim = int(rng.choice(sorted(s.active)))
-            s.declare(victim)
-            declared.add(victim)
+        # the selected ids read new values where they are held, or declare
+        read = []
+        for _, neg in held:
+            if rng.random() < 0.05:
+                s.declare(-neg)
+                declared.add(-neg)
+            else:
+                read.append((float(rng.uniform(0.0, 1.0)), neg))
+        held = read
 
 
 def test_selection_is_argmax_consistent_off_exploration():
@@ -269,7 +278,7 @@ def test_selection_is_argmax_consistent_off_exploration():
         m = int(rng.integers(1, k + 1))
         values = idx(*rng.uniform(0.0, 1.0, size=k))
         s = ranked(values)
-        picks = s.top(m)
+        picks = settled(s, m)
         unpicked = s.active - set(picks)
         if unpicked:
             assert min(values[p - 1] for p in picks) >= max(values[q - 1] for q in unpicked)
@@ -280,10 +289,10 @@ def test_exploration_visits_are_fair():
     # every process gets at least floor(instants/K) - 1 visits
     explores = set(instants_up_to(1.7, 3000))
     k = 5
-    s = ranked(idx(*([0.5] * k)))
+    s, held = ranked(idx(*([0.5] * k))), []
     visits = {pid: 0 for pid in range(1, k + 1)}
     for n in sorted(explores):
-        (pick,) = select(s, n, explores, 1)
+        (pick,) = select(s, held, n, explores, 1)
         visits[pick] += 1
     assert explores
     floor_share = len(explores) // k
@@ -293,45 +302,10 @@ def test_exploration_visits_are_fair():
 VALUES = st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0])
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    initial=st.lists(VALUES, min_size=1, max_size=12),
-    data=st.data(),
-)
-def test_ranking_matches_full_sort_under_updates(initial, data):
-    # a small value set makes ties (0.0 among them) common; after every
-    # rerank or declaration the ranking's first m ids are a full sort's
-    k = len(initial)
-    m = data.draw(st.integers(1, k), label="m")
-    s = PolicyState.fresh(initial)
-    indices = list(initial)
-    active = set(range(1, k + 1))
-    steps = data.draw(
-        st.lists(st.tuples(st.booleans(), st.integers(1, k), VALUES), max_size=40), label="steps"
-    )
-    for is_declare, pid, value in steps:
-        if is_declare:
-            s.declare(pid)
-            active.discard(pid)
-            indices[pid - 1] = 0.0
-        elif pid in active:
-            s.rerank(pid, value)
-            indices[pid - 1] = value
-        else:
-            with pytest.raises(ValueError, match="not active"):
-                s.rerank(pid, value)
-        expected = sorted(active, key=lambda q: (-indices[q - 1], q))
-        assert set(s.active) == active
-        assert s.top(m) == tuple(expected[:m])
-    if active:
-        pid = min(active)
-        before = s.top(k)
-        for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match="finite"):
-                s.rerank(pid, bad)
-        assert s.top(k) == before
-    with pytest.raises(ValueError, match="finite"):
-        PolicyState.fresh([math.nan] * k)
+def test_fresh_state_rejects_a_non_finite_index():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="index of process 2 must be finite"):
+            PolicyState.fresh([0.5, bad, 0.5])
 
 
 @settings(max_examples=200, deadline=None)
@@ -340,10 +314,11 @@ def test_ranking_matches_full_sort_under_updates(initial, data):
     data=st.data(),
 )
 def test_settled_held_keys_are_the_top_m_under_updates(initial, data):
-    # the engine's passes: each held id gets a new value where it is held
-    # or is declared, then the held keys settle into the top m, or go back
-    # for a rotation whose picks are lifted out; settling must give a full
-    # sort's first m ids and report the ids that were not held before
+    # the engine's blocks: each held id gets a new value where it is held
+    # or is declared, then the held keys settle into the top m, or rotate,
+    # the picks replacing them in the rotation's order; settling must give
+    # a full sort's first m ids, and both must report the ids that were
+    # not held before (a small value set makes ties, 0.0 among them, common)
     k = len(initial)
     m = data.draw(st.integers(1, k), label="m")
     s = PolicyState.fresh(initial)
@@ -353,11 +328,11 @@ def test_settled_held_keys_are_the_top_m_under_updates(initial, data):
     while active and data.draw(st.booleans(), label="another pass"):
         before = {-neg for _, neg in held}
         if data.draw(st.booleans(), label="rotate"):
-            s.release(held)
             picks = rotation(s, m)
-            s.rr_cursor = picks[-1]
-            held = s.hold(picks)
+            entered = s.rotate(held, m)
             assert held == [(indices[pid - 1], -pid) for pid in picks]
+            assert entered == [pid for pid in picks if pid not in before]
+            assert s.rr_cursor == picks[-1]
         else:
             entered = s.settle(held, m)
             expected = sorted(active, key=lambda q: (-indices[q - 1], q))[:m]
@@ -372,9 +347,9 @@ def test_settled_held_keys_are_the_top_m_under_updates(initial, data):
                 indices[-neg - 1] = data.draw(VALUES, label="value")
                 read.append((indices[-neg - 1], neg))
         held = read
-    s.release(held)
     assert set(s.active) == active
-    assert s.top(k) == tuple(sorted(active, key=lambda q: (-indices[q - 1], q)))
+    s.settle(held, k)
+    assert sorted(held, reverse=True) == [(indices[q - 1], -q) for q in sorted(active, key=lambda q: (-indices[q - 1], q))]
 
 
 def pre_data_order(priors, costs, expected_sizes):
