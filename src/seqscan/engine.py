@@ -58,7 +58,7 @@ from seqscan.composite import (
     size_terms,
 )
 from seqscan.models import Gaussian, ObservationModel, _category, finite_kl, log_density, sample_many
-from seqscan.policy import PolicyState, _check_finite, exploration_instants, rotation
+from seqscan.policy import PolicyState, exploration_instants, rotation
 from seqscan.sprt import SprtBoundaries, Verdict, expected_sample_sizes, update_llr, wald_boundaries
 
 TIME_CAP = 10_000_000
@@ -143,8 +143,14 @@ class ProcessSpec:
     def table(self) -> _PairTable | _GridTable:
         """The spec's fixed numbers, built on first use and kept for the
         spec's lifetime, so every episode of a batch shares them, the two
-        indices fixed before any data (``keys``) among them; a key that is
-        not finite, which no ranking could order, raises."""
+        indices fixed before any data (``keys``) among them. The index is at
+        most the largest reachable belief (the prior for the absorbing prior
+        0, else 1) times the cost over the least size it divides by:
+        ``e_n_h1`` for a pair, whose index rises with the belief, the least
+        of ``sizes`` for a grid. Every key and every index a path stores or
+        computes lies below that bound raised by a relative 1e-6 (rounding,
+        and truth weights that sum to 1 within 1e-9); a spec whose bound
+        overflows, so that no ranking could order its indices, raises."""
         prior, cost, log_odds = self.prior, self.cost_rate, prior_log_odds(self.prior)
         if self.is_composite:
             bounds = composite_boundaries(self.alpha, self.beta)
@@ -154,15 +160,15 @@ class ProcessSpec:
                 for abnormal in (False, True)
             )
             sizes = tuple(b / d for b, d in terms)
-            first = prior * cost / sizes[0]  # index(prior, cost, sizes[0])
+            least, first = min(sizes), prior * cost / sizes[0]  # index(prior, cost, sizes[0])
         else:
             h0, h1 = self.model_h0, self.model_h1
             kl10 = finite_kl(h1, h0)
             e_n_h0, e_n_h1 = expected_sample_sizes(self.alpha, self.beta, finite_kl(h0, h1), kl10)
-            first = _pair_index(prior, log_odds, 0.0, cost, e_n_h0, e_n_h1)
+            least, first = e_n_h1, _pair_index(prior, log_odds, 0.0, cost, e_n_h0, e_n_h1)
+        if not math.isfinite((1.0 if prior else 0.0) * cost / least * (1.0 + 1e-6)):
+            raise ValueError(f"the indices before and after any data are bounded by cost {cost} over size {least}, which overflows")
         keys = (first, _pair_index(prior, None, 0.0, cost, e_n_h0, e_n_h1))
-        if not (math.isfinite(first) and math.isfinite(keys[1])):
-            raise ValueError(f"the indices before any data must be finite, got {keys}")
         if self.is_composite:
             return _GridTable(log_odds, bounds, sizes, e_n_h0, e_n_h1, keys)
         increments = None if isinstance(h0, Gaussian) else {}
@@ -181,7 +187,7 @@ class _PairTable:
     kl10: float  # finite_kl(model_h1, model_h0)
     increments: dict | None  # LLR increment by observation, filled on first sight; None for Gaussians
     terms: tuple  # _pair_index's arguments but the LLR: prior, log_odds, cost rate, e_n_h0, e_n_h1
-    keys: tuple[float, float]  # closed loop's: _pair_index at LLR 0; open loop's: the same with log_odds None
+    keys: tuple[float, float]  # closed loop's: _pair_index at LLR 0; open loop's: the same with log_odds None; both under the table's bound
 
 
 @dataclass(frozen=True)
@@ -193,7 +199,7 @@ class _GridTable:
     sizes: tuple[float, ...]  # expected sample size b / d while each point is the estimate
     e_n_h0: float  # each region's truth mixture of those sizes, summed as w * b / d
     e_n_h1: float
-    keys: tuple[float, float]  # closed loop's: prior * cost / sizes[0]; open loop's: as a pair's, on these sizes
+    keys: tuple[float, float]  # closed loop's: prior * cost / sizes[0]; open loop's: as a pair's, on these sizes; both under the table's bound
 
 
 @dataclass(frozen=True)
@@ -768,7 +774,6 @@ def run_episode(paths: EpisodePaths, policy: PolicyConfig, time_cap: int = TIME_
     if m > k:
         raise ValueError(f"probe budget {m} exceeds process count {k}")
 
-    isfinite = math.isfinite
     stop_times = [0] * k
     samples = [0] * k  # each process's step position on its path
     delays = [spec.switch_delay for spec in specs]
@@ -839,10 +844,7 @@ def run_episode(paths: EpisodePaths, policy: PolicyConfig, time_cap: int = TIME_
                 else:
                     if len(path.indices) <= last:
                         path.fill_indices()
-                    value = path.indices[last]
-                    if not isfinite(value):
-                        _check_finite(i + 1, value)
-                    read.append((value, key[1]))
+                    read.append((path.indices[last], key[1]))
                 samples[i] = last
             held = read
             continue
@@ -873,8 +875,6 @@ def run_episode(paths: EpisodePaths, policy: PolicyConfig, time_cap: int = TIME_
             pstate.declare(pid)
             held = []
         else:
-            if not isfinite(value):
-                _check_finite(pid, value)
             held = [(value, -pid)]
 
     truth = paths.truth

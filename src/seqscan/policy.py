@@ -69,12 +69,10 @@ class PolicyState:
     @classmethod
     def fresh(cls, indices: Sequence[float]) -> "PolicyState":
         """All K = len(indices) ids active, ranked by their indices, none
-        held."""
+        held. The indices are finite: every spec's table bounds them."""
         k = len(indices)
         if k < 1:
             raise ValueError(f"need K >= 1, got K={k}")
-        for pid, value in enumerate(indices, start=1):
-            _check_finite(pid, value)
         key = {pid: (value, -pid) for pid, value in enumerate(indices, start=1)}
         return cls(k=k, rr_cursor=k, _key=key, _ranking=sorted(key.values()))
 
@@ -155,12 +153,6 @@ class PolicyState:
             picked.append(key)
         held[:] = picked
         return entered
-
-
-def _check_finite(pid: int, value: float) -> None:
-    # a NaN key would silently break the sorted order under bisect
-    if not math.isfinite(value):
-        raise ValueError(f"index of process {pid} must be finite, got {value}")
 
 
 def rotation(state: PolicyState, m: int) -> tuple[int, ...]:

@@ -29,14 +29,15 @@ from seqscan.engine import (
     TIME_CAP,
     _child_generators,
     _draw_truth_model,
+    _pair_index,
     _PairPath,
     lower_bound_oracle,
     run_episode,
 )
 from seqscan.models import KL_SATURATION, Categorical, Gaussian, Poisson, finite_kl
-from seqscan.sprt import wald_boundaries
+from seqscan.sprt import expected_sample_sizes, wald_boundaries
 
-from test_engine_reference import assert_matches_replay, reference_episode
+from test_engine_reference import assert_matches_replay, grid_specs as replay_grid_specs, pair_specs as replay_pair_specs
 
 
 def simple_spec(prior=0.5, cost=1.0, alpha=1e-2, beta=1e-2, delay=0, r0=10.0, r1=15.0):
@@ -91,6 +92,8 @@ def test_spec_validation():
             grid_spec(weights=weights)
     with pytest.raises(ValueError, match="h0_weights needs one weight per point"):
         replace(grid_spec(), h0_weights=(0.5, 0.5))
+    with pytest.raises(ValueError, match="truth weights only make sense with a grid"):
+        replace(simple_spec(), h1_weights=(1.0,))
     with pytest.raises(ValueError):
         PolicyConfig(m=0)
     with pytest.raises(ValueError):
@@ -559,33 +562,74 @@ def test_the_last_active_id_pays_its_delay_only_if_it_was_not_held():
         assert (last in trace[n - 1].selected) == (delay == 0)
 
 
-# keys before any data that are finite, but an index that overflows once
-# the posterior passes about 0.9: a cost of 1e308 over an H1 size of 0.29
+# an index that overflows once the posterior passes about 0.9: a cost of
+# 1e308 over an H1 size of 0.29, though both keys before any data are finite
 OVERFLOW = ProcessSpec(
     prior=0.5, cost_rate=1e308, alpha=1e-6, beta=1e-2, model_h0=Gaussian(0.0, 1.0), model_h1=Gaussian(0.0, 10.0)
 )
+# the same cost, with an index that stays finite: the absorbing prior 0
+# holds it at 0, and with the models swapped it rises with the belief
+# toward the cost over the H1 size, 2.55, never over the H0 size, 0.29
+ABSORBED = replace(OVERFLOW, prior=0.0)
+TOWARD_H1 = ProcessSpec(
+    prior=0.5, cost_rate=1e308, alpha=1e-2, beta=1e-6, model_h0=Gaussian(0.0, 10.0), model_h1=Gaussian(0.0, 1.0)
+)
 
 
-def test_an_index_that_overflows_raises_in_a_pass_and_at_a_stretch_end():
-    # a block refuses a non-finite index where it reads one: a pass (M = 2)
-    # at its read, a stretch (M = 1, each of its blocks one step between
-    # exploration instants here) at its end. The replay has no such check
-    # and ranks an infinite index first, so the run is checked against it
-    # up to the instant before the replay's index of the id is first
-    # infinite, and raises, traced or not, at that instant
-    assert all(math.isfinite(key) for key in OVERFLOW.table.keys)
-    other = simple_spec()
-    for specs, truth, m, seed, pid in (([OVERFLOW, other], (True, False), 2, 10, 1), ([other, OVERFLOW], (False, True), 1, 5, 2)):
-        policy = PolicyConfig(PolicyKind.CL, m, 1.05)
-        replay = reference_episode(specs, policy, np.random.SeedSequence(seed), forced_truth=truth)
-        step = next(step for step in replay.trace if not math.isfinite(step.indices[pid - 1]))
-        assert step.instant > 1 and pid in step.selected
-        assert assert_matches_replay(specs, policy, seed, time_cap=step.instant - 1, forced_truth=truth) == "SimulationError"
-        for trace in (False, True):
-            for cap in (step.instant, TIME_CAP):
-                paths = EpisodePaths(specs, np.random.SeedSequence(seed), forced_truth=truth, trace=trace)
-                with pytest.raises(ValueError, match=f"^index of process {pid} must be finite, got inf$"):
-                    run_episode(paths, policy, cap)
+def test_a_spec_is_refused_exactly_when_its_index_could_overflow():
+    # OVERFLOW's table refuses it, so an episode on it raises while its
+    # paths are built, before any run could read an infinite index; the
+    # same cost builds where the index stays finite
+    h0, h1 = OVERFLOW.model_h0, OVERFLOW.model_h1
+    e_n_h0, e_n_h1 = expected_sample_sizes(1e-6, 1e-2, finite_kl(h0, h1), finite_kl(h1, h0))
+    assert round(e_n_h1, 2) == 0.29
+    for log_odds in (0.0, None):
+        assert math.isfinite(_pair_index(0.5, log_odds, 0.0, 1e308, e_n_h0, e_n_h1))
+    message = f"^the indices before and after any data are bounded by cost 1e\\+308 over size {e_n_h1}, which overflows$"
+    with pytest.raises(ValueError, match=message):
+        OVERFLOW.table
+    for specs in ([OVERFLOW, simple_spec()], [simple_spec(), OVERFLOW]):
+        with pytest.raises(ValueError, match=message):
+            EpisodePaths(specs, np.random.SeedSequence(0))
+    assert ABSORBED.table.keys == (0.0, 0.0)
+    assert (round(TOWARD_H1.table.e_n_h0, 2), round(TOWARD_H1.table.e_n_h1, 2)) == (0.29, 2.55)
+
+
+@pytest.mark.parametrize("spec", [ABSORBED, TOWARD_H1], ids=["absorbed", "toward_h1"])
+def test_a_huge_cost_whose_index_stays_finite_runs_as_the_replay(spec):
+    # beside a Poisson pair; the huge-cost process is forced normal, so the
+    # episode's cost sums no stop time of it
+    specs = [spec, simple_spec()]
+    for m in (1, 2):
+        for policy in (PolicyConfig(PolicyKind.CL, m, 1.05), PolicyConfig(PolicyKind.CL, m, math.inf), PolicyConfig(PolicyKind.OL, m)):
+            for seed in range(3):
+                assert assert_matches_replay(specs, policy, seed, forced_truth=(False, True)) == "finished"
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    spec=st.one_of(replay_pair_specs(), replay_grid_specs()),
+    abnormal=st.booleans(),
+    statistic=st.sampled_from(list(StatisticKind)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(spec=ABSORBED, abnormal=False, statistic=StatisticKind.GLR, seed=0)
+@example(spec=TOWARD_H1, abnormal=True, statistic=StatisticKind.GLR, seed=0)
+def test_every_index_stays_at_or_below_the_tables_bound(spec, abnormal, statistic, seed):
+    # the largest reachable belief times the cost over the least size the
+    # index divides by, up to a few ulps, far inside the table's headroom:
+    # the keys, the indices a pair's pass stores and a grid's series, and
+    # what priority and advance compute
+    least = min(spec.table.sizes) if spec.is_composite else spec.table.e_n_h1
+    bound = (1.0 if spec.prior else 0.0) * spec.cost_rate / least * (1.0 + 2.0**-48)
+    path = EpisodePaths([spec], np.random.SeedSequence(seed), statistic, forced_truth=(abnormal,)).paths[0]
+    path.extend(300, TIME_CAP)
+    if not spec.is_composite:
+        path.fill_indices()
+    last = len(path.series) - 1
+    values = [*spec.table.keys, *path.indices, *map(path.priority, range(last + 1))]
+    values += [path.advance(pos, 1, -math.inf, TIME_CAP)[2] for pos in range(last)]
+    assert max(values) <= bound
 
 
 def test_two_impossible_reads_at_one_pass_raise_the_first_in_selection_order():

@@ -302,12 +302,6 @@ def test_exploration_visits_are_fair():
 VALUES = st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0])
 
 
-def test_fresh_state_rejects_a_non_finite_index():
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="index of process 2 must be finite"):
-            PolicyState.fresh([0.5, bad, 0.5])
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     initial=st.lists(VALUES, min_size=1, max_size=12),
